@@ -195,7 +195,9 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
             round_repeats: int = 3, seed: int = 0) -> AttackResult:
     """Grid search class splits for every decoy; keep the attack with the
     highest test error (min over defenses when any are supplied; ties resolve
-    to the lower decoy index)."""
+    to the lower decoy index).  A (decoy, split) subproblem whose feasible
+    set is empty is skipped and recorded in ``decoy_provenance["skipped"]``;
+    InfeasibleSetError is raised only when every subproblem was skipped."""
     if not decoys:
         raise ValueError("need at least one decoy")
     started = time.perf_counter()
@@ -205,6 +207,7 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
     lam_eff = effective_lambda(config.lam, epsilon, config.objective, n_c)
     best = None  # (score, decoy_idx, t, dp, provenance)
     trajectory = []
+    skipped = []
     for di, decoy in enumerate(decoys):
         F = F_builder(decoy)
         gDc = clean_gradient(decoy.theta_decoy, D_c, loss)
@@ -214,7 +217,9 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
             try:
                 x_p, x_m, obj = kkt_solve(gDc, decoy.theta_decoy, eps_p, eps_m,
                                           F, lam_eff)
-            except InfeasibleSetError:
+            except InfeasibleSetError as exc:
+                skipped.append({"decoy_index": di, "eps_plus": eps_p,
+                                "reason": str(exc)})
                 continue
             xs, ys, ws = [], [], []
             if eps_p > 0:
@@ -242,8 +247,11 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
                         "kkt_objective": obj}
                 best = (score, di, t, dp, prov, errs)
     if best is None:
-        raise InfeasibleSetError("every KKT subproblem was infeasible")
+        raise InfeasibleSetError(
+            f"every KKT subproblem was infeasible ({len(skipped)} skipped)"
+            + (f": {skipped[0]['reason']}" if skipped else ""))
     score, _, _, dp, prov, errs = best
+    prov["skipped"] = skipped
     res = AttackResult(attack="kkt", dp=dp, per_defense=errs, seed=seed,
                        decoy_provenance=prov)
     res.min_over_defense = min(errs.values()) if errs else score

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import lsq_linear, minimize
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import expit
 
@@ -185,10 +185,13 @@ def _full_gradient(theta: np.ndarray, D: Dataset, loss: LossSpec, lam: float,
 # For the sum objective  lambda/2 ||theta||^2 + sum_i w_i max(0, 1 - m_i)
 # the dual is  max_alpha  1^T alpha - ||X^T (alpha * y)||^2 / (2 lambda)
 # over the box 0 <= alpha_i <= w_i, with theta = X^T (alpha * y) / lambda.
-# We run L-BFGS-B on the dual and then polish with an exact solve on the
-# active set (points at margin 1), which typically lands at machine precision.
+# A smoothing continuation (Newton) finds the margins to within a few delta;
+# a primal-dual active-set step (Hintermueller, Ito & Kunisch 2002) on the
+# dual then closes exactly: points below margin 1 take alpha = w, points above
+# take 0, and the rest solve the margin-1 system for box-bounded alpha.
 
 _MARGIN_BAND = 1e-6
+_ACTIVE_SET_MAX_ITER = 50
 
 
 def _hinge_witness(theta, alpha, X, y, w, lam):
@@ -203,149 +206,83 @@ def _hinge_witness(theta, alpha, X, y, w, lam):
     return lam * theta - X.T @ (a * y)
 
 
-def _hinge_cd_pass(theta, alpha, X, y, w, lam, order):
-    sq = np.einsum("ij,ij->i", X, X)
-    for i in order:
-        if w[i] <= 0 or sq[i] <= 0:
-            continue
-        g = 1.0 - y[i] * np.dot(X[i], theta)
-        a_new = min(max(alpha[i] + lam * g / sq[i], 0.0), w[i])
-        da = a_new - alpha[i]
-        if da != 0.0:
-            alpha[i] = a_new
-            theta += (da / lam) * y[i] * X[i]
+def _hinge_active_set(theta, Z, w, lam, band):
+    """Active-set step from a primal iterate (Z = y * X row-wise).
+
+    The start partition is L = {m < 1 - band} (alpha = w), U = {m > 1 + band}
+    (alpha = 0) and M = the rest, whose alpha solve Z_M theta = 1 in the box
+    by bounded least squares.  Violators move (L or U whose margin crossed 1
+    into M, M at a bound with its margin off 1 to that bound's side) until
+    the partition settles.  Returns the last (theta, alpha)."""
+    m = Z @ theta
+    low = m < 1.0 - band
+    mid = ~low & (m <= 1.0 + band)
+    for _ in range(_ACTIVE_SET_MAX_ITER):
+        alpha = np.where(low, w, 0.0)
+        if mid.any():
+            Zm = Z[mid]
+            alpha[mid] = lsq_linear(Zm @ Zm.T, lam - Zm @ (Z[low].T @ w[low]),
+                                    bounds=(0.0, w[mid]), method="bvls").x
+        theta = Z.T @ alpha / lam
+        m = Z @ theta
+        off = _MARGIN_BAND * (1.0 + np.abs(m))
+        below, above = m < 1.0 - off, m > 1.0 + off
+        to_low = mid & below & (alpha >= w)
+        to_up = mid & above & (alpha <= 0.0)
+        to_mid = (low & above) | (~low & ~mid & below)
+        if not (to_low.any() or to_up.any() or to_mid.any()):
+            break
+        low = (low & ~to_mid) | to_low
+        mid = (mid & ~to_low & ~to_up) | to_mid
     return theta, alpha
 
 
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _cd_epochs_jit(X, y, w, sq, lam, alpha, theta, epochs):
-        n, d = X.shape
-        for _ in range(epochs):
-            for i in range(n):
-                if w[i] <= 0.0 or sq[i] <= 0.0:
-                    continue
-                m = 0.0
-                for k in range(d):
-                    m += X[i, k] * theta[k]
-                g = 1.0 - y[i] * m
-                a_new = alpha[i] + lam * g / sq[i]
-                if a_new < 0.0:
-                    a_new = 0.0
-                elif a_new > w[i]:
-                    a_new = w[i]
-                da = a_new - alpha[i]
-                if da != 0.0:
-                    alpha[i] = a_new
-                    c = da / lam * y[i]
-                    for k in range(d):
-                        theta[k] += c * X[i, k]
-
-    def _cd_epochs(X, y, w, lam, alpha, theta, epochs):
-        sq = np.einsum("ij,ij->i", X, X)
-        _cd_epochs_jit(np.ascontiguousarray(X), y, w, sq, lam, alpha, theta,
-                       epochs)
-        return theta, alpha
-
-except ImportError:  # pragma: no cover - numba is normally available
-    def _cd_epochs(X, y, w, lam, alpha, theta, epochs):
-        order = np.arange(len(y))
-        for _ in range(epochs):
-            theta, alpha = _hinge_cd_pass(theta, alpha, X, y, w, lam, order)
-        return theta, alpha
-
-
-def _hinge_active_set_polish(alpha, X, y, w, lam, band_scale=_MARGIN_BAND):
-    theta = X.T @ (alpha * y) / lam
-    m = y * (X @ theta)
-    band = band_scale * (1.0 + np.abs(m))
-    low = m < 1.0 - band
-    mid = np.abs(m - 1.0) <= band
-    if low.any():
-        b = X[low].T @ (w[low] * y[low])
-    else:
-        b = np.zeros(X.shape[1])
-    if mid.any():
-        Xm = X[mid] * y[mid, None]
-        K = Xm @ Xm.T
-        rhs = lam * np.ones(mid.sum()) - Xm @ b
-        am, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-        am = np.clip(am, 0.0, w[mid])
-    else:
-        am = np.zeros(0)
-    alpha2 = np.where(low, w, 0.0)
-    alpha2[mid] = am
-    theta2 = X.T @ (alpha2 * y) / lam
-    return theta2, alpha2
-
-
 def _train_hinge_sum(X, y, w, lam, tol, max_iter):
-    n = len(y)
+    Z = X * y[:, None]
 
     def witness_norm(th, al):
         return float(np.linalg.norm(_hinge_witness(th, al, X, y, w, lam)))
 
-    best = [None, None, np.inf]
+    def closes(th, al):
+        return witness_norm(th, al) <= tol * (1.0 + np.linalg.norm(th))
 
-    def consider(th, al):
-        r = witness_norm(th, al)
-        if r < best[2]:
-            best[0], best[1], best[2] = th, al, r
-        return r <= tol * (1.0 + np.linalg.norm(th))
-
-    def try_ladder(alpha):
-        a = alpha
-        for band in (1e-4, _MARGIN_BAND, _MARGIN_BAND):
-            th2, al2 = _hinge_active_set_polish(a, X, y, w, lam,
-                                                band_scale=band)
-            if consider(th2, al2):
-                return True
-            a = al2
-        return False
-
-    # smoothing continuation (Newton) seeds everything; the active-set
-    # ladder usually finishes well-conditioned (large-lambda) problems, the
-    # weight-normalized dual L-BFGS-B handles flat-primal ones, and jitted
-    # dual coordinate descent is the convergent closer for the rest
+    # smoothing continuation, then the active-set step from the margins at
+    # the last level (band 3 delta); one finer level if that does not close
     theta = np.zeros(X.shape[1])
-    for delta in (0.3, 0.03, 0.003):
+    for delta in (0.3, 0.03, 0.003, 3e-4):
         sm = LossSpec(SMOOTHED_HINGE, delta)
         theta = _train_smooth(X, y, w, sm, lam, 1e-10, max_iter, 1.0,
                               x0=theta, strict=False)
-    beta0 = expit((1.0 - y * (X @ theta)) / 0.003)
-    if consider(theta, beta0 * w) or try_ladder(beta0 * w):
-        return best[0], best[1]
+        if delta <= 0.003:
+            th, al = _hinge_active_set(theta, Z, w, lam, 3.0 * delta)
+            if closes(th, al):
+                return th, al
 
-    Yxw = X * (y * w)[:, None]
+    # fallback: weight-normalized dual by L-BFGS-B from the last level's
+    # smoothed duals, then the same active-set step from its iterate
+    Yxw = Z * w[:, None]
 
     def negdual(b):
         v = Yxw.T @ b
         return 0.5 * np.dot(v, v) / lam - np.dot(w, b), Yxw @ v / lam - w
 
+    beta0 = expit((1.0 - Z @ theta) / delta)
     res = minimize(negdual, beta0, jac=True, method="L-BFGS-B",
-                   bounds=[(0.0, 1.0)] * n,
+                   bounds=[(0.0, 1.0)] * len(y),
                    options={"maxiter": 15 * max_iter, "maxfun": 30 * max_iter,
                             "ftol": 1e-18, "gtol": 1e-12, "maxcor": 20})
-    beta = np.clip(res.x, 0.0, 1.0)
-    alpha = beta * w
-    theta = Yxw.T @ beta / lam
-    if consider(theta, alpha) or try_ladder(alpha):
-        return best[0], best[1]
-
-    # convergent closer: cyclic dual coordinate descent from the best iterate
-    theta = best[0].copy()
-    alpha = best[1].copy()
-    chunk = 25
-    for _ in range(max(1, (40 * max_iter) // chunk)):
-        theta, alpha = _cd_epochs(X, y, w, lam, alpha, theta, chunk)
-        if consider(theta, alpha) or try_ladder(alpha):
-            return best[0], best[1]
+    alpha = np.clip(res.x, 0.0, 1.0) * w
+    theta = Z.T @ alpha / lam
+    if closes(theta, alpha):
+        return theta, alpha
+    theta, alpha = _hinge_active_set(theta, Z, w, lam, 3.0 * delta)
+    if closes(theta, alpha):
+        return theta, alpha
+    r = witness_norm(theta, alpha)
     raise TrainingError(
-        f"hinge training stalled at witness norm {best[2]:.3e} "
-        f"(target {tol * (1.0 + np.linalg.norm(best[0])):.3e})",
-        theta=best[0], residual=best[2])
+        f"hinge training stalled at witness norm {r:.3e} "
+        f"(target {tol * (1.0 + np.linalg.norm(theta)):.3e})",
+        theta=theta, residual=r)
 
 
 # -- smooth training: L-BFGS start + Newton polish ---------------------------

@@ -191,3 +191,33 @@ def test_run_kkt_output_at_most_two_distinct_points():
     assert res.dp.n <= 2
     assert len(np.unique(res.dp.X, axis=0)) <= 2
     assert res.decoy_provenance["eps_plus"] + res.decoy_provenance["eps_minus"] == pytest.approx(0.03)
+
+
+def _capped_F_builder(tr):
+    """Feasible sets with a fixed decoy-loss cap of 0.25 per class."""
+    return lambda d: build_feasible_set(
+        tr, 0.05, decoy=(d.theta_decoy, LossSpec.hinge(), {1: 0.25, -1: 0.25}))
+
+
+def test_run_kkt_skips_infeasible_subproblems_and_records_them(decoy_pair):
+    tr, te, good, empty = decoy_pair
+    F_builder = _capped_F_builder(tr)
+    kw = dict(T=3, loss=LossSpec.hinge(), config=TrainConfig(lam=0.1))
+    alone = run_kkt(tr, te, 0.03, [good], F_builder, **kw)
+    res = run_kkt(tr, te, 0.03, [empty, good], F_builder, **kw)
+    np.testing.assert_array_equal(res.dp.X, alone.dp.X)
+    assert alone.decoy_provenance["skipped"] == []
+    prov = res.decoy_provenance
+    assert prov["decoy_index"] == 1
+    skipped = prov["skipped"]
+    assert [s["decoy_index"] for s in skipped] == [0] * 4
+    assert [s["eps_plus"] for s in skipped] == pytest.approx([0.0, 0.01, 0.02, 0.03])
+    assert all(s["reason"] for s in skipped)
+
+
+def test_run_kkt_all_subproblems_infeasible_raises(decoy_pair):
+    from poisonlab.feasible import InfeasibleSetError
+    tr, te, _, empty = decoy_pair
+    with pytest.raises(InfeasibleSetError, match="8 skipped"):
+        run_kkt(tr, te, 0.03, [empty, empty], _capped_F_builder(tr), T=3,
+                loss=LossSpec.hinge(), config=TrainConfig(lam=0.1))

@@ -142,18 +142,8 @@ def test_minmax_decoy_cap_satisfied():
         assert float(loss_of_margin(loss, m)) <= tau + 1e-8
 
 
-def _decoy_pair(seed=12):
-    """A feasible decoy (the clean model) and an infeasible one: a near-zero
-    decoy has hinge loss ~1 everywhere, so a cap of 0.25 leaves nothing."""
-    tr, te = synth_gaussians(seed, 150, 3, 2.5)
-    th = train(tr, LossSpec.hinge(), TrainConfig(lam=0.1))
-    good = DecoyParams(th, 0.0, 0, 0.0, 0.1)
-    empty = DecoyParams(ModelParams(1e-3 * th.theta), 0.0, 0, 0.0, 0.5)
-    return tr, te, good, empty
-
-
-def test_minmax_skips_infeasible_decoy_and_records_it():
-    tr, te, good, empty = _decoy_pair()
+def test_minmax_skips_infeasible_decoy_and_records_it(decoy_pair):
+    tr, te, good, empty = decoy_pair
     F = build_feasible_set(tr, 0.05)
     kw = dict(tau_loss=0.25, lam=0.1, n_burn=5, loss=LossSpec.hinge(),
               config=TrainConfig(lam=0.1))
@@ -167,10 +157,11 @@ def test_minmax_skips_infeasible_decoy_and_records_it():
     assert prov["caps"] == {1: 0.25, -1: 0.25}
 
 
-def test_minmax_all_decoys_infeasible_raises_before_training(monkeypatch):
+def test_minmax_all_decoys_infeasible_raises_before_training(monkeypatch,
+                                                             decoy_pair):
     from poisonlab import minmax
     from poisonlab.feasible import InfeasibleSetError
-    tr, te, _, empty = _decoy_pair()
+    tr, te, _, empty = decoy_pair
     F = build_feasible_set(tr, 0.05)
 
     def no_training(*args, **kwargs):
@@ -182,8 +173,8 @@ def test_minmax_all_decoys_infeasible_raises_before_training(monkeypatch):
                    n_burn=5, loss=LossSpec.hinge(), config=TrainConfig(lam=0.1))
 
 
-def test_minmax_default_cap_is_kkt_quantile_cap():
-    tr, te, good, _ = _decoy_pair()
+def test_minmax_default_cap_is_kkt_quantile_cap(decoy_pair):
+    tr, te, good, _ = decoy_pair
     F = build_feasible_set(tr, 0.05)
     loss = LossSpec.hinge()
     res = run_minmax(tr, te, 0.05, F, [good], lam=0.1, n_burn=5, loss=loss,
@@ -197,11 +188,11 @@ def test_minmax_default_cap_is_kkt_quantile_cap():
         assert float(loss_of_margin(loss, y * float(th @ x))) <= caps[int(y)] + 1e-8
 
 
-def test_minmax_default_cap_binds_where_basic_exceeds_it():
+def test_minmax_default_cap_binds_where_basic_exceeds_it(decoy_pair):
     # the clean model as decoy: unconstrained min-max picks points whose
     # clean-model loss is above the (1-p)-quantile cap, so the default path
     # is a different, constrained attack
-    tr, te, good, _ = _decoy_pair()
+    tr, te, good, _ = decoy_pair
     F = build_feasible_set(tr, 0.05)
     loss = LossSpec.hinge()
     kw = dict(lam=0.1, n_burn=5, loss=loss, config=TrainConfig(lam=0.1))

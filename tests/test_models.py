@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -123,6 +124,43 @@ def test_mean_equals_sum_with_scaled_lambda():
     t_sum = train(tr, LossSpec.hinge(),
                   TrainConfig(lam=0.1 * tr.total_weight, objective="sum")).theta
     np.testing.assert_allclose(t_mean, t_sum, atol=1e-8)
+
+
+def test_hinge_closes_on_sanitized_minmax_sets():
+    # criterion 10's instance and the min-max poison of its decoy with test
+    # error 0.0265 at tau_loss=0.25, sanitized by each centroid/graph defense:
+    # the battery's training sets, on which a coordinate-descent closer once
+    # ran for minutes (459 s on the svd set); all eight trainings together
+    # take a few seconds now
+    from poisonlab import gen_decoys, run_minmax, union
+    from poisonlab.defenses import DefenseKind, fit_detector, fit_thresholds, sanitize
+    from poisonlab.feasible import build_feasible_set
+    tr, te = synth_gaussians(42, 2000, 20, 4.2)
+    loss = LossSpec.hinge()
+    decoys = gen_decoys(tr, te, loss, 0.1, r_grid=(1, 2, 3, 5, 8, 12),
+                        q_grid=(0.05, 0.2, 0.35, 0.5))
+    decoy, = [d for d in decoys if round(d.test_error * te.n) == 53]
+    dp = run_minmax(tr, te, 0.03, build_feasible_set(tr, 0.05), [decoy], 0.25,
+                    lam=0.1, loss=loss, p=0.05, config=TrainConfig(lam=0.1)).dp
+    D = union(tr, dp)
+    started = time.perf_counter()
+    for kind in (DefenseKind.l2(), DefenseKind.slab(), DefenseKind.svd(),
+                 DefenseKind.knn()):
+        beta = fit_detector(kind, D)
+        S = sanitize(D, kind, beta, fit_thresholds(kind, beta, D, 0.05))
+        thetas = {}
+        for cfg in (TrainConfig(lam=0.1),
+                    TrainConfig(lam=0.1 * S.total_weight, objective="sum")):
+            theta, gamma = train_with_duals(S, loss, cfg)
+            th = theta.theta
+            norm = S.total_weight if cfg.objective == "mean" else 1.0
+            witness = cfg.lam * th - S.X.T @ (gamma * S.w * S.y) / norm
+            assert np.linalg.norm(witness) <= cfg.tol * (1.0 + np.linalg.norm(th))
+            thetas[cfg.objective] = th
+        np.testing.assert_allclose(
+            thetas["mean"], thetas["sum"],
+            atol=1e-6 * (1.0 + np.linalg.norm(thetas["sum"])))
+    assert time.perf_counter() - started < 60.0
 
 
 def test_sgd_pure_decay_matches_recurrence():
