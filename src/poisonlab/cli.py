@@ -7,7 +7,6 @@ POISONLAB_WORKERS sets the defense-evaluation worker count.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -153,14 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _rows_to_csv(rows, path):
-    keys = sorted({k for r in rows for k in r})
-    with open(path, "w", newline="") as fh:
-        wr = csv.DictWriter(fh, fieldnames=keys)
-        wr.writeheader()
-        wr.writerows(rows)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -220,7 +211,7 @@ def main(argv=None) -> int:
                                 optimizers=args.optimizers,
                                 losses=args.losses, eta0=args.eta0)
             if args.out:
-                _rows_to_csv(rows, args.out)
+                write_trace_csv(rows, args.out)
             print(json.dumps(rows, sort_keys=True, indent=2))
             return 0
         if args.cmd == "timing":
@@ -236,7 +227,7 @@ def main(argv=None) -> int:
                              "min_over_defense": doc.get("min_over_defense"),
                              **{f"err_{k}": v
                                 for k, v in doc.get("per_defense", {}).items()}})
-            _rows_to_csv(rows, args.csv_out)
+            write_trace_csv(rows, args.csv_out)
             print(f"wrote {args.csv_out} ({len(rows)} rows)")
             return 0
     except VALIDATION_ERRORS as e:

@@ -8,10 +8,18 @@ projections: an L2 ball, a slab around the inter-centroid axis, half-spaces
 non-negativity, and optionally the LP relaxation of the expected post-
 rounding squared distance.  Projections onto intersections run Dykstra's
 alternating scheme over the atoms.
+
+Margin minimization is exact on a ball cut by k half-spaces (the slab's two
+faces, decoy-loss caps, support-vector constraints), which is every
+real-domain set the builders emit: it enumerates the active sets of the k
+rows and certifies the optimum by the KKT conditions.  Sets with a box,
+non-negativity or LP atom use a local NLP solve, checked by a feasibility
+probe and, when the probe fails, bisection on the margin level.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -189,6 +197,74 @@ def _violation(x, atoms) -> float:
     return max((v(x) for _, v in atoms), default=0.0)
 
 
+def _exact_min_margin(cc: "ClassConstraints", a_vec: np.ndarray):
+    """Exact minimizer of a_vec . x over the shrunk ball cut by the shrunk slab
+    faces and half-spaces (the same r' and b' as ``atoms(_SHRINK)``), or None
+    when no active set certifies, which only rounding on a degenerate set
+    causes.
+
+    Active sets S of the k rows are tried by size.  With G = A_S A_S^T,
+    u0 = A_S^T G^-1 (b_S - A_S c) is the offset from the centre to the
+    faces' affine hull and Pa = a - A_S^T G^-1 A_S a the part of a in its
+    null space.  If Pa != 0 the ball is active: x = c + u0 - s Pa/|Pa| with
+    s = sqrt(r'^2 - |u0|^2), mu = |Pa|/s and nu = -G^-1 A_S (a + mu (x-c)).
+    If Pa = 0 it is not: x = c + u0 if |u0| <= r', mu = 0.  The
+    first S whose x meets the other rows with nu >= 0 satisfies the KKT
+    conditions of a convex problem, so x is a global minimizer."""
+    c, r = cc.ball
+    rr = r * (1.0 - _SHRINK)
+    rows, rhs = [], []
+    if cc.slab is not None:
+        ax, sc, hw = cc.slab
+        hws = hw * (1.0 - _SHRINK)
+        t = float(np.dot(ax, sc))
+        rows += [ax, -ax]
+        rhs += [hws + t, hws - t]
+    for hs in cc.halfspaces:
+        rows.append(hs.a)
+        rhs.append(hs.b - _SHRINK * (1.0 + abs(hs.b)))
+    an = math.sqrt(float(a_vec @ a_vec))
+    A = np.array(rows, dtype=float).reshape(len(rows), len(a_vec))
+    slack = np.array(rhs, dtype=float) - A @ c
+    row_n = np.sqrt(np.einsum("ij,ij->i", A, A))
+    row_tol = 1e-11 * (row_n * (math.sqrt(float(c @ c)) + rr) + np.abs(slack))
+    nu_tol = 1e-10 * an
+    AAt = A @ A.T
+    Aa = A @ a_vec
+    k = len(rhs)
+    for size in range(min(k, len(a_vec)) + 1):
+        for S in itertools.combinations(range(k), size):
+            S = list(S)
+            G = AAt[S][:, S]
+            if np.linalg.det(G) <= 1e-12 * np.prod(np.diag(G)):
+                continue  # rows linearly dependent (e.g. both slab faces)
+            # w = G^-1 (b_S - A_S c), v = G^-1 A_S a
+            w, v = np.linalg.solve(G, np.column_stack([slack[S], Aa[S]])).T
+            u0 = A[S].T @ w
+            pa = a_vec - A[S].T @ v
+            u2 = float(u0 @ u0)
+            pn = math.sqrt(float(pa @ pa))
+            if pn > 1e-12 * an:
+                if u2 >= rr * rr:
+                    continue
+                s = math.sqrt(rr * rr - u2)
+                mu = pn / s
+                x_c = u0 - (s / pn) * pa
+            else:
+                if u2 > rr * rr:
+                    continue
+                mu = 0.0
+                x_c = u0
+            # A_S (x - c) = b_S - A_S c, so G^-1 A_S (a + mu (x-c)) = v + mu w
+            nu = -(v + mu * w)
+            if (nu * row_n[S] < -nu_tol).any():
+                continue
+            if (A @ x_c - slack > row_tol).any():
+                continue
+            return c + x_c
+    return None
+
+
 def _slsqp_min_margin(cc: "ClassConstraints", a_vec: np.ndarray, x0: np.ndarray,
                       d: int):
     """Minimize a_vec . x over the (slightly shrunk) class set from x0."""
@@ -352,10 +428,18 @@ class FeasibleSet:
 
     def min_margin_point(self, theta: np.ndarray, y: float,
                          tol: float = 1e-5, x0: np.ndarray | None = None) -> np.ndarray:
-        """Minimizer of the margin y theta^T x over the class-y set: bisection
-        on the margin level brackets the optimum (testing feasibility of the
-        set cut by {margin <= level}), then a local NLP polish sharpens it.
-        x0 warm-starts the search from a previous solution."""
+        """Minimizer of the margin y theta^T x over the class-y set.
+
+        x0 (a previous solution) or the set's anchor is projected onto the
+        set first, which raises InfeasibleSetError on an empty set.  A ball
+        cut only by the slab and half-spaces has an exact minimizer, found by
+        enumerating active sets (``_exact_min_margin``).  Sets with a box,
+        non-negativity or LP atom, and the rare ball set whose active sets
+        all fail on rounding, take the local NLP solve, certified by a
+        feasibility probe just below its value (the set cut by {margin <=
+        level}); when the probe finds a point, bisection on the level
+        brackets the optimum to within tol and a second NLP solve polishes
+        it."""
         theta = np.asarray(theta, dtype=float)
         cc = self.for_label(y)
         if cc.ball is None and cc.box is None:
@@ -365,8 +449,12 @@ class FeasibleSet:
         tn = np.linalg.norm(theta)
         if tn == 0.0:
             return anchor
-        atoms = cc.atoms(_SHRINK)
         a_vec = y * theta
+        if cc.box is None and not cc.nonneg and cc.lp is None:
+            x = _exact_min_margin(cc, a_vec)
+            if x is not None and cc.contains(x):
+                return x
+        atoms = cc.atoms(_SHRINK)
         witness = anchor
         m_hi = float(np.dot(a_vec, witness))
         if cc.ball is not None:

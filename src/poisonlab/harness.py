@@ -153,8 +153,8 @@ def write_report(doc: dict, path) -> None:
 
 
 def write_trace_csv(rows: list[dict], path) -> None:
-    if not rows:
-        return
+    """Write dict rows as CSV, columns sorted by name; with no rows the file
+    still gets its (empty) header line."""
     keys = sorted({k for r in rows for k in r})
     with open(path, "w", newline="") as fh:
         wr = csv.DictWriter(fh, fieldnames=keys)
@@ -250,7 +250,8 @@ def cmd_attack(cfg: ExperimentConfig) -> dict:
     stem = f"{cfg.attack}_seed{cfg.seed}"
     doc = result_to_obj(cfg, res, defense_reports=reports)
     write_report(doc, out / f"{stem}.json")
-    write_trace_csv(res.trace, out / f"{stem}_trace.csv")
+    if res.trace:
+        write_trace_csv(res.trace, out / f"{stem}_trace.csv")
     return doc
 
 

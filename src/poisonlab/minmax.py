@@ -145,8 +145,10 @@ def certified_loss_bound(trace: list) -> float:
     """Smallest U(theta_t) over a min-max trace: an upper bound on the clean
     training loss (hence on the clean 0-1 training error, for the hinge) of
     the model fitted on D_c + D_p, for every poison of the run's weight
-    inside its F, when the defense keeps every clean point.  Exact up to the
-    margin solver's tolerance in max_F loss."""
+    inside its F, when the defense keeps every clean point.  max_F loss is
+    exact up to floating point on sets that are a ball cut by half-spaces
+    (every real-domain set), and up to the margin solver's tolerance on box,
+    non-negativity and LP sets."""
     return min(r["upper_bound"] for r in trace)
 
 

@@ -60,7 +60,13 @@ def test_collapse_and_transfer_commands(tmp_path, capsys):
     out_csv = tmp_path / "tr.csv"
     assert run_cli(["transfer", attack_file, "--lambdas", "0.1", "0.2",
                     "--out", str(out_csv)]) == 0
-    assert out_csv.exists()
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "defense,lambda,loss,optimizer,test_error"
+    assert len(lines) == 3  # two lambdas x one optimizer, loss and defense
+    # no optimizers gives no rows: the file still gets its empty header
+    assert run_cli(["transfer", attack_file, "--optimizers",
+                    "--out", str(out_csv)]) == 0
+    assert out_csv.read_bytes() == b"\r\n"
 
 
 def test_report_merges_runs(tmp_path, capsys):

@@ -123,20 +123,93 @@ def test_min_margin_zero_theta_returns_center():
     np.testing.assert_allclose(F.min_margin_point(np.zeros(2), 1.0), c, atol=1e-9)
 
 
-def test_min_margin_matches_grid(rng):
-    ball_c = np.array([1.0, 0.0])
-    cc = ClassConstraints(ball=(ball_c, 2.0),
-                          slab=(np.array([1.0, 0.5]), ball_c, 0.8))
-    F = FeasibleSet({1: cc, -1: cc}, 2)
+_C2 = np.array([1.0, 0.0])
+_SLAB2 = (np.array([1.0, 0.5]), _C2, 0.8)
+_GRID_SETS = {
+    "ball-slab": ClassConstraints(ball=(_C2, 2.0), slab=_SLAB2),
+    "ball-slab-1hs": ClassConstraints(
+        ball=(_C2, 2.0), slab=_SLAB2,
+        halfspaces=(HalfSpace(np.array([0.3, 1.0]), 1.4),)),
+    "ball-slab-2hs": ClassConstraints(
+        ball=(_C2, 2.0), slab=_SLAB2,
+        halfspaces=(HalfSpace(np.array([0.3, 1.0]), 1.4),
+                    HalfSpace(np.array([-0.2, -1.0]), 1.0))),
+    # the NLP + bisection path: box and non-negativity sets
+    "box-ball": ClassConstraints(ball=(np.array([0.8, 0.3]), 0.7),
+                                 box=(0.0, 1.0)),
+    "nonneg-ball-slab": ClassConstraints(ball=(_C2, 2.0), slab=_SLAB2,
+                                         nonneg=True),
+}
+
+
+def _grid_members(cc, G):
+    m = np.ones(len(G), dtype=bool)
+    if cc.ball is not None:
+        m &= np.linalg.norm(G - cc.ball[0], axis=1) < cc.ball[1]
+    if cc.slab is not None:
+        a, c, hw = cc.slab
+        m &= np.abs((G - c) @ a) < hw
+    for hs in cc.halfspaces:
+        m &= G @ hs.a <= hs.b
+    if cc.box is not None:
+        m &= np.all((G >= cc.box[0]) & (G <= cc.box[1]), axis=1)
+    if cc.nonneg:
+        m &= np.all(G >= 0.0, axis=1)
+    return m
+
+
+def test_min_margin_matches_grid():
     g = np.linspace(-2.2, 4.2, 1601)
     G = np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2)
-    member = ((np.linalg.norm(G - ball_c, axis=1) < 2.0)
-              & (np.abs((G - ball_c) @ cc.slab[0]) < 0.8))
-    pts = G[member]
-    for _ in range(5):
-        theta = rng.standard_normal(2)
-        x = F.min_margin_point(theta, 1.0)
-        assert np.dot(theta, x) <= np.min(pts @ theta) + 1e-3
+    # twelve directions round the circle, so every corner of each set is
+    # reached, plus both directions along the slab axis, where the optimum is
+    # a whole slab face
+    ang = 0.1 + np.arange(12) * np.pi / 6
+    thetas = list(np.column_stack([np.cos(ang), np.sin(ang)]))
+    thetas += [_SLAB2[0], -_SLAB2[0]]
+    for name, cc in _GRID_SETS.items():
+        F = FeasibleSet({1: cc, -1: cc}, 2)
+        pts = G[_grid_members(cc, G)]
+        for theta in thetas:
+            x = F.min_margin_point(theta, 1.0)
+            assert F.contains(x, 1), name
+            assert np.dot(theta, x) <= np.min(pts @ theta) + 1e-3, name
+
+
+@pytest.mark.parametrize("cc,theta,expect", [
+    # theta along the slab axis: the optimum is the slab face, the ball is
+    # inactive, and the point returned is the face's point nearest the centre
+    (ClassConstraints(ball=(_C2, 2.0), slab=_SLAB2), _SLAB2[0],
+     _C2 - 0.8 * _SLAB2[0] / 1.25),
+    # the vertex where a slab face meets a half-space, inside the ball
+    (ClassConstraints(ball=(np.zeros(2), 2.0),
+                      slab=(np.array([1.0, 0.0]), np.zeros(2), 1.0),
+                      halfspaces=(HalfSpace(np.array([0.0, -1.0]), 0.5),)),
+     np.array([1.0, 1.0]), np.array([-1.0, -0.5])),
+    # the edge where two half-spaces meet, on the ball's sphere
+    (ClassConstraints(ball=(np.zeros(3), 2.0),
+                      halfspaces=(HalfSpace(np.array([-1.0, 0.0, 0.0]), 1.0),
+                                  HalfSpace(np.array([0.0, -1.0, 0.0]), 1.0))),
+     np.ones(3), np.array([-1.0, -1.0, -np.sqrt(2.0)])),
+], ids=["slab-face", "vertex", "edge"])
+def test_min_margin_on_faces_and_edges(cc, theta, expect):
+    from poisonlab.feasible import _exact_min_margin
+    F = FeasibleSet({1: cc, -1: cc}, len(theta))
+    x = F.min_margin_point(theta, 1.0)
+    assert F.contains(x, 1)
+    np.testing.assert_allclose(x, expect, atol=1e-7)
+    # the active-set enumeration itself certifies it, without the NLP path
+    np.testing.assert_array_equal(_exact_min_margin(cc, theta), x)
+    assert np.dot(theta, x) == pytest.approx(np.dot(theta, expect), abs=1e-7)
+
+
+def test_max_loss_point_empty_decoy_set_raises(decoy_pair):
+    from poisonlab.minmax import max_loss_point
+    tr, _, good, empty = decoy_pair
+    F = build_feasible_set(tr, 0.05).with_decoy_caps(
+        empty.theta_decoy, LossSpec.hinge(), {1: 0.25, -1: 0.25})
+    with pytest.raises(InfeasibleSetError):
+        max_loss_point(good.theta_decoy.theta, F, LossSpec.hinge())
 
 
 def test_min_margin_value_below_random_feasible(rng):
