@@ -9,6 +9,12 @@ top-p weight mass per class via a threshold tau_y, and trains on the rest:
     loss  loss under a model trained on the unsanitized data
     SVD   norm of the component outside the top-k right-singular subspace
     k-NN  distance to the k-th nearest neighbor (weight counts multiplicity)
+
+``score_dataset`` holds each scoring rule; ``score`` is its one-point case.
+``defend`` fits the detector and scores the combined data once per fit, and
+derives both tau and the kept set from that one score array.  k-NN scoring
+runs in fixed blocks of rows, so its memory grows with the reference size,
+not with its square.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ SVD = "svd"
 KNN = "knn"
 
 ALL_DEFENSES = (L2, SLAB, LOSS, SVD, KNN)
+
+_KNN_BLOCK = 256   # rows scored per block: bounds k-NN memory to 256 x |reference|
+_TIE_BAND = 1e-12  # relative slack on the removal budget (see _thresholds)
 
 
 class DefenseError(ValueError):
@@ -116,52 +125,24 @@ def fit_detector(kind: DefenseKind, D: Dataset) -> DetectorParams:
     return DetectorParams(KNN, reference=D)
 
 
-def _knn_kth_distance(dists: np.ndarray, weights: np.ndarray, k: int) -> float:
-    """Distance at which cumulative reference weight reaches k."""
-    order = np.argsort(dists, kind="stable")
-    cw = np.cumsum(weights[order])
-    idx = np.searchsorted(cw, k, side="left")
-    if idx >= len(order):
-        return float(dists[order[-1]]) if len(order) else np.inf
-    return float(dists[order[idx]])
-
-
 def score(kind: DefenseKind, beta: DetectorParams, x: np.ndarray, y: float) -> float:
     """Anomaly score of a single (x, y); larger = more anomalous."""
-    x = np.asarray(x, dtype=float)
-    if kind.kind == L2:
-        return float(np.linalg.norm(x - beta.centroids[int(y)]))
-    if kind.kind == SLAB:
-        axis = beta.centroids[1] - beta.centroids[-1]
-        return float(abs(np.dot(axis, x - beta.centroids[int(y)])))
-    if kind.kind == LOSS:
-        m = y * float(np.dot(beta.model.theta, x))
-        return float(loss_of_margin(kind.loss, m))
-    if kind.kind == SVD:
-        r = x - beta.basis @ (beta.basis.T @ x)
-        return float(np.linalg.norm(r))
-    ref = beta.reference
-    dists = np.linalg.norm(ref.X - x, axis=1)
-    return _knn_kth_distance(dists, ref.w, kind.k)
+    return float(score_dataset(kind, beta, Dataset.from_points(x, [y]))[0])
 
 
 def score_dataset(kind: DefenseKind, beta: DetectorParams, D: Dataset,
                   training: bool = False) -> np.ndarray:
-    """Vectorized scores.  With ``training=True`` and the k-NN defense, each
-    point's own weight is excluded from its neighbor search (duplicate
-    locations still shield each other)."""
-    if kind.kind == L2:
-        out = np.empty(D.n)
-        for lab in (1.0, -1.0):
-            m = D.y == lab
-            out[m] = np.linalg.norm(D.X[m] - beta.centroids[int(lab)], axis=1)
-        return out
-    if kind.kind == SLAB:
+    """Anomaly scores of every point of D; the one place each defense's rule
+    is written.  With ``training=True`` and the k-NN defense, each point's own
+    weight is excluded from its neighbor search (duplicate locations still
+    shield each other)."""
+    if kind.kind in (L2, SLAB):
         axis = beta.centroids[1] - beta.centroids[-1]
         out = np.empty(D.n)
-        for lab in (1.0, -1.0):
+        for lab in (1, -1):
             m = D.y == lab
-            out[m] = np.abs((D.X[m] - beta.centroids[int(lab)]) @ axis)
+            R = D.X[m] - beta.centroids[lab]
+            out[m] = np.linalg.norm(R, axis=1) if kind.kind == L2 else np.abs(R @ axis)
         return out
     if kind.kind == LOSS:
         m = D.y * (D.X @ beta.model.theta)
@@ -169,82 +150,104 @@ def score_dataset(kind: DefenseKind, beta: DetectorParams, D: Dataset,
     if kind.kind == SVD:
         proj = (D.X @ beta.basis) @ beta.basis.T
         return np.linalg.norm(D.X - proj, axis=1)
+    # k-NN: the distance at which cumulative reference weight, nearest first,
+    # reaches k (the farthest distance when it never does), in row blocks
     ref = beta.reference
-    sq = np.maximum(
-        np.sum(D.X ** 2, axis=1)[:, None]
-        - 2.0 * D.X @ ref.X.T
-        + np.sum(ref.X ** 2, axis=1)[None, :],
-        0.0,
-    )
-    dists = np.sqrt(sq)
+    ref_sq = np.sum(ref.X ** 2, axis=1)
     out = np.empty(D.n)
-    same = training and ref is D
-    for i in range(D.n):
-        w = ref.w.copy()
-        if same:
-            w[i] = 0.0  # a point is not its own neighbor
-        out[i] = _knn_kth_distance(dists[i], w, kind.k)
+    for lo in range(0, D.n, _KNN_BLOCK):
+        X = D.X[lo:lo + _KNN_BLOCK]
+        i = np.arange(len(X))
+        dists = np.sqrt(np.maximum(
+            np.sum(X ** 2, axis=1)[:, None] - 2.0 * X @ ref.X.T + ref_sq[None, :],
+            0.0))
+        order = np.argsort(dists, axis=1, kind="stable")
+        w = ref.w[order]
+        if training and ref is D:
+            w[order == (lo + i)[:, None]] = 0.0  # a point is not its own neighbor
+        # cumulative weights never decrease, so the count below k is the
+        # first index that reaches it
+        kth = np.minimum((np.cumsum(w, axis=1) < kind.k).sum(axis=1), ref.n - 1)
+        out[lo + i] = dists[i, order[i, kth]]
     return out
+
+
+def _thresholds(scores: np.ndarray, D: Dataset, p: float) -> Thresholds:
+    """Nearest-rank thresholds from the training scores of D (see
+    ``fit_thresholds``)."""
+    if not 0.0 < p < 1.0:
+        raise DefenseError("p must lie in (0,1)")
+    tau = {}
+    for lab in (1, -1):
+        mask = D.y == lab
+        if not mask.any():
+            raise DefenseError(f"class {lab:+d} absent; cannot fit threshold")
+        s, w = scores[mask], D.w[mask]
+        budget = p * w.sum()
+        order = np.argsort(-s, kind="stable")
+        s, w = s[order], w[order]
+        # mass at or above each distinct score: the cumulative weight, in
+        # descending order, at the last point of each run of equal scores
+        last = np.append(s[1:] != s[:-1], True)
+        mass_ge = np.cumsum(w)[last]
+        # the band absorbs summation-order rounding at an exact budget tie
+        n_ok = np.count_nonzero(mass_ge <= budget * (1.0 + _TIE_BAND))
+        tau[lab] = float(s[last][n_ok - 1] if n_ok else np.nextafter(s[0], np.inf))
+    return Thresholds(tau)
+
+
+def _keep(scores: np.ndarray, D: Dataset, tau: Thresholds) -> np.ndarray:
+    """Mask of the points scoring strictly below their class threshold."""
+    return scores < np.where(D.y == 1.0, tau.tau[1], tau.tau[-1])
 
 
 def fit_thresholds(kind: DefenseKind, beta: DetectorParams, D: Dataset,
                    p: float) -> Thresholds:
     """Per class, tau_y is the smallest observed score value such that the
-    weight of {score >= tau_y} is at most p times the class weight; when even
-    the top score carries more than that mass, tau_y sits just above it (so
-    nothing is removed)."""
-    if not 0.0 < p < 1.0:
-        raise DefenseError("p must lie in (0,1)")
-    scores = score_dataset(kind, beta, D, training=True)
-    tau = {}
-    for lab in (1.0, -1.0):
-        mask = D.y == lab
-        if not mask.any():
-            raise DefenseError(f"class {int(lab):+d} absent; cannot fit threshold")
-        s, w = scores[mask], D.w[mask]
-        budget = p * w.sum()
-        uniq = np.unique(s)[::-1]  # descending
-        mass_ge = np.array([w[s >= u].sum() for u in uniq])
-        ok = mass_ge <= budget
-        if ok.any():
-            tau[int(lab)] = float(uniq[np.flatnonzero(ok)[-1]])
-        else:
-            tau[int(lab)] = float(np.nextafter(uniq[0], np.inf))
-    return Thresholds(tau)
+    weight of {score >= tau_y} is at most p times the class weight (up to a
+    relative 1e-12 tie band); when even the top score carries more than that
+    mass, tau_y sits just above it (so nothing is removed)."""
+    return _thresholds(score_dataset(kind, beta, D, training=True), D, p)
 
 
 def sanitize(D: Dataset, kind: DefenseKind, beta: DetectorParams,
              tau: Thresholds) -> Dataset:
     """Keep exactly the points scoring strictly below their class threshold."""
-    scores = score_dataset(kind, beta, D, training=True)
-    cut = np.array([tau.tau[int(lab)] for lab in D.y])
-    return D.subset(scores < cut)
+    return D.subset(_keep(score_dataset(kind, beta, D, training=True), D, tau))
 
 
-def defend_and_train(D_c: Dataset, D_p: Dataset, kind: DefenseKind, p: float,
-                     loss: LossSpec, config: TrainConfig):
-    """Full defender pipeline: fit beta and tau on D_c u D_p, sanitize, train.
+def defend(D_c: Dataset, D_p: Dataset, kind: DefenseKind, p: float):
+    """The defender's sanitize step: fit beta on D = D_c u D_p, score D once,
+    and derive tau and the kept set from those scores.
 
-    Returns (theta_hat, err_fn, report); err_fn maps a test set to 0-1 error.
-    """
+    Returns (D, D_san, tau); raises DefenseError when the kept set is empty or
+    single-class."""
     D = union(D_c, D_p)
     beta = fit_detector(kind, D)
-    tau = fit_thresholds(kind, beta, D, p)
-    D_san = sanitize(D, kind, beta, tau)
+    scores = score_dataset(kind, beta, D, training=True)
+    tau = _thresholds(scores, D, p)
+    D_san = D.subset(_keep(scores, D, tau))
     if D_san.n == 0:
         raise DefenseError("sanitization removed every point")
     if not ((D_san.y == 1.0).any() and (D_san.y == -1.0).any()):
         raise DefenseError("sanitized set is single-class")
+    return D, D_san, tau
+
+
+def defend_and_train(D_c: Dataset, D_p: Dataset, kind: DefenseKind, p: float,
+                     loss: LossSpec, config: TrainConfig):
+    """Full defender pipeline: ``defend``, then train on the kept set.
+
+    Returns (theta_hat, err_fn, report); err_fn maps a test set to 0-1 error.
+    """
+    D, D_san, tau = defend(D_c, D_p, kind, p)
     theta = train(D_san, loss, config)
-    removed = {
-        int(lab): float(D.w[D.y == lab].sum() - D_san.w[D_san.y == lab].sum())
-        for lab in (1.0, -1.0)
-    }
     report = {
         "defense": kind.kind,
         "p": p,
         "tau_plus": tau.tau[1],
         "tau_minus": tau.tau[-1],
-        "removed_weight": removed,
+        "removed_weight": {lab: D.class_weight(lab) - D_san.class_weight(lab)
+                           for lab in (1, -1)},
     }
     return theta, (lambda D_test: test_error_01(theta, D_test)), report

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, InputDomain, union
-from .defenses import DefenseKind, class_centroids, fit_detector, fit_thresholds, score_dataset
+from .defenses import DefenseKind, class_centroids, fit_detector, fit_thresholds
 from .models import (
     HINGE,
     LOGISTIC,
@@ -430,30 +430,32 @@ class FeasibleSet:
                          tol: float = 1e-5, x0: np.ndarray | None = None) -> np.ndarray:
         """Minimizer of the margin y theta^T x over the class-y set.
 
-        x0 (a previous solution) or the set's anchor is projected onto the
-        set first, which raises InfeasibleSetError on an empty set.  A ball
-        cut only by the slab and half-spaces has an exact minimizer, found by
-        enumerating active sets (``_exact_min_margin``).  Sets with a box,
-        non-negativity or LP atom, and the rare ball set whose active sets
-        all fail on rounding, take the local NLP solve, certified by a
-        feasibility probe just below its value (the set cut by {margin <=
-        level}); when the probe finds a point, bisection on the level
-        brackets the optimum to within tol and a second NLP solve polishes
-        it."""
+        A ball cut only by the slab and half-spaces has an exact minimizer,
+        found by enumerating active sets (``_exact_min_margin``); it is
+        returned when the set accepts it.  Otherwise x0 (a previous
+        solution) or the set's anchor is projected onto the set, which
+        raises InfeasibleSetError on an empty set (an empty set accepts no
+        exact point either); for theta = 0 that projection is the answer.
+        Sets with a box, non-negativity or LP atom, and the rare ball set
+        whose active sets all fail on rounding, take the local NLP solve,
+        certified by a feasibility probe just below its value (the set cut
+        by {margin <= level}); when the probe finds a point, bisection on
+        the level brackets the optimum to within tol and a second NLP solve
+        polishes it."""
         theta = np.asarray(theta, dtype=float)
         cc = self.for_label(y)
         if cc.ball is None and cc.box is None:
             raise InfeasibleSetError("margin minimization needs a ball or box "
                                      "to be bounded")
-        anchor = self.project(x0 if x0 is not None else cc.anchor(self.d), y)
         tn = np.linalg.norm(theta)
-        if tn == 0.0:
-            return anchor
         a_vec = y * theta
-        if cc.box is None and not cc.nonneg and cc.lp is None:
+        if tn > 0.0 and cc.box is None and not cc.nonneg and cc.lp is None:
             x = _exact_min_margin(cc, a_vec)
             if x is not None and cc.contains(x):
                 return x
+        anchor = self.project(x0 if x0 is not None else cc.anchor(self.d), y)
+        if tn == 0.0:
+            return anchor
         atoms = cc.atoms(_SHRINK)
         witness = anchor
         m_hi = float(np.dot(a_vec, witness))

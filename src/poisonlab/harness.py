@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .alfa import run_alfa
-from .data import Dataset, InputDomain, load_dataset, synth_gaussians, union
-from .defenses import ALL_DEFENSES, DefenseKind, defend_and_train
+from .data import Dataset, InputDomain, load_dataset, synth_gaussians
+from .defenses import ALL_DEFENSES, DefenseKind, defend
 from .feasible import build_feasible_set, collapse_with_duals, verify_collapse
 from .influence import InfluenceConfig, run_influence
 from .kkt import DecoyParams, decoy_loss_caps, gen_decoys, run_kkt
@@ -26,7 +26,7 @@ from .models import (
     train,
     train_sgd_single_pass,
 )
-from .results import AttackResult, evaluate_against_defenses
+from .results import AttackResult, evaluated_result
 
 
 class ConfigError(ValueError):
@@ -133,15 +133,14 @@ def decoys_from_obj(objs: list[dict]) -> list[DecoyParams]:
             for o in objs]
 
 
-def result_to_obj(cfg: ExperimentConfig, res: AttackResult,
-                  defense_reports: list | None = None) -> dict:
+def result_to_obj(cfg: ExperimentConfig, res: AttackResult) -> dict:
     return {
         "config": asdict(cfg) | {"defenses": list(cfg.defenses)},
         "attack": res.attack,
         "dp": dataset_to_obj(res.dp),
         "per_defense": {k: float(v) for k, v in res.per_defense.items()},
         "min_over_defense": res.min_over_defense,
-        "defense_reports": defense_reports or [],
+        "defense_reports": res.defense_reports,
         "decoy_provenance": res.decoy_provenance,
         "seed": res.seed,
         "timing": {"seconds": res.seconds},
@@ -183,11 +182,8 @@ def run_attack(cfg: ExperimentConfig, D_c: Dataset, D_test: Dataset) -> AttackRe
     if cfg.attack == "none":
         started = time.perf_counter()
         dp = Dataset.empty(D_c.d, D_c.domain)
-        errs = evaluate_against_defenses(D_c, dp, D_test, kinds, cfg.p, loss, tc)
-        res = AttackResult(attack="none", dp=dp, per_defense=errs, seed=cfg.seed)
-        res.finalize_min()
-        res.seconds = time.perf_counter() - started
-        return res
+        return evaluated_result("none", dp, D_c, D_test, kinds, cfg.p, loss, tc,
+                                started, seed=cfg.seed)
     if cfg.attack == "influence":
         F = build_feasible_set(D_c, cfg.p, use_lp_for_integer_domain=use_lp)
         icfg = InfluenceConfig(
@@ -240,15 +236,10 @@ def run_attack(cfg: ExperimentConfig, D_c: Dataset, D_test: Dataset) -> AttackRe
 def cmd_attack(cfg: ExperimentConfig) -> dict:
     D_c, D_test = load_experiment_data(cfg)
     res = run_attack(cfg, D_c, D_test)
-    reports = []
-    if cfg.defenses:
-        _, reports = evaluate_against_defenses(
-            D_c, res.dp, D_test, cfg.defense_kinds(), cfg.p, cfg.loss_spec(),
-            cfg.train_config(), return_reports=True)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{cfg.attack}_seed{cfg.seed}"
-    doc = result_to_obj(cfg, res, defense_reports=reports)
+    doc = result_to_obj(cfg, res)
     write_report(doc, out / f"{stem}.json")
     if res.trace:
         write_trace_csv(res.trace, out / f"{stem}_trace.csv")
@@ -258,16 +249,9 @@ def cmd_attack(cfg: ExperimentConfig) -> dict:
 def defender_variant_error(D_c, D_p, D_test, kind, p, loss, tc,
                            optimizer: str) -> float:
     """Defender pipeline with a possibly non-exact optimizer."""
-    if optimizer == "batch":
-        _, err_fn, _ = defend_and_train(D_c, D_p, kind, p, loss, tc)
-        return err_fn(D_test)
-    from .defenses import fit_detector, fit_thresholds, sanitize
-    D = union(D_c, D_p)
-    beta = fit_detector(kind, D)
-    tau = fit_thresholds(kind, beta, D, p)
-    D_san = sanitize(D, kind, beta, tau)
-    theta = train_sgd_single_pass(D_san, loss, tc)
-    return test_error_01(theta, D_test)
+    fit = train if optimizer == "batch" else train_sgd_single_pass
+    _, D_san, _ = defend(D_c, D_p, kind, p)
+    return test_error_01(fit(D_san, loss, tc), D_test)
 
 
 def cmd_transfer(attack_doc: dict, lambdas=None, optimizers=("batch",),

@@ -27,7 +27,7 @@ from .models import (
     test_error_01,
     train,
 )
-from .results import AttackResult, evaluated_result
+from .results import AttackResult, evaluate_against_defenses
 from .rounding import repeat_round
 
 DEFAULT_R_GRID = (1, 2, 3, 5, 8, 12, 18, 25, 33)
@@ -231,28 +231,28 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
             if D_c.domain is InputDomain.NONNEG_INT and dp.n:
                 dp = repeat_round(dp, round_repeats, seed + 31 * di + t)
             if defenses_for_eval:
-                from .results import evaluate_against_defenses
-                errs = evaluate_against_defenses(D_c, dp, D_test,
-                                                 list(defenses_for_eval), p,
-                                                 loss, config)
+                errs, reports = evaluate_against_defenses(
+                    D_c, dp, D_test, list(defenses_for_eval), p, loss, config,
+                    return_reports=True)
                 score = min(errs.values())
             else:
                 theta = train(union(D_c, dp), loss, config)
-                errs = {}
+                errs, reports = {}, []
                 score = test_error_01(theta, D_test)
             trajectory.append((time.perf_counter() - started, score))
             if best is None or score > best[0]:
                 prov = {"decoy_index": di, "r": decoy.r, "gamma": decoy.gamma,
                         "eps_plus": eps_p, "eps_minus": eps_m,
                         "kkt_objective": obj}
-                best = (score, di, t, dp, prov, errs)
+                best = (score, di, t, dp, prov, errs, reports)
     if best is None:
         raise InfeasibleSetError(
             f"every KKT subproblem was infeasible ({len(skipped)} skipped)"
             + (f": {skipped[0]['reason']}" if skipped else ""))
-    score, _, _, dp, prov, errs = best
+    score, _, _, dp, prov, errs, reports = best
     prov["skipped"] = skipped
-    res = AttackResult(attack="kkt", dp=dp, per_defense=errs, seed=seed,
+    res = AttackResult(attack="kkt", dp=dp, per_defense=errs,
+                       defense_reports=reports, seed=seed,
                        decoy_provenance=prov)
     res.min_over_defense = min(errs.values()) if errs else score
     res.seconds = time.perf_counter() - started

@@ -24,6 +24,7 @@ class AttackResult:
     attack: str
     dp: Dataset
     per_defense: dict = field(default_factory=dict)   # defense name -> test error
+    defense_reports: list = field(default_factory=list)  # one report per defense
     min_over_defense: float | None = None
     seconds: float = 0.0
     decoy_provenance: dict | None = None
@@ -79,8 +80,8 @@ def evaluated_result(attack_name, dp, D_c, D_test, defenses, p, loss, config,
     res = AttackResult(attack=attack_name, dp=dp, seed=seed,
                        decoy_provenance=decoy_provenance, trace=trace or [])
     if defenses:
-        res.per_defense = evaluate_against_defenses(
-            D_c, dp, D_test, defenses, p, loss, config)
+        res.per_defense, res.defense_reports = evaluate_against_defenses(
+            D_c, dp, D_test, defenses, p, loss, config, return_reports=True)
         res.finalize_min()
     res.seconds = time.perf_counter() - started
     return res

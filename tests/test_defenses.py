@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from poisonlab import Dataset, DefenseKind, LossSpec, TrainConfig, synth_gaussians, union
+from poisonlab import defenses
 from poisonlab.defenses import DefenseError, fit_detector, fit_thresholds, sanitize, score, score_dataset, defend_and_train
 from poisonlab.models import avg_loss, test_error_01 as zero_one_error, train
 
@@ -99,6 +100,95 @@ def test_knn_weight_counts_as_multiplicity():
     kind = DefenseKind.knn(3)
     beta = fit_detector(kind, D)
     assert score(kind, beta, np.array([0.0]), 1.0) == pytest.approx(1.0)
+
+
+def knn_oracle(D, ref, k, exclude_self):
+    """Per-row k-NN rule: sort the distances to the reference, accumulate
+    weight nearest first (without the row's own weight when it is its own
+    reference), and take the first distance at which the sum reaches k, or
+    the farthest when it never does."""
+    out = np.empty(D.n)
+    for i in range(D.n):
+        dists = np.sqrt(np.sum((ref.X - D.X[i]) ** 2, axis=1))
+        w = ref.w.copy()
+        if exclude_self:
+            w[i] = 0.0
+        order = np.argsort(dists, kind="stable")
+        idx = np.searchsorted(np.cumsum(w[order]), k, side="left")
+        out[i] = dists[order[min(idx, len(order) - 1)]]
+    return out
+
+
+def test_knn_blocked_scores_match_per_row_oracle(rng):
+    # half-integer grid coordinates keep every distance exact, so the blocked
+    # path must agree bit for bit; 600 rows span three blocks, and the grid
+    # puts many duplicates and distance ties across block boundaries
+    n = 600
+    X = rng.integers(-3, 4, size=(n, 3)) * 0.5
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    w = rng.choice([1.0, 30.0, 0.1, 1.0 / 3.0, 0.0], size=n,
+                   p=[0.5, 0.05, 0.2, 0.15, 0.1])
+    D = Dataset.from_points(X, y, w)
+    other = Dataset.from_points(rng.integers(-4, 5, size=(300, 3)) * 0.5,
+                                np.ones(300))
+    for k in (1, 5, 40):
+        kind = DefenseKind.knn(k)
+        beta = fit_detector(kind, D)
+        np.testing.assert_array_equal(score_dataset(kind, beta, D, training=True),
+                                      knn_oracle(D, D, k, True))
+        np.testing.assert_array_equal(score_dataset(kind, beta, D),
+                                      knn_oracle(D, D, k, False))
+        # a reference other than the scored set: nothing to exclude
+        np.testing.assert_array_equal(score_dataset(kind, beta, other, training=True),
+                                      knn_oracle(other, D, k, False))
+
+
+@pytest.mark.parametrize("kind", [DefenseKind.l2(), DefenseKind.slab(),
+                                  DefenseKind.loss_defense(0.1), DefenseKind.svd(),
+                                  DefenseKind.knn(3)], ids=lambda k: k.kind)
+def test_score_is_score_dataset_on_one_point(kind):
+    tr, _ = synth_gaussians(7, 300, 4, 2.0)
+    beta = fit_detector(kind, tr)
+    batch = score_dataset(kind, beta, tr)
+    for i in range(0, tr.n, 37):
+        assert score(kind, beta, tr.X[i], tr.y[i]) == pytest.approx(batch[i], rel=1e-12)
+
+
+def test_defend_and_train_scores_once_per_fit(monkeypatch):
+    tr, _ = synth_gaussians(4, 80, 3, 2.0)
+    poison = Dataset.from_points(np.full((2, 3), 3.0), [1, -1], [2.0, 2.0])
+    calls = {"fit": 0, "score": 0}
+    real_fit, real_score = defenses.fit_detector, defenses.score_dataset
+
+    def fit(*a, **kw):
+        calls["fit"] += 1
+        return real_fit(*a, **kw)
+
+    def scores(*a, **kw):
+        calls["score"] += 1
+        return real_score(*a, **kw)
+
+    monkeypatch.setattr(defenses, "fit_detector", fit)
+    monkeypatch.setattr(defenses, "score_dataset", scores)
+    for kind in [DefenseKind.l2(), DefenseKind.slab(), DefenseKind.loss_defense(0.1),
+                 DefenseKind.svd(), DefenseKind.knn()]:
+        defend_and_train(tr, poison, kind, 0.05, LossSpec.hinge(), TrainConfig(lam=0.1))
+    assert calls == {"fit": 5, "score": 5}
+
+
+def test_threshold_invariant_to_weight_scale():
+    # six class +1 points at scores 1..6 and p = 0.5: the top three carry
+    # exactly half the class weight, so all three go at every weight scale,
+    # though 0.1 + 0.1 + 0.1 rounds above 0.5 * 0.6
+    from poisonlab.defenses import DetectorParams
+    X = np.array([[1.0], [2.0], [3.0], [4.0], [5.0], [6.0], [0.0]])
+    beta = DetectorParams("l2", centroids={1: np.zeros(1), -1: np.zeros(1)})
+    kind = DefenseKind.l2()
+    kept = []
+    for scale in (1.0, 0.1):
+        D = Dataset.from_points(X, [1] * 6 + [-1], scale * np.ones(7))
+        kept.append(sorted(sanitize(D, kind, beta, fit_thresholds(kind, beta, D, 0.5)).X[:, 0]))
+    assert kept[0] == kept[1] == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_threshold_order_statistics_oracle():

@@ -160,7 +160,7 @@ def test_cmd_timing_unreachable_target(tmp_path):
     assert rows[0]["seconds_to_target"] is None
 
 
-def test_attack_json_carries_defense_reports(tmp_path):
+def test_attack_json_carries_defense_reports(tmp_path, monkeypatch):
     cfg = small_config("alfa", output_dir=str(tmp_path))
     doc = cmd_attack(cfg)
     rows = doc["defense_reports"]
@@ -169,6 +169,20 @@ def test_attack_json_carries_defense_reports(tmp_path):
         assert {"defense", "p", "tau_plus", "tau_minus", "removed_weight",
                 "test_error"} <= set(r)
         assert r["test_error"] == doc["per_defense"][r["defense"]]
+    # the reports come from the attack's own battery: with no attack, each
+    # defense is fit once
+    from poisonlab import defenses
+    fits = []
+    real = defenses.fit_detector
+
+    def counting(kind, D):
+        fits.append(kind.kind)
+        return real(kind, D)
+
+    monkeypatch.setattr(defenses, "fit_detector", counting)
+    doc = cmd_attack(small_config("none", output_dir=str(tmp_path)))
+    assert sorted(fits) == sorted(cfg.defenses)
+    assert {r["defense"] for r in doc["defense_reports"]} == set(cfg.defenses)
 
 
 def test_timing_kkt_faster_than_influence(tmp_path):
