@@ -2,26 +2,32 @@
 minimization, the iterative constrained-attack loop, and the two-point
 collapse of an attack with retraining-based verification.
 
-A class set is an intersection of atoms that all admit closed-form
-projections: an L2 ball, a slab around the inter-centroid axis, half-spaces
-(decoy-loss caps, support-vector constraints), the domain box or
-non-negativity, and optionally the LP relaxation of the expected post-
-rounding squared distance.  Projections onto intersections run Dykstra's
-alternating scheme over the atoms.
+A class set is an intersection of an L2 ball, a slab around the
+inter-centroid axis, half-spaces (decoy-loss caps, support-vector
+constraints), the domain box or non-negativity, and optionally the LP
+relaxation of the expected post-rounding squared distance.  Every real-domain
+set the builders emit is a ball cut by k <= 5 rows (the slab's two faces and
+the half-spaces).
 
-Margin minimization is exact on a ball cut by k half-spaces (the slab's two
-faces, decoy-loss caps, support-vector constraints), which is every
-real-domain set the builders emit: it enumerates the active sets of the k
-rows and certifies the optimum by the KKT conditions.  Sets with a box,
-non-negativity or LP atom use a local NLP solve, checked by a feasibility
-probe and, when the probe fails, bisection on the margin level.
+One exact solver serves projection and margin minimization.  It enumerates
+the active sets of the rows; for each, the projection and the margin
+minimizer over the ball cut by those faces are closed form, and the first
+whose multipliers are non-negative and whose point meets the other rows is
+certified optimal by the KKT conditions.  No active set certifies exactly
+when the set is empty.  Box and non-negativity bounds are unit rows that a
+primal-dual active-set loop pins and releases around that solver.  Sets with
+an LP atom are projected by their dual over the constraints' multipliers,
+whose inner minimizer is ``LpConstraint._prox``, and certified by the
+duality gap; margin minimization on LP sets is not supported yet.  Every
+returned point passes ``contains``; a solve that cannot certify raises
+InfeasibleSetError saying so, with a message apart from the empty-set one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +36,6 @@ from .defenses import DefenseKind, class_centroids, fit_detector, fit_thresholds
 from .models import (
     HINGE,
     LOGISTIC,
-    SMOOTHED_HINGE,
     LossSpec,
     ModelParams,
     TrainConfig,
@@ -40,9 +45,11 @@ from .models import (
 )
 from .rounding import LpConstraint
 
-_SHRINK = 1e-8          # relative pull-in so projected points pass strict tests
-_DYKSTRA_CAP = 10_000
-_FEAS_TOL = 1e-8
+_SHRINK = 1e-8          # relative pull-in so returned points pass strict tests
+_PDAS_CAP = 50          # pin/release rounds for box and non-negativity bounds
+_GAP_TOL = 1e-7         # relative duality gap that certifies an LP-set projection
+_EMPTY = "feasible set is empty: no active set of its ball and rows certifies"
+_UNCERTIFIED = "could not certify a solution on the feasible set"
 
 
 class InfeasibleSetError(RuntimeError):
@@ -73,16 +80,6 @@ class HalfSpace:
     a: np.ndarray
     b: float
 
-    def violation(self, x) -> float:
-        return max(0.0, (float(np.dot(self.a, x)) - self.b) / np.linalg.norm(self.a))
-
-    def project(self, x, shrink=0.0):
-        b = self.b - shrink * (1.0 + abs(self.b))
-        v = float(np.dot(self.a, x)) - b
-        if v <= 0:
-            return np.asarray(x, dtype=float)
-        return x - (v / float(np.dot(self.a, self.a))) * self.a
-
 
 @dataclass(frozen=True)
 class ClassConstraints:
@@ -92,52 +89,6 @@ class ClassConstraints:
     box: tuple | None = None         # (lo, hi) closed bounds, may be scalars
     nonneg: bool = False
     lp: LpConstraint | None = None
-
-    def atoms(self, shrink: float):
-        out = []
-        if self.ball is not None:
-            c, r = self.ball
-            rr = r * (1.0 - shrink)
-
-            def p_ball(x, c=c, rr=rr):
-                d = np.linalg.norm(x - c)
-                return x if d <= rr else c + (rr / d) * (x - c)
-
-            def v_ball(x, c=c, r=r):
-                return max(0.0, np.linalg.norm(x - c) - r)
-
-            out.append((p_ball, v_ball))
-        if self.slab is not None:
-            a, c, hw = self.slab
-            na2 = float(np.dot(a, a))
-            hws = hw * (1.0 - shrink)
-
-            def p_slab(x, a=a, c=c, hws=hws, na2=na2):
-                t = float(np.dot(a, x - c))
-                if abs(t) <= hws:
-                    return x
-                return x - ((t - math.copysign(hws, t)) / na2) * a
-
-            def v_slab(x, a=a, c=c, hw=hw):
-                return max(0.0, (abs(float(np.dot(a, x - c))) - hw) / math.sqrt(na2))
-
-            out.append((p_slab, v_slab))
-        for hs in self.halfspaces:
-            out.append((lambda x, hs=hs: hs.project(x, shrink),
-                        lambda x, hs=hs: hs.violation(x)))
-        if self.box is not None:
-            lo, hi = self.box
-            out.append((lambda x, lo=lo, hi=hi: np.clip(x, lo, hi),
-                        lambda x, lo=lo, hi=hi: float(
-                            np.max(np.maximum(lo - x, x - hi), initial=0.0))))
-        if self.nonneg:
-            out.append((lambda x: np.maximum(x, 0.0),
-                        lambda x: float(max(0.0, -x.min(initial=0.0)))))
-        if self.lp is not None:
-            out.append((lambda x: self.lp.project(np.maximum(x, 0.0)),
-                        lambda x: 0.0 if self.lp.contains(np.maximum(x, 0.0))
-                        else float(np.linalg.norm(np.maximum(x, 0.0) - self.lp.project(np.maximum(x, 0.0))) + max(0.0, -x.min(initial=0.0)))))
-        return out
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -171,154 +122,202 @@ class ClassConstraints:
                     + np.broadcast_to(hi, (d,))) / 2.0
         return np.zeros(d)
 
+    def rows(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The slab faces and half-spaces as A x <= b, pulled in by _SHRINK
+        so that solutions on a face pass the strict tests of ``contains``."""
+        rows, rhs = [], []
+        if self.slab is not None:
+            ax, sc, hw = self.slab
+            hws = hw * (1.0 - _SHRINK)
+            t = float(np.dot(ax, sc))
+            rows += [ax, -ax]
+            rhs += [hws + t, hws - t]
+        for hs in self.halfspaces:
+            rows.append(hs.a)
+            rhs.append(hs.b - _SHRINK * (1.0 + abs(hs.b)))
+        return (np.array(rows, dtype=float).reshape(len(rows), d),
+                np.array(rhs, dtype=float))
 
-def _dykstra(x0: np.ndarray, atoms, cap=_DYKSTRA_CAP, tol=1e-11):
-    """Project x0 onto the intersection of the atoms' sets."""
-    if not atoms:
-        return x0.copy()
-    if len(atoms) == 1:
-        return atoms[0][0](x0.copy())
-    x = x0.astype(float).copy()
-    incs = [np.zeros_like(x) for _ in atoms]
-    scale = 1.0 + np.linalg.norm(x0)
-    for it in range(cap):
-        x_prev = x.copy()
-        for i, (proj, _) in enumerate(atoms):
-            y = x + incs[i]
-            x_new = proj(y)
-            incs[i] = y - x_new
-            x = x_new
-        if np.linalg.norm(x - x_prev) <= tol * scale:
-            break
-    return x
+    def bounds(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-coordinate bounds from the box and non-negativity (+-inf when
+        absent)."""
+        lo, hi = np.full(d, -np.inf), np.full(d, np.inf)
+        if self.box is not None:
+            lo, hi = np.maximum(lo, self.box[0]), np.minimum(hi, self.box[1])
+        if self.nonneg:
+            lo = np.maximum(lo, 0.0)
+        return lo, hi
 
 
-def _violation(x, atoms) -> float:
-    return max((v(x) for _, v in atoms), default=0.0)
+def _active_set(c, rr, A, b, q, project: bool):
+    """Exact solution over the ball |x - c| <= rr cut by the rows A x <= b:
+    the Euclidean projection of q when ``project``, else the minimizer of
+    q . x.  Returns (x, mu, nu), with the ball's multiplier mu and the rows'
+    multipliers nu (zero off the active set), or None when no active set
+    certifies, which means the set is empty.
 
-
-def _exact_min_margin(cc: "ClassConstraints", a_vec: np.ndarray):
-    """Exact minimizer of a_vec . x over the shrunk ball cut by the shrunk slab
-    faces and half-spaces (the same r' and b' as ``atoms(_SHRINK)``), or None
-    when no active set certifies, which only rounding on a degenerate set
-    causes.
-
-    Active sets S of the k rows are tried by size.  With G = A_S A_S^T,
-    u0 = A_S^T G^-1 (b_S - A_S c) is the offset from the centre to the
-    faces' affine hull and Pa = a - A_S^T G^-1 A_S a the part of a in its
-    null space.  If Pa != 0 the ball is active: x = c + u0 - s Pa/|Pa| with
-    s = sqrt(r'^2 - |u0|^2), mu = |Pa|/s and nu = -G^-1 A_S (a + mu (x-c)).
-    If Pa = 0 it is not: x = c + u0 if |u0| <= r', mu = 0.  The
-    first S whose x meets the other rows with nu >= 0 satisfies the KKT
-    conditions of a convex problem, so x is a global minimizer."""
-    c, r = cc.ball
-    rr = r * (1.0 - _SHRINK)
-    rows, rhs = [], []
-    if cc.slab is not None:
-        ax, sc, hw = cc.slab
-        hws = hw * (1.0 - _SHRINK)
-        t = float(np.dot(ax, sc))
-        rows += [ax, -ax]
-        rhs += [hws + t, hws - t]
-    for hs in cc.halfspaces:
-        rows.append(hs.a)
-        rhs.append(hs.b - _SHRINK * (1.0 + abs(hs.b)))
-    an = math.sqrt(float(a_vec @ a_vec))
-    A = np.array(rows, dtype=float).reshape(len(rows), len(a_vec))
-    slack = np.array(rhs, dtype=float) - A @ c
+    Active sets S are tried by size.  With G = A_S A_S^T, w = G^-1 (b_S - A_S
+    c), u0 = A_S^T w the offset from c to the faces' affine hull, z = q - c
+    (projection) or q (margin), v = G^-1 A_S z and Pz = z - A_S^T v its part
+    in the null space of A_S:
+    - projection: x = c + u0 + t Pz with t = min(1, sqrt(rr^2 - |u0|^2)/|Pz|),
+      mu = 1/t - 1 and nu = v - w/t;
+    - margin: if Pz != 0 the ball is active, x = c + u0 - s Pz/|Pz| with
+      s = sqrt(rr^2 - |u0|^2) and mu = |Pz|/s; if Pz = 0, x = c + u0 when
+      |u0| <= rr and mu = 0; nu = -(v + mu w).
+    The first S whose x meets the other rows with nu >= 0 satisfies the KKT
+    conditions of a convex problem, so x is its global solution."""
+    k = len(b)
+    z = q - c if project else q
+    zn = math.sqrt(float(z @ z))
+    cn = math.sqrt(float(c @ c))
+    slack = b - A @ c
     row_n = np.sqrt(np.einsum("ij,ij->i", A, A))
-    row_tol = 1e-11 * (row_n * (math.sqrt(float(c @ c)) + rr) + np.abs(slack))
-    nu_tol = 1e-10 * an
+    nu_tol = 1e-10 * zn
     AAt = A @ A.T
-    Aa = A @ a_vec
-    k = len(rhs)
-    for size in range(min(k, len(a_vec)) + 1):
+    Az = A @ z
+    for size in range(min(k, len(c)) + 1):
         for S in itertools.combinations(range(k), size):
             S = list(S)
             G = AAt[S][:, S]
             if np.linalg.det(G) <= 1e-12 * np.prod(np.diag(G)):
                 continue  # rows linearly dependent (e.g. both slab faces)
-            # w = G^-1 (b_S - A_S c), v = G^-1 A_S a
-            w, v = np.linalg.solve(G, np.column_stack([slack[S], Aa[S]])).T
+            w, v = np.linalg.solve(G, np.column_stack([slack[S], Az[S]])).T
             u0 = A[S].T @ w
-            pa = a_vec - A[S].T @ v
-            u2 = float(u0 @ u0)
-            pn = math.sqrt(float(pa @ pa))
-            if pn > 1e-12 * an:
-                if u2 >= rr * rr:
+            pz = z - A[S].T @ v
+            s2 = rr * rr - float(u0 @ u0)
+            pn = math.sqrt(float(pz @ pz))
+            if project:
+                if s2 < 0.0 or (s2 == 0.0 and pn > 0.0):
+                    continue  # the faces' hull misses the ball's interior
+                t = 1.0 if pn * pn <= s2 else math.sqrt(s2) / pn
+                mu, nu = 1.0 / t - 1.0, v - w / t
+                u = u0 + t * pz
+            elif pn > 1e-12 * zn:
+                if s2 <= 0.0:
                     continue
-                s = math.sqrt(rr * rr - u2)
+                s = math.sqrt(s2)
                 mu = pn / s
-                x_c = u0 - (s / pn) * pa
+                u = u0 - (s / pn) * pz
+                nu = -(v + mu * w)
             else:
-                if u2 > rr * rr:
+                if s2 < 0.0:
                     continue
-                mu = 0.0
-                x_c = u0
-            # A_S (x - c) = b_S - A_S c, so G^-1 A_S (a + mu (x-c)) = v + mu w
-            nu = -(v + mu * w)
+                mu, u = 0.0, u0
+                nu = -v
             if (nu * row_n[S] < -nu_tol).any():
                 continue
-            if (A @ x_c - slack > row_tol).any():
+            un = math.sqrt(float(u @ u))
+            row_tol = 1e-11 * (row_n * (cn + un) + np.abs(slack))
+            if (A @ u - slack > row_tol).any():
                 continue
-            return c + x_c
+            nu_all = np.zeros(k)
+            nu_all[S] = nu
+            # x - q = (t - 1) z + A_S^T (w - t v): exactly q when q lies inside
+            x = (q + ((t - 1.0) * z + A[S].T @ (w - t * v)) if project
+                 else c + u)
+            return x, mu, nu_all
     return None
 
 
-def _slsqp_min_margin(cc: "ClassConstraints", a_vec: np.ndarray, x0: np.ndarray,
-                      d: int):
-    """Minimize a_vec . x over the (slightly shrunk) class set from x0."""
-    from scipy.optimize import minimize as _minimize
+def _solve(cc: ClassConstraints, q: np.ndarray, d: int, project: bool):
+    """``_active_set`` on the class set, inside a primal-dual active-set loop
+    for its box and non-negativity bounds (Hintermueller, Ito & Kunisch, SIAM
+    J. Optim. 2002): each round releases the pinned coordinates whose
+    multiplier is negative, pins the free coordinate farthest outside its
+    bounds, and solves over the free coordinates, where the ball shrinks to
+    the radius the pinned ones leave.  Pinning every violated coordinate at
+    once can leave the ball and rows no point where one at a time does not.
+    The loop stops when a round leaves the pinned set as it was, so the
+    point it returns carries KKT multipliers >= -tol for the ball, the rows
+    and the bounds."""
+    c, r = cc.ball if cc.ball is not None else (np.zeros(d), math.inf)
+    c = np.asarray(c, dtype=float)
+    rr = r * (1.0 - _SHRINK)
+    A, b = cc.rows(d)
+    sol = _active_set(c, rr, A, b, q, project)
+    if sol is None:
+        raise InfeasibleSetError(_EMPTY)  # the ball and rows hold the set
+    x, mu, nu = sol
+    if cc.box is None and not cc.nonneg:
+        return x
+    lo, hi = cc.bounds(d)
+    tol = 1e-10 * math.sqrt(float((q - c) @ (q - c) if project else q @ q))
+    pin = np.zeros(d, dtype=int)        # -1 at lo, +1 at hi, 0 free
+    for _ in range(_PDAS_CAP):
+        grad = (x - q if project else q) + mu * (x - c) + A.T @ nu
+        new = np.where(-pin * grad < -tol, 0, pin)
+        out = np.where(pin == 0, np.maximum(lo - x, x - hi), 0.0)
+        i = int(np.argmax(out))
+        if out[i] > 0.0:
+            new[i] = -1 if x[i] < lo[i] else 1
+        if np.array_equal(new, pin):
+            return x
+        pin = new
+        free = pin == 0
+        at = np.where(pin < 0, lo, hi)[~free]
+        off = at - c[~free]
+        r2 = rr * rr - float(off @ off)
+        sol = None if r2 < 0.0 else _active_set(
+            c[free], math.sqrt(r2), A[:, free], b - A[:, ~free] @ at, q[free],
+            project)
+        if sol is None:
+            raise InfeasibleSetError(f"{_UNCERTIFIED}: no active set "
+                                     f"certifies with {off.size} bounds pinned")
+        x = np.empty(d)
+        x[free], x[~free] = sol[0], at
+        mu, nu = sol[1], sol[2]
+    raise InfeasibleSetError(f"{_UNCERTIFIED}: bounds not settled after "
+                             f"{_PDAS_CAP} rounds")
 
-    cons = []
-    if cc.ball is not None:
-        c, r = cc.ball
-        rs = (r * (1.0 - _SHRINK)) ** 2
-        cons.append({"type": "ineq",
-                     "fun": lambda x, c=c, rs=rs: rs - np.dot(x - c, x - c),
-                     "jac": lambda x, c=c: -2.0 * (x - c)})
-    if cc.slab is not None:
-        a, c, hw = cc.slab
-        hws = hw * (1.0 - _SHRINK)
-        cons.append({"type": "ineq",
-                     "fun": lambda x, a=a, c=c, hws=hws: hws - np.dot(a, x - c),
-                     "jac": lambda x, a=a: -a})
-        cons.append({"type": "ineq",
-                     "fun": lambda x, a=a, c=c, hws=hws: hws + np.dot(a, x - c),
-                     "jac": lambda x, a=a: a})
-    for hs in cc.halfspaces:
-        bs = hs.b - _SHRINK * (1.0 + abs(hs.b))
-        cons.append({"type": "ineq",
-                     "fun": lambda x, hs=hs, bs=bs: bs - np.dot(hs.a, x),
-                     "jac": lambda x, hs=hs: -hs.a})
-    if cc.lp is not None:
-        lp = cc.lp
 
-        def lp_fun(x, lp=lp):
-            return lp.tau ** 2 - lp.g_value(np.maximum(x, 0.0))
+def _lp_project(cc: ClassConstraints, x0: np.ndarray, d: int) -> np.ndarray:
+    """Projection onto a set with an LP atom by its dual over (rho, mu, nu):
+    the ball's, the LP constraint's and the rows' multipliers.  The inner
+    minimizer is ``LpConstraint._prox`` at the ball-weighted point, clipped
+    to the box; the dual is concave and smooth, and L-BFGS-B maximizes it.
+    The result is accepted only if it lies in the set with a duality gap of
+    at most _GAP_TOL * (1 + its squared distance / 2)."""
+    from scipy.optimize import minimize
 
-        def lp_jac(x, lp=lp):
-            k = np.clip(np.floor(np.maximum(x, 0.0)), 0, lp.K)
-            return -((2.0 * k + 1.0) - 2.0 * lp.mu)
+    lp = cc.lp
+    A, b = cc.rows(d)
+    lo, hi = cc.bounds(d)
+    has_ball = cc.ball is not None
+    c, r = cc.ball if has_ball else (np.zeros(d), 0.0)
+    rr2 = (r * (1.0 - _SHRINK)) ** 2
+    cap = lp.tau ** 2 - _SHRINK * (1.0 + lp.tau ** 2)
 
-        cons.append({"type": "ineq", "fun": lp_fun, "jac": lp_jac})
-    bounds = None
-    if cc.box is not None:
-        lo, hi = cc.box
-        lo = np.broadcast_to(lo, (d,)) if np.ndim(lo) == 0 else lo
-        hi = np.broadcast_to(hi, (d,)) if np.ndim(hi) == 0 else hi
-        bounds = list(zip(lo, hi))
-    elif cc.nonneg:
-        bounds = [(0.0, None)] * d
-    try:
-        res = _minimize(lambda x: float(np.dot(a_vec, x)), x0, jac=lambda x: a_vec,
-                        method="SLSQP", constraints=cons, bounds=bounds,
-                        options={"maxiter": 400, "ftol": 1e-12})
-    except Exception:
-        return None
-    # the caller gates on feasibility and improvement, so return the iterate
-    # even on soft failures (e.g. status 8, which still lands at the optimum)
-    return res.x
+    def inner(lam):
+        s = 1.0 + lam[0]
+        z = (x0 + lam[0] * c - A.T @ lam[2:]) / s
+        return np.clip(lp._prox(z, lam[1] / s), lo, hi)
+
+    def neg_dual(lam):
+        x = inner(lam)
+        g = np.concatenate(([0.5 * (float((x - c) @ (x - c)) - rr2)
+                             if has_ball else 0.0, lp.g_value(x) - cap],
+                            A @ x - b))
+        return -(0.5 * float((x - x0) @ (x - x0)) + float(lam @ g)), -g
+
+    bounds = [(0.0, None if has_ball else 0.0)] + [(0.0, None)] * (1 + len(b))
+    res = minimize(neg_dual, np.zeros(2 + len(b)), jac=True, method="L-BFGS-B",
+                   bounds=bounds,
+                   options={"ftol": 0.0, "gtol": 0.0, "maxiter": 1000})
+    x = inner(res.x)
+    primal = 0.5 * float((x - x0) @ (x - x0))
+    gap = primal + float(res.fun)
+    if not (cc.contains(x) and gap <= _GAP_TOL * (1.0 + primal)):
+        raise InfeasibleSetError(f"{_UNCERTIFIED}: LP-set projection stopped "
+                                 f"at duality gap {gap:.2e}")
+    return x
+
+
+def _certified(cc: ClassConstraints, x: np.ndarray) -> np.ndarray:
+    if not cc.contains(x):
+        raise InfeasibleSetError(f"{_UNCERTIFIED}: the certified point fails "
+                                 f"the membership test")
+    return x
 
 
 @dataclass(frozen=True)
@@ -335,23 +334,19 @@ class FeasibleSet:
         return self.for_label(y).contains(x)
 
     def project(self, x, y) -> np.ndarray:
-        """Euclidean projection of x onto the class-y set (integrality
-        relaxed); raises InfeasibleSetError when the intersection is
-        detectably empty."""
+        """Euclidean projection of x onto the class-y set pulled in by a
+        relative 1e-8 (integrality relaxed), so it passes ``contains``.
+
+        Ball, row, box and non-negativity sets take the active-set solver
+        (``_solve``), certified by KKT multipliers >= -tol; sets with an LP
+        atom take the dual (``_lp_project``), certified by the duality gap.
+        Raises InfeasibleSetError when the set is empty, or, with another
+        message, when no certificate is found."""
         cc = self.for_label(y)
-        atoms = cc.atoms(_SHRINK)
         x = np.asarray(x, dtype=float)
-        out = _dykstra(x, atoms)
-        scale = 1.0 + np.linalg.norm(x) + np.linalg.norm(out)
-        if _violation(out, atoms) > _FEAS_TOL * scale:
-            # one more attempt from the anchor before declaring infeasible
-            out2 = _dykstra(cc.anchor(self.d), atoms)
-            if _violation(out2, atoms) > _FEAS_TOL * scale:
-                raise InfeasibleSetError(
-                    f"projection did not converge; residual "
-                    f"{_violation(out, atoms):.3e} suggests an empty set")
-            out = out2
-        return out
+        if cc.lp is not None:
+            return _lp_project(cc, x, self.d)
+        return _certified(cc, _solve(cc, x, self.d, project=True))
 
     def with_halfspace(self, y: int, hs: HalfSpace) -> "FeasibleSet":
         cc = self.cons[int(y)]
@@ -426,84 +421,28 @@ class FeasibleSet:
                             for lab, spec in obj["classes"].items()},
                            obj["d"])
 
-    def min_margin_point(self, theta: np.ndarray, y: float,
-                         tol: float = 1e-5, x0: np.ndarray | None = None) -> np.ndarray:
-        """Minimizer of the margin y theta^T x over the class-y set.
+    def min_margin_point(self, theta: np.ndarray, y: float) -> np.ndarray:
+        """Minimizer of the margin y theta^T x over the class-y set, pulled
+        in like ``project``.
 
-        A ball cut only by the slab and half-spaces has an exact minimizer,
-        found by enumerating active sets (``_exact_min_margin``); it is
-        returned when the set accepts it.  Otherwise x0 (a previous
-        solution) or the set's anchor is projected onto the set, which
-        raises InfeasibleSetError on an empty set (an empty set accepts no
-        exact point either); for theta = 0 that projection is the answer.
-        Sets with a box, non-negativity or LP atom, and the rare ball set
-        whose active sets all fail on rounding, take the local NLP solve,
-        certified by a feasibility probe just below its value (the set cut
-        by {margin <= level}); when the probe finds a point, bisection on
-        the level brackets the optimum to within tol and a second NLP solve
-        polishes it."""
+        The active-set solver (``_solve``) returns it in closed form on a
+        ball cut by rows, with box and non-negativity bounds pinned around
+        it, certified by KKT multipliers >= -tol.  For theta = 0 every point
+        is a minimizer and the projection of the set's anchor is returned.
+        Raises InfeasibleSetError when the set is empty, when no certificate
+        is found, on sets without a ball (possibly unbounded) and on sets
+        with an LP atom (not supported yet)."""
         theta = np.asarray(theta, dtype=float)
         cc = self.for_label(y)
-        if cc.ball is None and cc.box is None:
-            raise InfeasibleSetError("margin minimization needs a ball or box "
-                                     "to be bounded")
-        tn = np.linalg.norm(theta)
-        a_vec = y * theta
-        if tn > 0.0 and cc.box is None and not cc.nonneg and cc.lp is None:
-            x = _exact_min_margin(cc, a_vec)
-            if x is not None and cc.contains(x):
-                return x
-        anchor = self.project(x0 if x0 is not None else cc.anchor(self.d), y)
-        if tn == 0.0:
-            return anchor
-        atoms = cc.atoms(_SHRINK)
-        witness = anchor
-        m_hi = float(np.dot(a_vec, witness))
-        if cc.ball is not None:
-            c, r = cc.ball
-            m_lo = float(np.dot(a_vec, c)) - r * tn - 1e-9 * (1.0 + r * tn)
-        else:
-            lo, hi = cc.box
-            m_lo = float(np.minimum(a_vec * np.broadcast_to(lo, (self.d,)),
-                                    a_vec * np.broadcast_to(hi, (self.d,))).sum())
-        span = max(m_hi - m_lo, 1e-12)
-        gap_target = tol * (1.0 + abs(m_hi) + span)
-
-        def try_improve(z):
-            nonlocal witness, m_hi
-            if z is not None and cc.contains(z):
-                m_z = float(np.dot(a_vec, z))
-                if m_z < m_hi:
-                    witness, m_hi = z, m_z
-                    return True
-            return False
-
-        def probe_below(level):
-            probe = atoms + [(lambda x, b=level: HalfSpace(a_vec, b).project(x, 0.0),
-                              lambda x, b=level: HalfSpace(a_vec, b).violation(x))]
-            z = _dykstra(witness, probe, cap=3000)
-            if cc.contains(z) and float(np.dot(a_vec, z)) <= level + 1e-9 * (1.0 + abs(level)):
-                return z
-            return None
-
-        # fast path: local NLP solve, certified by one feasibility probe just
-        # below the value it found
-        try_improve(_slsqp_min_margin(cc, a_vec, witness, self.d))
-        z = probe_below(m_hi - gap_target)
-        if z is None:
-            return witness
-        # certificate failed: bracket the optimum by bisection, then polish
-        try_improve(z)
-        while m_hi - m_lo > gap_target:
-            m_mid = 0.5 * (m_hi + m_lo)
-            z = probe_below(m_mid)
-            if z is not None:
-                try_improve(z)
-                m_hi = min(m_hi, m_mid + 1e-9 * (1.0 + abs(m_mid)))
-            else:
-                m_lo = m_mid
-        try_improve(_slsqp_min_margin(cc, a_vec, witness, self.d))
-        return witness
+        if cc.lp is not None:
+            raise InfeasibleSetError("margin minimization on LP sets is not "
+                                     "supported yet")
+        if cc.ball is None:
+            raise InfeasibleSetError("margin minimization needs a ball to be "
+                                     "bounded")
+        if not theta.any():
+            return self.project(cc.anchor(self.d), y)
+        return _certified(cc, _solve(cc, y * theta, self.d, project=False))
 
 
 # -- builders -----------------------------------------------------------------

@@ -196,12 +196,11 @@ def run_attack(cfg: ExperimentConfig, D_c: Dataset, D_test: Dataset) -> AttackRe
                              loss, tc)
     if cfg.attack == "kkt":
         decoys = get_or_gen_decoys(cfg, D_c, D_test, pr)
+        F = build_feasible_set(D_c, cfg.p, use_lp_for_integer_domain=use_lp)
 
         def F_builder(decoy):
             caps = decoy_loss_caps(D_c, decoy.theta_decoy, loss, cfg.p)
-            return build_feasible_set(D_c, cfg.p,
-                                      decoy=(decoy.theta_decoy, loss, caps),
-                                      use_lp_for_integer_domain=use_lp)
+            return F.with_decoy_caps(decoy.theta_decoy, loss, caps)
 
         return run_kkt(D_c, D_test, cfg.epsilon, decoys, F_builder,
                        T=pr.get("T", 6), defenses_for_eval=kinds, p=cfg.p,

@@ -52,15 +52,12 @@ def warn_if_distribution_shift(D_c: Dataset, D_test: Dataset) -> bool:
 
 
 def max_loss_point(theta: np.ndarray, F: FeasibleSet, loss: LossSpec,
-                   labels=(1.0, -1.0), warm: dict | None = None):
+                   labels=(1.0, -1.0)):
     """Highest-loss feasible point: per label, minimize the margin (losses are
     margin-decreasing), then take the larger loss; ties go to label +1."""
     best = None
     for y in sorted(labels, reverse=True):  # +1 first, so ties keep it
-        x0 = warm.get(int(y)) if warm else None
-        x = F.min_margin_point(theta, y, x0=x0)
-        if warm is not None:
-            warm[int(y)] = x
+        x = F.min_margin_point(theta, y)
         m = y * float(np.dot(theta, x))
         val = float(loss_of_margin(loss, m))
         if best is None or val > best[2] + 1e-12:
@@ -98,14 +95,13 @@ def run_minmax_basic(D_c: Dataset, epsilon: float, F: FeasibleSet,
     theta = np.zeros(D_c.d)
     collected = []
     trace = []
-    warm = {}
     bound = 1e6 * (1.0 + float(np.abs(D_c.X).max(initial=1.0)))
     # regularizer of the learner's objective rescaled to clean weight n
     reg = (config.lam * (1.0 + epsilon) if config.objective == "mean"
            else config.lam / n)
     total_iters = n_burn + n_poison
     for t in range(1, total_iters + 1):
-        x, y, val, m = max_loss_point(theta, F, loss, warm=warm)
+        x, y, val, m = max_loss_point(theta, F, loss)
         mc = D_c.y * (D_c.X @ theta)
         clean_loss = float(np.dot(D_c.w, loss_of_margin(loss, mc))) / n
         upper = 0.5 * reg * float(theta @ theta) + clean_loss + epsilon * val
@@ -146,9 +142,8 @@ def certified_loss_bound(trace: list) -> float:
     training loss (hence on the clean 0-1 training error, for the hinge) of
     the model fitted on D_c + D_p, for every poison of the run's weight
     inside its F, when the defense keeps every clean point.  max_F loss is
-    exact up to floating point on sets that are a ball cut by half-spaces
-    (every real-domain set), and up to the margin solver's tolerance on box,
-    non-negativity and LP sets."""
+    exact up to floating point: the margin solver certifies its minimizer
+    on every set it accepts (it does not accept LP sets yet)."""
     return min(r["upper_bound"] for r in trace)
 
 

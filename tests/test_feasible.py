@@ -99,12 +99,47 @@ def test_projection_optimality_certificate(rng):
         assert np.dot(x0 - xp, z - xp) <= 1e-6
 
 
+def test_project_lp_set_satisfies_projection_inequality():
+    # non-negativity, the LP bound on the expected rounded distance, a slab
+    # and a half-space: the projection x_p of x0 satisfies
+    # (x0 - x_p).(z - x_p) <= 0 for every feasible z
+    from poisonlab.rounding import LpConstraint
+    gen = np.random.default_rng(0)
+    d = 6
+    mu = gen.uniform(0.5, 3.0, d)
+    axis = gen.standard_normal(d)
+    a = gen.standard_normal(d)
+    cc = ClassConstraints(slab=(axis, mu, 0.8 * np.linalg.norm(axis)),
+                          halfspaces=(HalfSpace(a, float(a @ mu) + 0.5),),
+                          nonneg=True, lp=LpConstraint(mu, 2.0, np.full(d, 8)))
+    F = FeasibleSet({1: cc, -1: cc}, d)
+    Z = mu + 0.7 * gen.standard_normal((4000, d))
+    Z = Z[[F.contains(z, 1) for z in Z]]
+    assert len(Z) >= 200
+    for _ in range(8):
+        x0 = mu + 2.0 * gen.standard_normal(d)
+        xp = F.project(x0, 1)
+        assert F.contains(xp, 1)
+        assert np.max((Z - xp) @ (x0 - xp)) <= 1e-6
+
+
 def test_infeasible_intersection_detected():
     cc = ClassConstraints(ball=(np.zeros(2), 1.0),
                           halfspaces=(HalfSpace(np.array([1.0, 0.0]), -5.0),))
     F = FeasibleSet({1: cc, -1: cc}, 2)
-    with pytest.raises(InfeasibleSetError):
+    with pytest.raises(InfeasibleSetError, match="empty"):
         F.project(np.zeros(2), 1)
+
+
+def test_uncertified_solve_raises_apart_from_empty():
+    # the ball meets no non-negative point; only the ball itself is shown
+    # non-empty, so the bound-pinning loop reports that it cannot certify
+    cc = ClassConstraints(ball=(np.array([-2.0, 0.5]), 1.0), nonneg=True)
+    F = FeasibleSet({1: cc, -1: cc}, 2)
+    for solve in (lambda: F.project(np.ones(2), 1),
+                  lambda: F.min_margin_point(np.ones(2), 1.0)):
+        with pytest.raises(InfeasibleSetError, match="could not certify"):
+            solve()
 
 
 def test_min_margin_ball_closed_form(rng):
@@ -134,11 +169,22 @@ _GRID_SETS = {
         ball=(_C2, 2.0), slab=_SLAB2,
         halfspaces=(HalfSpace(np.array([0.3, 1.0]), 1.4),
                     HalfSpace(np.array([-0.2, -1.0]), 1.0))),
-    # the NLP + bisection path: box and non-negativity sets
+    # box and non-negativity bounds, pinned around the active-set solver
     "box-ball": ClassConstraints(ball=(np.array([0.8, 0.3]), 0.7),
                                  box=(0.0, 1.0)),
     "nonneg-ball-slab": ClassConstraints(ball=(_C2, 2.0), slab=_SLAB2,
                                          nonneg=True),
+    # the loop must release a pinned bound on the first set; on the second,
+    # pinning both violated bounds at once leaves the ball and rows no point
+    "nonneg-release": ClassConstraints(
+        ball=(np.array([0.142, 0.243]), 1.075),
+        slab=(np.array([0.153, -0.416]), np.array([0.142, 0.243]), 0.221),
+        halfspaces=(HalfSpace(np.array([1.162, 0.692]), 0.596),), nonneg=True),
+    "nonneg-pin-one": ClassConstraints(
+        ball=(np.array([0.711, 0.097]), 1.227),
+        slab=(np.array([-0.464, 0.772]), np.array([0.711, 0.097]), 0.45),
+        halfspaces=(HalfSpace(np.array([0.379, -2.614]), -0.149),),
+        nonneg=True),
 }
 
 
@@ -193,13 +239,19 @@ def test_min_margin_matches_grid():
      np.ones(3), np.array([-1.0, -1.0, -np.sqrt(2.0)])),
 ], ids=["slab-face", "vertex", "edge"])
 def test_min_margin_on_faces_and_edges(cc, theta, expect):
-    from poisonlab.feasible import _exact_min_margin
+    from poisonlab.feasible import _SHRINK, _active_set
     F = FeasibleSet({1: cc, -1: cc}, len(theta))
     x = F.min_margin_point(theta, 1.0)
     assert F.contains(x, 1)
     np.testing.assert_allclose(x, expect, atol=1e-7)
-    # the active-set enumeration itself certifies it, without the NLP path
-    np.testing.assert_array_equal(_exact_min_margin(cc, theta), x)
+    # the active-set routine certifies it: non-negative multipliers that
+    # make theta + mu (x - c) + A^T nu vanish
+    c, r = cc.ball
+    A, b = cc.rows(len(theta))
+    x2, mu, nu = _active_set(c, r * (1.0 - _SHRINK), A, b, theta, project=False)
+    np.testing.assert_array_equal(x2, x)
+    assert mu >= 0.0 and (nu >= 0.0).all()
+    np.testing.assert_allclose(theta + mu * (x - c) + A.T @ nu, 0.0, atol=1e-9)
     assert np.dot(theta, x) == pytest.approx(np.dot(theta, expect), abs=1e-7)
 
 

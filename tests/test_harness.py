@@ -185,6 +185,27 @@ def test_attack_json_carries_defense_reports(tmp_path, monkeypatch):
     assert {r["defense"] for r in doc["defense_reports"]} == set(cfg.defenses)
 
 
+def test_kkt_attack_fits_the_centroid_set_once(monkeypatch):
+    # every decoy's set is the one centroid set plus that decoy's caps, so
+    # the l2 and slab detectors behind it are fit once, not once per decoy
+    from poisonlab import feasible
+    from poisonlab.harness import load_experiment_data, run_attack
+    cfg = small_config("kkt", attack_params={"r_grid": (1, 3),
+                                             "q_grid": (0.3, 0.6), "T": 2})
+    D_c, D_test = load_experiment_data(cfg)
+    fits = []
+    real = feasible.fit_detector
+
+    def counting(kind, D):
+        fits.append(kind.kind)
+        return real(kind, D)
+
+    monkeypatch.setattr(feasible, "fit_detector", counting)
+    res = run_attack(cfg, D_c, D_test)
+    assert sorted(fits) == ["l2", "slab"]
+    assert res.decoy_provenance["decoy_index"] >= 0
+
+
 def test_timing_kkt_faster_than_influence(tmp_path):
     # ordering only, at a scale where per-iteration retraining dominates the
     # influence attack (its cost is steps x step-size-grid retrains)

@@ -102,29 +102,29 @@ def test_kkt_solve_support_vector_constraints_hold():
     assert 1.0 + float(th.theta @ xm) >= -1e-8
 
 
-def test_kkt_solve_matches_grid_oracle(rng):
-    # d=2 toy: minimize over a coarse grid of (x+, x-) in the balls
+def test_kkt_solve_matches_grid_oracle():
+    # d=2: at the optimum each point's ball and support-vector cap bind, at
+    # the vertices c+ + (0, 1) and c- - (0, 1), which lie on the grid
     c_p, c_m = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
     F = ball_only_feasible({1: c_p, -1: c_m}, {1: 1.0, -1: 1.0}, 2)
     th = ModelParams(np.array([0.5, 0.5]))
-    gDc = np.array([0.4, -0.3])
+    gDc = np.array([0.9, 1.4])
     ep, em, lam_eff = 0.6, 0.4, 0.2
     xp, xm, obj = kkt_solve(gDc, th, ep, em, F, lam_eff)
+    for x, c, y in ((xp, c_p, 1.0), (xm, c_m, -1.0)):
+        assert np.linalg.norm(x - c) == pytest.approx(1.0, abs=1e-6)
+        assert y * (th.theta @ x) == pytest.approx(1.0, abs=1e-6)
     g = np.linspace(-1.0, 1.0, 41)
-    best = np.inf
-    for a in g:
-        for b in g:
-            P = c_p + np.array([a, b])
-            if np.linalg.norm(P - c_p) > 1.0 or th.theta @ P > 1.0:
-                continue
-            for a2 in g:
-                for b2 in g:
-                    M = c_m + np.array([a2, b2])
-                    if np.linalg.norm(M - c_m) > 1.0 or -th.theta @ M > 1.0:
-                        continue
-                    r = gDc - ep * P + em * M + lam_eff * th.theta
-                    best = min(best, float(np.dot(r, r)))
-    assert obj <= best + 1e-3
+    G = np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2)
+    G = G[np.linalg.norm(G, axis=1) <= 1.0]
+    P, M = c_p + G, c_m + G
+    P, M = P[P @ th.theta <= 1.0], M[-(M @ th.theta) <= 1.0]
+    # |a_i + b_j|^2 over every feasible pair
+    a = gDc - ep * P + lam_eff * th.theta
+    b = em * M
+    best = np.min((a * a).sum(1)[:, None] + (b * b).sum(1) + 2.0 * a @ b.T)
+    assert best > 0.1  # an optimum of zero would leave every constraint idle
+    assert obj == pytest.approx(best, abs=1e-6)
 
 
 def test_kkt_stationarity_retraining_reproduces_decoy(rng):
