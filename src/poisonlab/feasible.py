@@ -5,22 +5,17 @@ collapse of an attack with retraining-based verification.
 A class set is an intersection of an L2 ball, a slab around the
 inter-centroid axis, half-spaces (decoy-loss caps, support-vector
 constraints), the domain box or non-negativity, and optionally the LP
-relaxation of the expected post-rounding squared distance.  Every real-domain
-set the builders emit is a ball cut by k <= 5 rows (the slab's two faces and
-the half-spaces).
+relaxation of the expected post-rounding squared distance.
 
-One exact solver serves projection and margin minimization.  It enumerates
-the active sets of the rows; for each, the projection and the margin
-minimizer over the ball cut by those faces are closed form, and the first
-whose multipliers are non-negative and whose point meets the other rows is
-certified optimal by the KKT conditions.  No active set certifies exactly
-when the set is empty.  Box and non-negativity bounds are unit rows that a
-primal-dual active-set loop pins and releases around that solver.  Sets with
-an LP atom are projected by their dual over the constraints' multipliers,
-whose inner minimizer is ``LpConstraint._prox``, and certified by the
-duality gap; margin minimization on LP sets is not supported yet.  Every
-returned point passes ``contains``; a solve that cannot certify raises
-InfeasibleSetError saying so, with a message apart from the empty-set one.
+Projection and margin minimization share one exact solver: on the ball cut
+by the k <= 5 rows (slab faces, half-spaces) it tries the rows' active sets
+and returns the first closed-form point whose KKT multipliers are
+non-negative.  Box and non-negativity bounds are pinned around it by a fast
+primal-dual loop and, where that stalls, by a primal active-set descent,
+whose first phase also shows a set empty.  Sets with an LP atom are
+projected by their dual and certified by the duality gap; margin
+minimization on them is not supported yet.  Every returned point passes
+``contains``; a solve that cannot certify says so, apart from "empty".
 """
 
 from __future__ import annotations
@@ -46,9 +41,10 @@ from .models import (
 from .rounding import LpConstraint
 
 _SHRINK = 1e-8          # relative pull-in so returned points pass strict tests
-_PDAS_CAP = 50          # pin/release rounds for box and non-negativity bounds
+_PDAS_ROUNDS = 20       # fast pin/release rounds before the descent
+_DESCENT_ROUNDS = 4     # descent steps per coordinate and row, at most
 _GAP_TOL = 1e-7         # relative duality gap that certifies an LP-set projection
-_EMPTY = "feasible set is empty: no active set of its ball and rows certifies"
+_EMPTY = "feasible set is empty: its ball, rows and bounds share no point"
 _UNCERTIFIED = "could not certify a solution on the feasible set"
 
 
@@ -154,7 +150,7 @@ def _active_set(c, rr, A, b, q, project: bool):
     the Euclidean projection of q when ``project``, else the minimizer of
     q . x.  Returns (x, mu, nu), with the ball's multiplier mu and the rows'
     multipliers nu (zero off the active set), or None when no active set
-    certifies, which means the set is empty.
+    certifies, which means that the ball and rows share no point.
 
     Active sets S are tried by size.  With G = A_S A_S^T, w = G^-1 (b_S - A_S
     c), u0 = A_S^T w the offset from c to the faces' affine hull, z = q - c
@@ -220,55 +216,117 @@ def _active_set(c, rr, A, b, q, project: bool):
     return None
 
 
+def _on_face(c, rr, A, b, lo, hi, q, project, pin):
+    """``_active_set`` with the pinned coordinates held at their bounds (pin
+    -1 at lo, +1 at hi, 0 free) in the ball of the radius they leave.
+    Returns x and the pinned bounds' multipliers, or None when that face of
+    the bounds misses the ball and rows."""
+    free = pin == 0
+    at = np.where(pin < 0, lo, hi)[~free]
+    off = at - c[~free]
+    r2 = rr * rr - float(off @ off)
+    sol = None if r2 < 0.0 else _active_set(
+        c[free], math.sqrt(r2) if off.size else rr,
+        np.compress(free, A, axis=1), b - A[:, ~free] @ at, q[free], project)
+    if sol is None:
+        return None
+    x = np.empty(len(c))
+    x[free], x[~free] = sol[0], at
+    return x, -pin * ((x - q if project else q) + sol[1] * (x - c)
+                      + A.T @ sol[2])
+
+
+def _descend(c, rr, A, b, lo, hi, q, project, x, tol, stop=lambda x: False):
+    """Primal active-set method for the bounds from a point x of the set
+    (Nocedal & Wright, Numerical Optimization, 2006, sec. 16.5): step toward
+    the solution on the face of the pinned bounds until a free coordinate
+    meets its bound and pin it; after a whole step, release the pin with the
+    most negative multiplier.  The iterates stay in the set and never raise
+    the objective; where no multiplier is below -tol, x is optimal."""
+    pin = np.zeros(len(x), dtype=int)
+    for _ in range(_DESCENT_ROUNDS * (len(x) + len(b) + 1)):
+        sol = _on_face(c, rr, A, b, lo, hi, q, project, pin)
+        if sol is None:  # only rounding can lose x from its own face
+            raise InfeasibleSetError(f"{_UNCERTIFIED}: a face of the bounds "
+                                     f"lost the current point")
+        y, mult = sol
+        step = y - x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(step < 0.0, (lo - x) / step,
+                            np.where(step > 0.0, (hi - x) / step, np.inf))
+        room[pin != 0] = np.inf
+        i = int(np.argmin(room))
+        if room[i] < 1.0:
+            pin[i] = -1 if step[i] < 0.0 else 1
+            x = np.clip(x + room[i] * step, lo, hi)
+            x[i] = lo[i] if pin[i] < 0 else hi[i]
+        else:
+            x, j = y, int(np.argmin(mult))
+            if mult[j] >= -tol:
+                return x
+            pin[j] = 0
+        if stop(x):
+            return x
+    raise InfeasibleSetError(f"{_UNCERTIFIED}: bounds not settled")
+
+
+def _pdas(c, rr, A, b, lo, hi, q, project, tol):
+    """Primal-dual active-set loop for the bounds (Hintermueller, Ito &
+    Kunisch, SIAM J. Optim. 2002): pin every coordinate outside its bounds,
+    release the pins with negative multipliers, and solve on that face.  It
+    settles in a few rounds, but may cycle or pin a face that misses the
+    set; then it returns None."""
+    pin = np.zeros(len(c), dtype=int)
+    for _ in range(_PDAS_ROUNDS):
+        sol = _on_face(c, rr, A, b, lo, hi, q, project, pin)
+        if sol is None:
+            return None
+        x, mult = sol
+        new = np.where(x < lo, -1, np.where(x > hi, 1,
+                                            np.where(mult < -tol, 0, pin)))
+        if np.array_equal(new, pin):
+            return x
+        pin = new
+    return None
+
+
 def _solve(cc: ClassConstraints, q: np.ndarray, d: int, project: bool):
-    """``_active_set`` on the class set, inside a primal-dual active-set loop
-    for its box and non-negativity bounds (Hintermueller, Ito & Kunisch, SIAM
-    J. Optim. 2002): each round releases the pinned coordinates whose
-    multiplier is negative, pins the free coordinate farthest outside its
-    bounds, and solves over the free coordinates, where the ball shrinks to
-    the radius the pinned ones leave.  Pinning every violated coordinate at
-    once can leave the ball and rows no point where one at a time does not.
-    The loop stops when a round leaves the pinned set as it was, so the
-    point it returns carries KKT multipliers >= -tol for the ball, the rows
-    and the bounds."""
-    c, r = cc.ball if cc.ball is not None else (np.zeros(d), math.inf)
+    """``_active_set`` on the class set; where its point leaves the box or
+    non-negativity bounds, ``_pdas``; where that returns None, ``_descend``
+    from a point found by a first phase.  That phase descends on t over
+    (x, t) in the rows A x - t <= b and the ball |x - c|^2 + (t - t0)^2 <=
+    rr^2 + t0^2, from the clipped centre at t = t0: at t < 0, x lies inside
+    the set, and a certified minimum t >= 0 shows that the set is empty."""
+    ball = cc.ball is not None
+    c, r = cc.ball if ball else (np.zeros(d), math.inf)
     c = np.asarray(c, dtype=float)
     rr = r * (1.0 - _SHRINK)
     A, b = cc.rows(d)
     sol = _active_set(c, rr, A, b, q, project)
-    if sol is None:
-        raise InfeasibleSetError(_EMPTY)  # the ball and rows hold the set
-    x, mu, nu = sol
-    if cc.box is None and not cc.nonneg:
-        return x
+    x = None if sol is None else sol[0]
     lo, hi = cc.bounds(d)
-    tol = 1e-10 * math.sqrt(float((q - c) @ (q - c) if project else q @ q))
-    pin = np.zeros(d, dtype=int)        # -1 at lo, +1 at hi, 0 free
-    for _ in range(_PDAS_CAP):
-        grad = (x - q if project else q) + mu * (x - c) + A.T @ nu
-        new = np.where(-pin * grad < -tol, 0, pin)
-        out = np.where(pin == 0, np.maximum(lo - x, x - hi), 0.0)
-        i = int(np.argmax(out))
-        if out[i] > 0.0:
-            new[i] = -1 if x[i] < lo[i] else 1
-        if np.array_equal(new, pin):
-            return x
-        pin = new
-        free = pin == 0
-        at = np.where(pin < 0, lo, hi)[~free]
-        off = at - c[~free]
-        r2 = rr * rr - float(off @ off)
-        sol = None if r2 < 0.0 else _active_set(
-            c[free], math.sqrt(r2), A[:, free], b - A[:, ~free] @ at, q[free],
-            project)
-        if sol is None:
-            raise InfeasibleSetError(f"{_UNCERTIFIED}: no active set "
-                                     f"certifies with {off.size} bounds pinned")
-        x = np.empty(d)
-        x[free], x[~free] = sol[0], at
-        mu, nu = sol[1], sol[2]
-    raise InfeasibleSetError(f"{_UNCERTIFIED}: bounds not settled after "
-                             f"{_PDAS_CAP} rounds")
+    if x is None or ((cc.box is not None or cc.nonneg)
+                     and np.any((x < lo) | (x > hi))):
+        tol = 1e-10 * math.sqrt(float((q - c) @ (q - c) if project else q @ q))
+        x = _pdas(c, rr, A, b, lo, hi, q, project, tol)
+    if x is None:
+        xs = np.clip(c, lo, hi)
+        dist = math.sqrt(float((xs - c) @ (xs - c)))
+        rr1 = rr if ball else 1e6 * (1.0 + dist)  # no ball: search near 0
+        t0 = float(np.max(A @ xs - b, initial=0.0)) + dist + rr1
+        x1 = _descend(np.append(c, t0), math.hypot(rr1, t0),
+                      np.column_stack([A, -np.ones(len(b))]), b,
+                      np.append(lo, -np.inf), np.append(hi, np.inf),
+                      np.eye(d + 1)[d], False, np.append(xs, t0), 1e-10,
+                      stop=lambda x: x[-1] < 0.0)
+        if x1[-1] >= 0.0:
+            raise InfeasibleSetError(_EMPTY if ball else f"{_UNCERTIFIED}: "
+                                     f"no point found near the origin")
+        x = _descend(c, rr, A, b, lo, hi, q, project, x1[:d], tol)
+    if not cc.contains(x):
+        raise InfeasibleSetError(f"{_UNCERTIFIED}: the certified point fails "
+                                 f"the membership test")
+    return x
 
 
 def _lp_project(cc: ClassConstraints, x0: np.ndarray, d: int) -> np.ndarray:
@@ -313,13 +371,6 @@ def _lp_project(cc: ClassConstraints, x0: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
-def _certified(cc: ClassConstraints, x: np.ndarray) -> np.ndarray:
-    if not cc.contains(x):
-        raise InfeasibleSetError(f"{_UNCERTIFIED}: the certified point fails "
-                                 f"the membership test")
-    return x
-
-
 @dataclass(frozen=True)
 class FeasibleSet:
     """Conjunction of per-class constraints on poisoned points."""
@@ -346,7 +397,7 @@ class FeasibleSet:
         x = np.asarray(x, dtype=float)
         if cc.lp is not None:
             return _lp_project(cc, x, self.d)
-        return _certified(cc, _solve(cc, x, self.d, project=True))
+        return _solve(cc, x, self.d, project=True)
 
     def with_halfspace(self, y: int, hs: HalfSpace) -> "FeasibleSet":
         cc = self.cons[int(y)]
@@ -442,7 +493,7 @@ class FeasibleSet:
                                      "bounded")
         if not theta.any():
             return self.project(cc.anchor(self.d), y)
-        return _certified(cc, _solve(cc, y * theta, self.d, project=False))
+        return _solve(cc, y * theta, self.d, project=False)
 
 
 # -- builders -----------------------------------------------------------------

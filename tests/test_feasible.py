@@ -99,28 +99,33 @@ def test_projection_optimality_certificate(rng):
         assert np.dot(x0 - xp, z - xp) <= 1e-6
 
 
-def test_project_lp_set_satisfies_projection_inequality():
+@pytest.mark.parametrize("radius", [None, 1.6], ids=["no-ball", "ball"])
+def test_project_lp_set_satisfies_projection_inequality(radius):
     # non-negativity, the LP bound on the expected rounded distance, a slab
-    # and a half-space: the projection x_p of x0 satisfies
-    # (x0 - x_p).(z - x_p) <= 0 for every feasible z
+    # and a half-space, with and without a ball: the projection x_p of x0
+    # satisfies (x0 - x_p).(z - x_p) <= 0 for every feasible z
     from poisonlab.rounding import LpConstraint
     gen = np.random.default_rng(0)
     d = 6
     mu = gen.uniform(0.5, 3.0, d)
     axis = gen.standard_normal(d)
     a = gen.standard_normal(d)
-    cc = ClassConstraints(slab=(axis, mu, 0.8 * np.linalg.norm(axis)),
+    cc = ClassConstraints(ball=None if radius is None else (mu, radius),
+                          slab=(axis, mu, 0.8 * np.linalg.norm(axis)),
                           halfspaces=(HalfSpace(a, float(a @ mu) + 0.5),),
                           nonneg=True, lp=LpConstraint(mu, 2.0, np.full(d, 8)))
     F = FeasibleSet({1: cc, -1: cc}, d)
     Z = mu + 0.7 * gen.standard_normal((4000, d))
     Z = Z[[F.contains(z, 1) for z in Z]]
     assert len(Z) >= 200
+    ball_active = 0
     for _ in range(8):
         x0 = mu + 2.0 * gen.standard_normal(d)
         xp = F.project(x0, 1)
         assert F.contains(xp, 1)
         assert np.max((Z - xp) @ (x0 - xp)) <= 1e-6
+        ball_active += radius is not None and np.linalg.norm(xp - mu) > 0.99 * radius
+    assert radius is None or ball_active >= 2
 
 
 def test_infeasible_intersection_detected():
@@ -131,15 +136,50 @@ def test_infeasible_intersection_detected():
         F.project(np.zeros(2), 1)
 
 
-def test_uncertified_solve_raises_apart_from_empty():
-    # the ball meets no non-negative point; only the ball itself is shown
-    # non-empty, so the bound-pinning loop reports that it cannot certify
+def test_empty_bound_set_reported_empty():
+    # the ball lies in x1 < 0, so it meets no non-negative point: the first
+    # phase of the bound descent certifies that the set is empty
     cc = ClassConstraints(ball=(np.array([-2.0, 0.5]), 1.0), nonneg=True)
     F = FeasibleSet({1: cc, -1: cc}, 2)
     for solve in (lambda: F.project(np.ones(2), 1),
                   lambda: F.min_margin_point(np.ones(2), 1.0)):
+        with pytest.raises(InfeasibleSetError, match="empty"):
+            solve()
+
+
+def test_uncertified_solve_raises_apart_from_empty(monkeypatch):
+    # non-empty sets whose solvers are given no rounds, or an LP duality gap
+    # no point can meet, report that they could not certify, not "empty"
+    from poisonlab import feasible
+    from poisonlab.rounding import LpConstraint
+    monkeypatch.setattr(feasible, "_PDAS_ROUNDS", 0)
+    monkeypatch.setattr(feasible, "_DESCENT_ROUNDS", 0)
+    monkeypatch.setattr(feasible, "_GAP_TOL", -1.0)
+    box = ClassConstraints(ball=(np.full(2, 0.5), 1.0), box=(0.0, 1.0))
+    lp = ClassConstraints(nonneg=True, lp=LpConstraint(np.ones(2), 1.0,
+                                                       np.full(2, 4)))
+    F = FeasibleSet({1: box, -1: lp}, 2)
+    for solve in (lambda: F.project(np.full(2, 3.0), 1),
+                  lambda: F.min_margin_point(np.ones(2), 1.0),
+                  lambda: F.project(np.full(2, 3.0), -1)):
         with pytest.raises(InfeasibleSetError, match="could not certify"):
             solve()
+
+
+@pytest.mark.parametrize("fast_rounds", [20, 0], ids=["pdas", "descent"])
+def test_project_box_with_many_bounds_binding(monkeypatch, fast_rounds):
+    # the ball holds the whole unit box, so the projection is np.clip; with
+    # no fast rounds the bound descent pins every coordinate one by one
+    from poisonlab import feasible
+    monkeypatch.setattr(feasible, "_PDAS_ROUNDS", fast_rounds)
+    d = 100
+    cc = ClassConstraints(ball=(np.full(d, 0.5), 10.0), box=(0.0, 1.0))
+    F = FeasibleSet({1: cc, -1: cc}, d)
+    np.testing.assert_array_equal(F.project(-np.ones(d), 1), np.zeros(d))
+    q = 0.5 + 2.0 * np.random.default_rng(3).standard_normal(d)
+    assert np.sum((q < 0.0) | (q > 1.0)) > 50
+    np.testing.assert_allclose(F.project(q, 1), np.clip(q, 0.0, 1.0),
+                               atol=1e-12)
 
 
 def test_min_margin_ball_closed_form(rng):
@@ -220,6 +260,77 @@ def test_min_margin_matches_grid():
             x = F.min_margin_point(theta, 1.0)
             assert F.contains(x, 1), name
             assert np.dot(theta, x) <= np.min(pts @ theta) + 1e-3, name
+
+
+def _set3(c, r, axis, hw, hss, bound):
+    c = np.array(c)
+    return ClassConstraints(ball=(c, r), slab=(np.array(axis), c, hw),
+                            halfspaces=tuple(HalfSpace(np.array(a), b)
+                                             for a, b in hss),
+                            **({"box": (0.0, 1.0)} if bound == "box"
+                               else {"nonneg": True}))
+
+
+# d = 3 sets on which re-pinning the violated bounds cycled or pinned a face
+# that misses the ball and rows, so the solve raised on a non-empty set
+_PIN_TRAPS = [
+    ("box-project", True, (1.916, -4.205, -0.028), _set3(
+        (0.91, 0.24, 0.641), 1.042, (1.258, 2.381, 0.504), 1.457,
+        [((-0.701, -0.173, 0.138), -0.77)], "box")),
+    ("box-margin", False, (0.529, -2.344, 0.221), _set3(
+        (0.278, 0.452, 0.257), 1.162, (0.626, 0.459, 1.355), 1.68,
+        [((1.301, 0.575, 1.115), 0.537)], "box")),
+    ("nonneg-project", True, (-4.834, 0.303, 0.487), _set3(
+        (0.199, 0.93, 0.2), 0.974, (-1.866, -1.075, 1.631), 2.228,
+        [((-0.347, -0.302, 1.037), -0.593), ((-0.168, -1.299, 1.266), -1.71)],
+        "nonneg")),
+    ("nonneg-margin", False, (2.235, -0.753, 0.955), _set3(
+        (0.677, 0.039, 0.801), 1.019, (0.854, -1.547, -0.51), 0.386,
+        [((0.547, -0.465, -1.271), -0.947)], "nonneg")),
+]
+
+
+@pytest.mark.parametrize("project,q,cc", [t[1:] for t in _PIN_TRAPS],
+                         ids=[t[0] for t in _PIN_TRAPS])
+def test_bounds_certify_where_pinning_cycles(project, q, cc):
+    q = np.array(q)
+    F = FeasibleSet({1: cc, -1: cc}, 3)
+    x = F.project(q, 1) if project else F.min_margin_point(q, 1.0)
+    assert F.contains(x, 1)
+    c, r = cc.ball
+    lo, hi = cc.bounds(3)
+    g = [np.linspace(max(lo[i], c[i] - r), min(hi[i], c[i] + r), 81)
+         for i in range(3)]
+    G = np.stack(np.meshgrid(*g, indexing="ij"), -1).reshape(-1, 3)
+    Z = G[_grid_members(cc, G)]
+    assert len(Z) >= 100
+    # optimal against every feasible grid point: the projection inequality,
+    # or no grid point with a smaller margin
+    if project:
+        assert np.max((Z - x) @ (q - x)) <= 1e-6
+    else:
+        assert q @ x <= np.min(Z @ q) + 1e-6
+
+
+def test_descent_alone_matches_grid(monkeypatch):
+    # with no fast rounds every solve runs the bound descent, which must
+    # release pins on this set to reach the optimum
+    from poisonlab import feasible
+    monkeypatch.setattr(feasible, "_PDAS_ROUNDS", 0)
+    cc = _GRID_SETS["nonneg-release"]
+    F = FeasibleSet({1: cc, -1: cc}, 2)
+    g = np.linspace(-2.2, 4.2, 401)
+    G = np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2)
+    Z = G[_grid_members(cc, G)]
+    ang = 0.1 + np.arange(12) * np.pi / 6
+    for theta in np.column_stack([np.cos(ang), np.sin(ang)]):
+        x = F.min_margin_point(theta, 1.0)
+        assert F.contains(x, 1)
+        assert theta @ x <= np.min(Z @ theta) + 1e-6
+        q = cc.ball[0] + 3.0 * theta
+        x = F.project(q, 1)
+        assert F.contains(x, 1)
+        assert np.max((Z - x) @ (q - x)) <= 1e-6
 
 
 @pytest.mark.parametrize("cc,theta,expect", [
