@@ -12,9 +12,19 @@ top-p weight mass per class via a threshold tau_y, and trains on the rest:
 
 ``score_dataset`` holds each scoring rule; ``score`` is its one-point case.
 ``defend`` fits the detector and scores the combined data once per fit, and
-derives both tau and the kept set from that one score array.  k-NN scoring
-runs in fixed blocks of rows, so its memory grows with the reference size,
-not with its square.
+derives both tau and the kept set from that one score array.
+
+k-NN scoring runs in fixed blocks of rows, so its memory grows with the
+reference size, not with its square.  Per row, a BLAS Gram expansion only
+picks the 2k + 6 nearest candidates (``np.argpartition``); their distances
+are recomputed exactly from coordinate differences and sorted by (distance,
+reference index) before weight is accumulated.  A row is settled when k
+weight is reached inside the candidates at a distance that a rounding bound
+on the expansion puts below every other reference point.  Any other row
+(weight short of k, ties at the cut) doubles its candidates until it
+settles, and scans its whole reference exactly once they would reach it.
+Scores are thus the per-row rule's bit for bit, whatever the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -150,26 +160,75 @@ def score_dataset(kind: DefenseKind, beta: DetectorParams, D: Dataset,
     if kind.kind == SVD:
         proj = (D.X @ beta.basis) @ beta.basis.T
         return np.linalg.norm(D.X - proj, axis=1)
-    # k-NN: the distance at which cumulative reference weight, nearest first,
-    # reaches k (the farthest distance when it never does), in row blocks
+    # k-NN: the distance at which cumulative reference weight, nearest first
+    # (ties by reference index), reaches k (the farthest distance when it
+    # never does), in row blocks
     ref = beta.reference
+    m = 2 * kind.k + 6  # candidates per row in the first round
     ref_sq = np.sum(ref.X ** 2, axis=1)
+    # bound on the rounding of the Gram expansion and of the exact distances,
+    # relative to |x|^2 + max |r|^2
+    tol = (6 * ref.d + 24) * np.finfo(float).eps
+    everyone = np.arange(ref.n)[None, :]
     out = np.empty(D.n)
     for lo in range(0, D.n, _KNN_BLOCK):
         X = D.X[lo:lo + _KNN_BLOCK]
         i = np.arange(len(X))
-        dists = np.sqrt(np.maximum(
-            np.sum(X ** 2, axis=1)[:, None] - 2.0 * X @ ref.X.T + ref_sq[None, :],
-            0.0))
-        order = np.argsort(dists, axis=1, kind="stable")
-        w = ref.w[order]
-        if training and ref is D:
-            w[order == (lo + i)[:, None]] = 0.0  # a point is not its own neighbor
-        # cumulative weights never decrease, so the count below k is the
-        # first index that reaches it
-        kth = np.minimum((np.cumsum(w, axis=1) < kind.k).sum(axis=1), ref.n - 1)
-        out[lo + i] = dists[i, order[i, kth]]
+        own = lo + i if training and ref is D else np.full(len(X), -1)
+        rest = i
+        if ref.n > m:
+            x_sq = np.sum(X ** 2, axis=1)
+            g = x_sq[:, None] - 2.0 * X @ ref.X.T + ref_sq
+            err = tol * (x_sq + ref_sq.max())
+            score_k, ok = _knn_settle(X, g, m, err, ref, kind.k, own)
+            out[lo + i[ok]] = score_k[ok]
+            rest = i[~ok]
+        # each row left doubles its candidates until it settles; once they
+        # would reach the whole reference, it scans all of it exactly
+        for r in rest:
+            row = slice(r, r + 1)
+            width = 2 * m
+            while width < ref.n:
+                score_k, ok = _knn_settle(X[row], g[row], width, err[row], ref,
+                                          kind.k, own[row])
+                if ok[0]:
+                    break
+                width *= 2
+            else:
+                dist, j = _knn_crossing(X[row], everyone, ref, kind.k, own[row])
+                score_k = dist[:, min(j[0], ref.n - 1)]
+            out[lo + r] = score_k[0]
     return out
+
+
+def _knn_settle(X: np.ndarray, g: np.ndarray, m: int, err: np.ndarray,
+                ref: Dataset, k: int, own: np.ndarray):
+    """Per row of X, the k-NN score over its m nearest reference points by
+    the Gram expansion g, and whether that score is certified: k weight is
+    reached inside the candidates, and every other point's expansion exceeds
+    the crossing's squared distance by more than the rounding bound err."""
+    part = np.argpartition(g, m, axis=1)
+    dist, j = _knn_crossing(X, np.sort(part[:, :m], axis=1), ref, k, own)
+    i = np.arange(len(X))
+    score_k = dist[i, np.minimum(j, m - 1)]
+    return score_k, (j < m) & (score_k ** 2 + err < g[i, part[:, m]])
+
+
+def _knn_crossing(X: np.ndarray, cand: np.ndarray, ref: Dataset, k: int,
+                  own: np.ndarray):
+    """Per row of X: the exact distances to the reference points ``cand``
+    (indices ascending per row), sorted by (distance, index), and the first
+    position at which their cumulative weight reaches k (``cand``'s width
+    when it never does).  ``own[r]`` is the reference index whose weight row
+    r leaves out, or -1."""
+    dist = np.sqrt(np.sum((ref.X[cand] - X[:, None, :]) ** 2, axis=2))
+    order = np.argsort(dist, axis=1, kind="stable")
+    idx = np.take_along_axis(cand, order, axis=1)
+    w = np.where(idx == own[:, None], 0.0, ref.w[idx])
+    # cumulative weights never decrease, so the count below k is the first
+    # position that reaches it
+    return (np.take_along_axis(dist, order, axis=1),
+            np.count_nonzero(np.cumsum(w, axis=1) < k, axis=1))
 
 
 def _thresholds(scores: np.ndarray, D: Dataset, p: float) -> Thresholds:

@@ -11,6 +11,7 @@ defense; it assumes test and training data share a distribution.
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -209,9 +210,9 @@ def run_minmax(D_c: Dataset, D_test: Dataset, epsilon: float,
             best = (score if score is not None else -1.0, res)
     if best is None:
         if skipped:
-            raise InfeasibleSetError(
-                f"every decoy's feasible set was empty ({len(skipped)} "
-                f"skipped): {skipped[0]['reason']}")
+            reasons = Counter(s["reason"] for s in skipped)
+            raise InfeasibleSetError("every decoy was skipped: " + "; ".join(
+                f"{reason} ({n} of {len(skipped)})" for reason, n in reasons.items()))
         raise ValueError("no decoys supplied")
     out = best[1]
     out.decoy_provenance["skipped"] = skipped

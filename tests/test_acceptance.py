@@ -324,8 +324,8 @@ def test_criterion_10_end_to_end_synthetic_poisoning():
                         q_grid=(0.05, 0.2, 0.35, 0.5))
 
     def decoy_F(d):
-        caps = decoy_loss_caps(tr, d.theta_decoy, loss, p)
-        return build_feasible_set(tr, p, decoy=(d.theta_decoy, loss, caps))
+        return F.with_decoy_caps(d.theta_decoy, loss,
+                                 decoy_loss_caps(tr, d.theta_decoy, loss, p))
 
     res_kkt = run_kkt(tr, te, epsilon, decoys, decoy_F, T=6,
                       defenses_for_eval=defenses, p=p, loss=loss, config=cfg)

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import poisonlab
 
 from poisonlab import Dataset, DefenseKind, LossSpec, TrainConfig, synth_gaussians, union
 from poisonlab import defenses
@@ -119,28 +126,111 @@ def knn_oracle(D, ref, k, exclude_self):
     return out
 
 
-def test_knn_blocked_scores_match_per_row_oracle(rng):
-    # half-integer grid coordinates keep every distance exact, so the blocked
-    # path must agree bit for bit; 600 rows span three blocks, and the grid
-    # puts many duplicates and distance ties across block boundaries
+def test_knn_blocked_scores_match_per_row_oracle(rng, monkeypatch):
+    weights = [1.0, 30.0, 0.1, 1.0 / 3.0, 0.0]
+    p = [0.5, 0.05, 0.2, 0.15, 0.1]
+    # half-integer grid coordinates keep every distance exact; 600 rows span
+    # three blocks, and the grid puts many duplicates and distance ties
+    # across block boundaries
     n = 600
-    X = rng.integers(-3, 4, size=(n, 3)) * 0.5
+    grid = Dataset.from_points(rng.integers(-3, 4, size=(n, 3)) * 0.5,
+                               np.where(rng.random(n) < 0.5, 1.0, -1.0),
+                               rng.choice(weights, size=n, p=p))
+    grid_other = Dataset.from_points(rng.integers(-4, 5, size=(300, 3)) * 0.5,
+                                     np.ones(300))
+    # real-valued points far from the origin: |x|^2 ~ 5e4 against squared
+    # distances ~ 40, so a Gram-expansion distance is off in its last bits.
+    # - 100 copies of one point, more than the 2k + 6 candidates even at
+    #   k = 40, tie at the candidate cut and need wider rounds;
+    # - 52 copies of another weigh 40 in all, but in index order (21 of 1/3,
+    #   30 of 0.1, then 30) their sum rounds to just below 40, as few orders
+    #   do: at k = 40 only the (distance, index) order gives the oracle's sum;
+    # - 100 points on a sphere of radius 1 (to 1e-11) around a third point
+    #   are closer together than the expansion's rounding, so the first
+    #   round's candidates need not hold the true nearest
+    n = 700
+    X = rng.standard_normal((n, 20)) + 50.0
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    w = rng.choice([1.0, 30.0, 0.1, 1.0 / 3.0, 0.0], size=n,
-                   p=[0.5, 0.05, 0.2, 0.15, 0.1])
-    D = Dataset.from_points(X, y, w)
-    other = Dataset.from_points(rng.integers(-4, 5, size=(300, 3)) * 0.5,
-                                np.ones(300))
-    for k in (1, 5, 40):
-        kind = DefenseKind.knn(k)
-        beta = fit_detector(kind, D)
-        np.testing.assert_array_equal(score_dataset(kind, beta, D, training=True),
-                                      knn_oracle(D, D, k, True))
-        np.testing.assert_array_equal(score_dataset(kind, beta, D),
-                                      knn_oracle(D, D, k, False))
-        # a reference other than the scored set: nothing to exclude
-        np.testing.assert_array_equal(score_dataset(kind, beta, other, training=True),
-                                      knn_oracle(other, D, k, False))
+    w = rng.choice(weights, size=n, p=p)
+    X[:100] = X[0]
+    X[100:152] = X[100]
+    w[100:152] = [1.0 / 3.0] * 21 + [0.1] * 30 + [30.0]
+    u = rng.standard_normal((100, 20))
+    X[152:252] = X[252] + u / np.linalg.norm(u, axis=1)[:, None] * (
+        1.0 + 1e-11 * rng.random((100, 1)))
+    gauss = Dataset.from_points(X, y, w)
+    Xo = rng.standard_normal((300, 20)) + 50.0
+    Xo[:5] = X[0]
+    gauss_other = Dataset.from_points(Xo, np.ones(300))
+    # 30 reference points of weight at most 1: at most 2k + 6 at k = 40,
+    # and short of 40 weight
+    small = Dataset.from_points(X[300:330], y[300:330], np.minimum(w[300:330], 1.0))
+
+    rounds = set()
+    real_cross = defenses._knn_crossing
+
+    def counted(X, cand, ref, k, own):
+        width = cand.shape[1]
+        rounds.add("all" if width == ref.n else "first" if width == 2 * k + 6
+                   else "wider")
+        return real_cross(X, cand, ref, k, own)
+
+    monkeypatch.setattr(defenses, "_knn_crossing", counted)
+    for D, other in ((grid, grid_other), (gauss, gauss_other), (small, gauss_other)):
+        for k in (1, 5, 40):
+            kind = DefenseKind.knn(k)
+            beta = fit_detector(kind, D)
+            np.testing.assert_array_equal(score_dataset(kind, beta, D, training=True),
+                                          knn_oracle(D, D, k, True))
+            np.testing.assert_array_equal(score_dataset(kind, beta, D),
+                                          knn_oracle(D, D, k, False))
+            # a reference other than the scored set: nothing to exclude
+            np.testing.assert_array_equal(score_dataset(kind, beta, other, training=True),
+                                          knn_oracle(other, D, k, False))
+    # the first round, wider rounds and the whole-reference scan all ran
+    assert rounds == {"first", "wider", "all"}
+
+
+# Criterion 10's instance with two of its battery poison shapes: the two
+# test points nearest their class centroids, flipped, projected into F and
+# given weight 30 each (the KKT shape), and the 18 test flips that lie in F,
+# of fractional weight (the ALFA shape).  Prints the raw k-NN training scores.
+_KNN_SHAPES_SCRIPT = """
+import sys
+import numpy as np
+from poisonlab import Dataset, DefenseKind, build_feasible_set, synth_gaussians, union
+from poisonlab.defenses import class_centroids, fit_detector, score_dataset
+tr, te = synth_gaussians(42, 2000, 20, 4.2)
+F = build_feasible_set(tr, 0.05)
+budget = 0.03 * tr.total_weight
+cents = class_centroids(te)
+near = [int(np.flatnonzero(te.y == -y)[np.argmin(np.linalg.norm(
+    te.X[te.y == -y] - cents[-y], axis=1))]) for y in (1, -1)]
+heavy = Dataset(np.array([F.project(te.X[i], -te.y[i]) for i in near]),
+                -te.y[near], np.full(2, budget / 2))
+flips = [i for i in range(te.n) if F.contains(te.X[i], -te.y[i])]
+frac = Dataset(te.X[flips], -te.y[flips], np.full(len(flips), budget / len(flips)))
+kind = DefenseKind.knn()
+for dp in (heavy, frac):
+    D = union(tr, dp)
+    scores = score_dataset(kind, fit_detector(kind, D), D, training=True)
+    sys.stdout.buffer.write(scores.tobytes())
+"""
+
+
+def test_knn_scores_do_not_depend_on_blas_threads():
+    src = str(Path(poisonlab.__file__).resolve().parents[1])
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out[threads] = subprocess.run([sys.executable, "-c", _KNN_SHAPES_SCRIPT],
+                                      env=env, capture_output=True, check=True,
+                                      timeout=300).stdout
+    one, two = (np.frombuffer(out[t]) for t in ("1", "2"))
+    assert len(one) == 2 * 2000 + 2 + 18
+    assert out["1"] == out["2"], f"{np.count_nonzero(one != two)} scores differ"
 
 
 @pytest.mark.parametrize("kind", [DefenseKind.l2(), DefenseKind.slab(),

@@ -168,9 +168,30 @@ def test_minmax_all_decoys_infeasible_raises_before_training(monkeypatch,
         raise AssertionError("an infeasible sweep must not train")
 
     monkeypatch.setattr(minmax, "evaluated_result", no_training)
-    with pytest.raises(InfeasibleSetError):
+    with pytest.raises(InfeasibleSetError, match=r"is empty.*\(2 of 2\)"):
         run_minmax(tr, te, 0.05, F, [empty, empty], tau_loss=0.25, lam=0.1,
                    n_burn=5, loss=LossSpec.hinge(), config=TrainConfig(lam=0.1))
+
+
+def test_minmax_all_decoys_skipped_reports_each_reason(rng):
+    from poisonlab import InputDomain
+    from poisonlab.feasible import InfeasibleSetError
+    # Poisson counts with class-specific rates: a non-empty LP set, on which
+    # margin minimization is not supported yet; no set is shown empty
+    y = np.repeat([1.0, -1.0], 60)
+    rates = np.where(y[:, None] > 0, [4.0, 1.0, 2.0], [1.0, 4.0, 2.0])
+    tr = Dataset.from_points(rng.poisson(rates).astype(float), y,
+                             domain=InputDomain.NONNEG_INT)
+    F = build_feasible_set(tr, 0.05, use_lp_for_integer_domain=True)
+    assert F.for_label(1).lp is not None
+    th = train(tr, LossSpec.hinge(), TrainConfig(lam=0.1))
+    decoy = DecoyParams(th, 0.0, 0, 0.0, 0.1)
+    with pytest.raises(InfeasibleSetError) as err:
+        run_minmax(tr, tr, 0.05, F, [decoy, decoy], lam=0.1, n_burn=5,
+                   loss=LossSpec.hinge(), config=TrainConfig(lam=0.1))
+    msg = str(err.value)
+    assert "LP sets is not supported yet (2 of 2)" in msg
+    assert "empty" not in msg
 
 
 def test_minmax_default_cap_is_kkt_quantile_cap(decoy_pair):
