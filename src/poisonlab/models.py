@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import lsq_linear, minimize
+from scipy.optimize import minimize
 from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import expit
 
@@ -93,15 +93,14 @@ class TrainConfig:
     lam: float = 0.1
     objective: str = "mean"  # "mean" | "sum"
     tol: float = 1e-8
-    max_iter: int = 2000
     eta0: float = 0.1  # SGD only
     seed: int = 0      # SGD only
 
     def __post_init__(self):
         if self.objective not in ("mean", "sum"):
             raise ValueError("objective must be 'mean' or 'sum'")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol > 0 and max_iter >= 1 required")
+        if self.tol <= 0:
+            raise ValueError("tol > 0 required")
 
 
 # -- pointwise primitives, vectorized over margins m = y * (X @ theta) -------
@@ -172,26 +171,19 @@ def objective_value(theta: np.ndarray, D: Dataset, loss: LossSpec, lam: float,
     return 0.5 * lam * float(np.dot(theta, theta)) + total
 
 
-def _full_gradient(theta: np.ndarray, D: Dataset, loss: LossSpec, lam: float,
-                   objective: str) -> np.ndarray:
-    m = D.y * (D.X @ theta)
-    coeff = D.w * dloss_dmargin(loss, m) * D.y
-    g = lam * theta + D.X.T @ coeff / (D.total_weight if objective == "mean" else 1.0)
-    return g
-
-
 # -- hinge training: box-constrained dual QP ---------------------------------
 #
 # For the sum objective  lambda/2 ||theta||^2 + sum_i w_i max(0, 1 - m_i)
-# the dual is  max_alpha  1^T alpha - ||X^T (alpha * y)||^2 / (2 lambda)
-# over the box 0 <= alpha_i <= w_i, with theta = X^T (alpha * y) / lambda.
-# A smoothing continuation (Newton) finds the margins to within a few delta;
-# a primal-dual active-set step (Hintermueller, Ito & Kunisch 2002) on the
-# dual then closes exactly: points below margin 1 take alpha = w, points above
-# take 0, and the rest solve the margin-1 system for box-bounded alpha.
+# the dual is  min_alpha  ||Z^T alpha||^2 / (2 lambda) - 1^T alpha  over the
+# box 0 <= alpha_i <= w_i, with Z = y * X row-wise and theta = Z^T alpha /
+# lambda; its gradient in alpha is m - 1.  A smoothing continuation (Newton)
+# finds the margins to within a few delta; a primal active-set method on the
+# dual then closes exactly in finitely many rounds: alpha = w below margin 1,
+# alpha = 0 above it, and the free alpha solve the margin-1 system.
 
 _MARGIN_BAND = 1e-6
-_ACTIVE_SET_MAX_ITER = 50
+_KKT_TOL = 1e-10     # relative slack of the closer's margin tests
+_CLOSER_ROUNDS = 4   # closer rounds per point and dimension, at most
 
 
 def _hinge_witness(theta, alpha, X, y, w, lam):
@@ -206,83 +198,72 @@ def _hinge_witness(theta, alpha, X, y, w, lam):
     return lam * theta - X.T @ (a * y)
 
 
-def _hinge_active_set(theta, Z, w, lam, band):
-    """Active-set step from a primal iterate (Z = y * X row-wise).
+def _hinge_closer(theta, Z, w, lam, delta):
+    """Primal active-set method on the dual box QP (Nocedal & Wright,
+    Numerical Optimization, 2006, sec. 16.5) from the smoothed iterate at
+    level delta.  Points with margin below 1 - 3 delta start pinned at
+    alpha = w, those above 1 + 3 delta pinned at 0, and the rest free at
+    their smoothed duals w * sigma((1 - m) / delta).
 
-    The start partition is L = {m < 1 - band} (alpha = w), U = {m > 1 + band}
-    (alpha = 0) and M = the rest, whose alpha solve Z_M theta = 1 in the box
-    by bounded least squares.  Violators move (L or U whose margin crossed 1
-    into M, M at a bound with its margin off 1 to that bound's side) until
-    the partition settles.  Returns the last (theta, alpha)."""
+    Each round solves the free margin-1 system by least squares.  Where it
+    is consistent, the free alpha take the Newton step to the minimizer on
+    their face; where it is not, they follow its residual, a direction of
+    zero curvature that lowers the dual, to the first bound.  A step that
+    meets a bound pins that point.  At a face minimizer the pinned point
+    whose margin lies farthest on the wrong side of 1 is released; with
+    none left by more than _KKT_TOL * (1 + |m|), alpha is optimal.  Returns
+    the last (theta, alpha)."""
     m = Z @ theta
-    low = m < 1.0 - band
-    mid = ~low & (m <= 1.0 + band)
-    for _ in range(_ACTIVE_SET_MAX_ITER):
-        alpha = np.where(low, w, 0.0)
-        if mid.any():
-            Zm = Z[mid]
-            alpha[mid] = lsq_linear(Zm @ Zm.T, lam - Zm @ (Z[low].T @ w[low]),
-                                    bounds=(0.0, w[mid]), method="bvls").x
+    pin = np.where(m < 1.0 - 3.0 * delta, 1, np.where(m > 1.0 + 3.0 * delta, -1, 0))
+    alpha = np.where(pin > 0, w, np.where(pin < 0, 0.0, w * expit((1.0 - m) / delta)))
+    at_min = False
+    for _ in range(_CLOSER_ROUNDS * (len(w) + Z.shape[1])):
         theta = Z.T @ alpha / lam
         m = Z @ theta
-        off = _MARGIN_BAND * (1.0 + np.abs(m))
-        below, above = m < 1.0 - off, m > 1.0 + off
-        to_low = mid & below & (alpha >= w)
-        to_up = mid & above & (alpha <= 0.0)
-        to_mid = (low & above) | (~low & ~mid & below)
-        if not (to_low.any() or to_up.any() or to_mid.any()):
-            break
-        low = (low & ~to_mid) | to_low
-        mid = (mid & ~to_low & ~to_up) | to_mid
-    return theta, alpha
+        if at_min:
+            wrong = pin * (m - 1.0) - _KKT_TOL * (1.0 + np.abs(m))
+            j = int(np.argmax(wrong))
+            if wrong[j] <= 0.0:
+                return theta, alpha
+            pin[j] = 0
+        free = np.flatnonzero(pin == 0)
+        r = 1.0 - m[free]
+        U, s, _ = np.linalg.svd(Z[free], full_matrices=False)
+        k = int(np.sum(s > np.max(s, initial=0.0) * np.finfo(float).eps * max(Z.shape)))
+        c = U[:, :k].T @ r
+        resid = r - U[:, :k] @ c
+        newton = bool(np.all(np.abs(resid) <= _KKT_TOL * (1.0 + np.abs(1.0 - resid))))
+        step = lam * (U[:, :k] @ (c / s[:k] ** 2)) if newton else resid
+        a, wf = alpha[free], w[free]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(step > 0.0, (wf - a) / step,
+                            np.where(step < 0.0, -a / step, np.inf))
+        t = np.min(room, initial=np.inf)
+        at_min = newton and t >= 1.0
+        if at_min:
+            alpha[free] = np.clip(a + step, 0.0, wf)
+            continue
+        i = int(np.argmin(room))
+        alpha[free] = np.clip(a + t * step, 0.0, wf)
+        pin[free[i]] = 1 if step[i] > 0.0 else -1
+        alpha[free[i]] = wf[i] if step[i] > 0.0 else 0.0
+    return Z.T @ alpha / lam, alpha
 
 
-def _train_hinge_sum(X, y, w, lam, tol, max_iter):
-    Z = X * y[:, None]
-
-    def witness_norm(th, al):
-        return float(np.linalg.norm(_hinge_witness(th, al, X, y, w, lam)))
-
-    def closes(th, al):
-        return witness_norm(th, al) <= tol * (1.0 + np.linalg.norm(th))
-
-    # smoothing continuation, then the active-set step from the margins at
-    # the last level (band 3 delta); one finer level if that does not close
+def _train_hinge_sum(X, y, w, lam, tol):
+    """Smoothing continuation at delta = 0.3, 0.03, 0.003, then the closer;
+    returns (theta, alpha) only where the witness norm meets tol."""
     theta = np.zeros(X.shape[1])
-    for delta in (0.3, 0.03, 0.003, 3e-4):
-        sm = LossSpec(SMOOTHED_HINGE, delta)
-        theta = _train_smooth(X, y, w, sm, lam, 1e-10, max_iter, 1.0,
-                              x0=theta, strict=False)
-        if delta <= 0.003:
-            th, al = _hinge_active_set(theta, Z, w, lam, 3.0 * delta)
-            if closes(th, al):
-                return th, al
-
-    # fallback: weight-normalized dual by L-BFGS-B from the last level's
-    # smoothed duals, then the same active-set step from its iterate
-    Yxw = Z * w[:, None]
-
-    def negdual(b):
-        v = Yxw.T @ b
-        return 0.5 * np.dot(v, v) / lam - np.dot(w, b), Yxw @ v / lam - w
-
-    beta0 = expit((1.0 - Z @ theta) / delta)
-    res = minimize(negdual, beta0, jac=True, method="L-BFGS-B",
-                   bounds=[(0.0, 1.0)] * len(y),
-                   options={"maxiter": 15 * max_iter, "maxfun": 30 * max_iter,
-                            "ftol": 1e-18, "gtol": 1e-12, "maxcor": 20})
-    alpha = np.clip(res.x, 0.0, 1.0) * w
-    theta = Z.T @ alpha / lam
-    if closes(theta, alpha):
+    for delta in (0.3, 0.03, 0.003):
+        theta = _train_smooth(X, y, w, LossSpec(SMOOTHED_HINGE, delta), lam,
+                              1e-10, 1.0, x0=theta, strict=False)
+    theta, alpha = _hinge_closer(theta, X * y[:, None], w, lam, delta)
+    r = float(np.linalg.norm(_hinge_witness(theta, alpha, X, y, w, lam)))
+    target = tol * (1.0 + np.linalg.norm(theta))
+    if r <= target:
         return theta, alpha
-    theta, alpha = _hinge_active_set(theta, Z, w, lam, 3.0 * delta)
-    if closes(theta, alpha):
-        return theta, alpha
-    r = witness_norm(theta, alpha)
-    raise TrainingError(
-        f"hinge training stalled at witness norm {r:.3e} "
-        f"(target {tol * (1.0 + np.linalg.norm(theta)):.3e})",
-        theta=theta, residual=r)
+    raise TrainingError(f"hinge training stalled at witness norm {r:.3e} "
+                        f"(target {target:.3e})", theta=theta, residual=r)
 
 
 # -- smooth training: L-BFGS start + Newton polish ---------------------------
@@ -290,7 +271,7 @@ def _train_hinge_sum(X, y, w, lam, tol, max_iter):
 _DENSE_NEWTON_MAX_D = 800
 
 
-def _train_smooth(X, y, w, loss, lam, tol, max_iter, norm, x0=None,
+def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
                   strict=True):
     d = X.shape[1]
 
@@ -352,17 +333,12 @@ def train_with_duals(D: Dataset, loss: LossSpec, config: TrainConfig):
     X, y, w = D.X[mask], D.y[mask], D.w[mask]
     lam_sum = config.lam * (D.total_weight if config.objective == "mean" else 1.0)
     if loss.kind == HINGE:
-        theta, alpha = _train_hinge_sum(X, y, w, lam_sum, config.tol, config.max_iter)
+        theta, alpha = _train_hinge_sum(X, y, w, lam_sum, config.tol)
         gamma = np.zeros(D.n)
-        m = y * (X @ theta)
-        band = _MARGIN_BAND * (1.0 + np.abs(m))
-        g = np.where(m < 1.0 - band, 1.0,
-                     np.where(m > 1.0 + band, 0.0, np.clip(alpha / w, 0.0, 1.0)))
-        gamma[mask] = g
+        gamma[mask] = alpha / w
     else:
         norm = D.total_weight if config.objective == "mean" else 1.0
-        theta = _train_smooth(X, y, w, loss, config.lam, config.tol,
-                              config.max_iter, norm)
+        theta = _train_smooth(X, y, w, loss, config.lam, config.tol, norm)
         gamma = np.zeros(D.n)
         gamma[mask] = -dloss_dmargin(loss, y * (X @ theta))
     return ModelParams(theta), gamma

@@ -4,10 +4,11 @@ import time
 import numpy as np
 import pytest
 
-from poisonlab import Dataset, LossSpec, ModelParams, TrainConfig
-from poisonlab import avg_loss, grad_point, hvp, inverse_hvp_cg, loss_point, synth_gaussians, train, train_sgd_single_pass
+from poisonlab import Dataset, LossSpec, ModelParams, TrainConfig, models
+from poisonlab import avg_loss, grad_point, hvp, inverse_hvp_cg, loss_point, synth_gaussians, train, train_sgd_single_pass, union
 from poisonlab.models import test_error_01 as zero_one_error
 from poisonlab.models import (
+    TrainingError,
     UnsupportedLossError,
     d2loss_dmargin2,
     loss_of_margin,
@@ -126,6 +127,42 @@ def test_mean_equals_sum_with_scaled_lambda():
     np.testing.assert_allclose(t_mean, t_sum, atol=1e-8)
 
 
+def hinge_kkt_violators(D, theta, gamma):
+    """Points whose dual scale gamma breaks the hinge KKT conditions at theta
+    by more than 1e-9 * (1 + |m|): 0 < gamma < 1 off margin 1, gamma = 1
+    above it, or gamma = 0 with positive weight below it."""
+    m = D.y * (D.X @ theta.theta)
+    tol = 1e-9 * (1.0 + np.abs(m))
+    frac = (gamma > 0.0) & (gamma < 1.0)
+    return np.flatnonzero((frac & (np.abs(m - 1.0) > tol))
+                          | ((gamma == 1.0) & (m > 1.0 + tol))
+                          | ((gamma == 0.0) & (D.w > 0.0) & (m < 1.0 - tol)))
+
+
+def test_hinge_duals_meet_kkt_conditions():
+    # criterion 1's instances: small sum-objective problems whose smoothed
+    # margins put points on the wrong side of margin 1
+    from test_acceptance import random_instance
+    cfg = TrainConfig(lam=0.1, objective="sum")
+    for t in range(50):
+        D = union(*random_instance(1000 + t, "hinge"))
+        theta, gamma = train_with_duals(D, LossSpec.hinge(), cfg)
+        assert hinge_kkt_violators(D, theta, gamma).size == 0, t
+
+
+def test_hinge_round_limit_raises_with_last_iterate(monkeypatch):
+    # five points of this instance start pinned on the wrong side of margin
+    # 1; a closer given no rounds cannot certify the smoothed start
+    from test_acceptance import random_instance
+    monkeypatch.setattr(models, "_CLOSER_ROUNDS", 0)
+    D = union(*random_instance(1001, "hinge"))
+    with pytest.raises(TrainingError, match="witness norm") as err:
+        train(D, LossSpec.hinge(), TrainConfig(lam=0.1, objective="sum"))
+    assert err.value.theta.shape == (D.d,)
+    assert np.all(np.isfinite(err.value.theta))
+    assert np.isfinite(err.value.residual) and err.value.residual > 0.0
+
+
 def test_hinge_closes_on_sanitized_minmax_sets():
     # criterion 10's instance and the min-max poison of its decoy with test
     # error 0.0265 at tau_loss=0.25, sanitized by each centroid/graph defense:
@@ -156,6 +193,7 @@ def test_hinge_closes_on_sanitized_minmax_sets():
             norm = S.total_weight if cfg.objective == "mean" else 1.0
             witness = cfg.lam * th - S.X.T @ (gamma * S.w * S.y) / norm
             assert np.linalg.norm(witness) <= cfg.tol * (1.0 + np.linalg.norm(th))
+            assert hinge_kkt_violators(S, theta, gamma).size == 0
             thetas[cfg.objective] = th
         np.testing.assert_allclose(
             thetas["mean"], thetas["sum"],
