@@ -9,20 +9,25 @@ relaxation of the expected post-rounding squared distance.
 
 Projection and margin minimization share one exact solver: on the ball cut
 by the k <= 5 rows (slab faces, half-spaces) it tries the rows' active sets
-and returns the first closed-form point whose KKT multipliers are
-non-negative.  Box and non-negativity bounds are pinned around it by a fast
-primal-dual loop and, where that stalls, by a primal active-set descent,
-whose first phase also shows a set empty.  Sets with an LP atom are
-projected by their dual and certified by the duality gap; margin
-minimization on them is not supported yet.  Every returned point passes
-``contains``; a solve that cannot certify says so, apart from "empty".
+by size and returns the first closed-form point whose KKT multipliers are
+non-negative.  What depends only on the set is factored into a face table
+(``_FaceTable``), which each ``FeasibleSet`` builds once per class, on its
+first solve, with every active set in one stacked block; a query is one
+pass of a few numpy operations.  Box and non-negativity bounds are pinned
+around it by a fast primal-dual loop and, where that stalls, by a primal
+active-set descent, whose first phase also shows a set empty.  Each pin
+pattern builds its own table, one size at a time up to the first size that
+certifies.  Sets with an LP atom are projected by their dual and certified
+by the duality gap; margin minimization on them is not supported yet.
+Every returned point passes ``contains``; a solve that cannot certify says
+so, apart from "empty".
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -145,89 +150,145 @@ class ClassConstraints:
         return lo, hi
 
 
-def _active_set(c, rr, A, b, q, project: bool):
-    """Exact solution over the ball |x - c| <= rr cut by the rows A x <= b:
-    the Euclidean projection of q when ``project``, else the minimizer of
-    q . x.  Returns (x, mu, nu), with the ball's multiplier mu and the rows'
-    multipliers nu (zero off the active set), or None when no active set
-    certifies, which means that the ball and rows share no point.
+class _FaceTable:
+    """Exact solver over the ball |x - c| <= rr cut by the rows A x <= b: the
+    Euclidean projection of q, or the minimizer of q . x.
 
-    Active sets S are tried by size.  With G = A_S A_S^T, w = G^-1 (b_S - A_S
-    c), u0 = A_S^T w the offset from c to the faces' affine hull, z = q - c
-    (projection) or q (margin), v = G^-1 A_S z and Pz = z - A_S^T v its part
-    in the null space of A_S:
-    - projection: x = c + u0 + t Pz with t = min(1, sqrt(rr^2 - |u0|^2)/|Pz|),
-      mu = 1/t - 1 and nu = v - w/t;
+    Its query-independent half is a table of the rows' linearly independent
+    active sets S.  With G = A_S A_S^T it holds G^-1, w = G^-1 (b_S - A_S c),
+    u0 = A_S^T w, the offset from c to the faces' affine hull, and s2 = rr^2
+    - |u0|^2.  A table that serves many queries (``reused``) stacks the sets
+    of every size into one block, so a query tests them all in one pass.  A
+    table that serves one query builds and tests one size at a time, so it
+    builds no size past the first that certifies.
+
+    A query takes z = q - c (projection) or q (margin), and per S, v = G^-1
+    A_S z and Pz = z - A_S^T v, the part of z in the null space of A_S:
+    - projection: x = c + u0 + t Pz with t = min(1, sqrt(s2)/|Pz|), the
+      ball's multiplier mu = 1/t - 1 and the rows' nu = v - w/t;
     - margin: if Pz != 0 the ball is active, x = c + u0 - s Pz/|Pz| with
-      s = sqrt(rr^2 - |u0|^2) and mu = |Pz|/s; if Pz = 0, x = c + u0 when
-      |u0| <= rr and mu = 0; nu = -(v + mu w).
-    The first S whose x meets the other rows with nu >= 0 satisfies the KKT
-    conditions of a convex problem, so x is its global solution."""
-    k = len(b)
-    z = q - c if project else q
-    zn = math.sqrt(float(z @ z))
-    cn = math.sqrt(float(c @ c))
-    slack = b - A @ c
-    row_n = np.sqrt(np.einsum("ij,ij->i", A, A))
-    nu_tol = 1e-10 * zn
-    AAt = A @ A.T
-    Az = A @ z
-    for size in range(min(k, len(c)) + 1):
-        for S in itertools.combinations(range(k), size):
-            S = list(S)
-            G = AAt[S][:, S]
-            if np.linalg.det(G) <= 1e-12 * np.prod(np.diag(G)):
-                continue  # rows linearly dependent (e.g. both slab faces)
-            w, v = np.linalg.solve(G, np.column_stack([slack[S], Az[S]])).T
-            u0 = A[S].T @ w
-            pz = z - A[S].T @ v
-            s2 = rr * rr - float(u0 @ u0)
-            pn = math.sqrt(float(pz @ pz))
-            if project:
-                if s2 < 0.0 or (s2 == 0.0 and pn > 0.0):
-                    continue  # the faces' hull misses the ball's interior
-                t = 1.0 if pn * pn <= s2 else math.sqrt(s2) / pn
-                mu, nu = 1.0 / t - 1.0, v - w / t
-                u = u0 + t * pz
-            elif pn > 1e-12 * zn:
-                if s2 <= 0.0:
-                    continue
-                s = math.sqrt(s2)
-                mu = pn / s
-                u = u0 - (s / pn) * pz
-                nu = -(v + mu * w)
-            else:
-                if s2 < 0.0:
-                    continue
-                mu, u = 0.0, u0
-                nu = -v
-            if (nu * row_n[S] < -nu_tol).any():
-                continue
-            un = math.sqrt(float(u @ u))
-            row_tol = 1e-11 * (row_n * (cn + un) + np.abs(slack))
-            if (A @ u - slack > row_tol).any():
-                continue
-            nu_all = np.zeros(k)
-            nu_all[S] = nu
-            # x - q = (t - 1) z + A_S^T (w - t v): exactly q when q lies inside
-            x = (q + ((t - 1.0) * z + A[S].T @ (w - t * v)) if project
-                 else c + u)
-            return x, mu, nu_all
-    return None
+      s = sqrt(s2) and mu = |Pz|/s; if Pz = 0, x = c + u0 when s2 >= 0 and
+      mu = 0; nu = -(v + mu w).
+    It returns the first S, by size and then in the order of
+    ``itertools.combinations``, whose x meets the other rows with nu >= 0.
+    That x satisfies the KKT conditions of a convex problem, so it is the
+    global solution."""
+
+    def __init__(self, c, rr, A, b, reused: bool):
+        self.c, self.rr, self.A, self.b = c, rr, A, b
+        self.slack = b - A @ c
+        self.row_n = np.sqrt(np.einsum("ij,ij->i", A, A))
+        # the row test A u - slack <= 1e-11 (|A_i| (|c| + |u|) + |slack_i|)
+        self._tol0 = 1e-11 * (self.row_n * math.sqrt(float(c @ c))
+                              + np.abs(self.slack))
+        sizes = tuple(range(min(len(b), len(c)) + 1))
+        self._groups = [sizes] if reused else [(n,) for n in sizes]
+        self._blocks = {}
+
+    def _sets(self, n: int):
+        """S, G^-1 and w of the independent active sets of size n."""
+        if n == 0:  # no row active: the ball alone
+            return (np.zeros((1, 0), dtype=int), np.zeros((1, 0, 0)),
+                    np.zeros((1, 0)))
+        S = np.array(list(itertools.combinations(range(len(self.b)), n)))
+        G = (self.A @ self.A.T)[S[:, :, None], S[:, None, :]]
+        # rows linearly dependent (e.g. both slab faces)
+        dep = np.linalg.det(G) <= 1e-12 * np.prod(
+            np.diagonal(G, axis1=1, axis2=2), axis=1)
+        S, G = S[~dep], G[~dep]
+        return (S, np.linalg.inv(G),
+                np.linalg.solve(G, self.slack[S][:, :, None])[:, :, 0])
+
+    def _block(self, j: int):
+        block = self._blocks.get(j)
+        if block is None:
+            sizes = self._groups[j]
+            sets = [self._sets(n) for n in sizes]
+            m, top, d = sum(len(S) for S, _, _ in sets), sizes[-1], len(self.c)
+            # sets smaller than the block's largest are padded with zeros:
+            # a padded row adds nothing to v, Pz, u0 or x, and its nu is 0
+            S, size = np.zeros((m, top), dtype=int), np.zeros(m, dtype=int)
+            Ginv, w = np.zeros((m, top, top)), np.zeros((m, top))
+            AS, rnS = np.zeros((m, top, d)), np.zeros((m, top))
+            i = 0
+            for n, (Sn, Gn, wn) in zip(sizes, sets):
+                k = i + len(Sn)
+                S[i:k, :n], size[i:k], Ginv[i:k, :n, :n] = Sn, n, Gn
+                w[i:k, :n], AS[i:k, :n], rnS[i:k, :n] = (wn, self.A[Sn],
+                                                         self.row_n[Sn])
+                i = k
+            u0 = np.einsum("ms,msd->md", w, AS)
+            s2 = self.rr * self.rr - np.einsum("md,md->m", u0, u0)
+            with np.errstate(invalid="ignore"):
+                s = np.sqrt(s2)
+            block = self._blocks[j] = (S, size, AS, Ginv, w, rnS, u0, s2, s)
+        return block
+
+    def solve(self, q, project: bool):
+        """Returns (x, mu, nu), with the ball's multiplier mu and the rows'
+        multipliers nu (zero off the active set), or None when no active set
+        certifies, which means that the ball and rows share no point."""
+        c, A, slack = self.c, self.A, self.slack
+        z = q - c if project else q
+        zn = math.sqrt(float(z @ z))
+        Az = A @ z
+        for j in range(len(self._groups)):
+            S, size, AS, Ginv, w, rnS, u0, s2, s = self._block(j)
+            v = np.einsum("mij,mj->mi", Ginv, Az[S])
+            pz = z - np.einsum("ms,msd->md", v, AS)
+            pn = np.sqrt(np.einsum("md,md->m", pz, pz))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if project:
+                    # the faces' hull must meet the ball's interior
+                    ok = (s2 > 0.0) | ((s2 == 0.0) & (pn == 0.0))
+                    t = np.where(pn * pn <= s2, 1.0, s / pn)
+                    mu, nu, step = 1.0 / t - 1.0, v - w / t[:, None], t
+                else:
+                    ball = pn > 1e-12 * zn
+                    ok = (s2 > 0.0) | (~ball & (s2 == 0.0))
+                    mu = np.where(ball, pn / s, 0.0)
+                    nu = -(v + mu[:, None] * w)
+                    step = np.where(ball, -s / pn, 0.0)
+                u = u0 + step[:, None] * pz
+                un = np.sqrt(np.einsum("md,md->m", u, u))
+                ok &= ~((nu * rnS < -1e-10 * zn).any(axis=1)
+                        | (u @ A.T - slack > self._tol0 + 1e-11 * self.row_n
+                           * un[:, None]).any(axis=1))
+            hit = np.flatnonzero(ok)
+            if hit.size:
+                i = hit[0]
+                nu_all = np.zeros(len(self.b))
+                nu_all[S[i, :size[i]]] = nu[i, :size[i]]
+                # x - q = (t - 1) z + A_S^T (w - t v): exactly q when q lies
+                # inside
+                x = (q + ((t[i] - 1.0) * z + AS[i].T @ (w[i] - t[i] * v[i]))
+                     if project else c + u[i])
+                return x, float(mu[i]), nu_all
+        return None
+
+
+def _class_faces(cc: ClassConstraints, d: int) -> _FaceTable:
+    """The face table of a class set's ball (pulled in by _SHRINK, or
+    infinite without one) and rows; it serves every solve on the set."""
+    c, r = cc.ball if cc.ball is not None else (np.zeros(d), math.inf)
+    return _FaceTable(np.asarray(c, dtype=float), r * (1.0 - _SHRINK),
+                      *cc.rows(d), reused=True)
 
 
 def _on_face(c, rr, A, b, lo, hi, q, project, pin):
-    """``_active_set`` with the pinned coordinates held at their bounds (pin
-    -1 at lo, +1 at hi, 0 free) in the ball of the radius they leave.
-    Returns x and the pinned bounds' multipliers, or None when that face of
-    the bounds misses the ball and rows."""
+    """The exact solver with the pinned coordinates held at their bounds
+    (pin -1 at lo, +1 at hi, 0 free) in the ball of the radius they leave;
+    each pin pattern has its own ball and rows, so its face table serves one
+    query.  Returns x and the pinned bounds' multipliers, or None when that
+    face of the bounds misses the ball and rows."""
     free = pin == 0
     at = np.where(pin < 0, lo, hi)[~free]
     off = at - c[~free]
     r2 = rr * rr - float(off @ off)
-    sol = None if r2 < 0.0 else _active_set(
+    sol = None if r2 < 0.0 else _FaceTable(
         c[free], math.sqrt(r2) if off.size else rr,
-        np.compress(free, A, axis=1), b - A[:, ~free] @ at, q[free], project)
+        np.compress(free, A, axis=1), b - A[:, ~free] @ at,
+        reused=False).solve(q[free], project)
     if sol is None:
         return None
     x = np.empty(len(c))
@@ -270,18 +331,20 @@ def _descend(c, rr, A, b, lo, hi, q, project, x, tol, stop=lambda x: False):
     raise InfeasibleSetError(f"{_UNCERTIFIED}: bounds not settled")
 
 
-def _pdas(c, rr, A, b, lo, hi, q, project, tol):
+def _pdas(c, rr, A, b, lo, hi, q, project, tol, x):
     """Primal-dual active-set loop for the bounds (Hintermueller, Ito &
     Kunisch, SIAM J. Optim. 2002): pin every coordinate outside its bounds,
-    release the pins with negative multipliers, and solve on that face.  It
-    settles in a few rounds, but may cycle or pin a face that misses the
-    set; then it returns None."""
-    pin = np.zeros(len(c), dtype=int)
-    for _ in range(_PDAS_ROUNDS):
-        sol = _on_face(c, rr, A, b, lo, hi, q, project, pin)
-        if sol is None:
-            return None
-        x, mult = sol
+    release the pins with negative multipliers, and solve on that face.  Its
+    first face, with no bound pinned, is x, the solution on the ball and
+    rows alone.  It settles in a few rounds, but may cycle or pin a face that
+    misses the set; then it returns None."""
+    pin, mult = np.zeros(len(c), dtype=int), np.zeros(len(c))
+    for r in range(_PDAS_ROUNDS):
+        if r:
+            sol = _on_face(c, rr, A, b, lo, hi, q, project, pin)
+            if sol is None:
+                return None
+            x, mult = sol
         new = np.where(x < lo, -1, np.where(x > hi, 1,
                                             np.where(mult < -tol, 0, pin)))
         if np.array_equal(new, pin):
@@ -290,25 +353,26 @@ def _pdas(c, rr, A, b, lo, hi, q, project, tol):
     return None
 
 
-def _solve(cc: ClassConstraints, q: np.ndarray, d: int, project: bool):
-    """``_active_set`` on the class set; where its point leaves the box or
-    non-negativity bounds, ``_pdas``; where that returns None, ``_descend``
-    from a point found by a first phase.  That phase descends on t over
-    (x, t) in the rows A x - t <= b and the ball |x - c|^2 + (t - t0)^2 <=
-    rr^2 + t0^2, from the clipped centre at t = t0: at t < 0, x lies inside
-    the set, and a certified minimum t >= 0 shows that the set is empty."""
+def _solve(cc: ClassConstraints, faces: _FaceTable, q: np.ndarray,
+           project: bool):
+    """The class set's face table (``_class_faces``) on q; where its point
+    leaves the box or non-negativity bounds, ``_pdas``; where that returns
+    None, ``_descend`` from a point found by a first phase.  That phase
+    descends on t over (x, t) in the rows A x - t <= b and the ball
+    |x - c|^2 + (t - t0)^2 <= rr^2 + t0^2, from the clipped centre at t = t0:
+    at t < 0, x lies inside the set, and a certified minimum t >= 0 shows
+    that the set is empty."""
     ball = cc.ball is not None
-    c, r = cc.ball if ball else (np.zeros(d), math.inf)
-    c = np.asarray(c, dtype=float)
-    rr = r * (1.0 - _SHRINK)
-    A, b = cc.rows(d)
-    sol = _active_set(c, rr, A, b, q, project)
+    c, rr, A, b = faces.c, faces.rr, faces.A, faces.b
+    d = len(c)
+    sol = faces.solve(q, project)
     x = None if sol is None else sol[0]
     lo, hi = cc.bounds(d)
     if x is None or ((cc.box is not None or cc.nonneg)
                      and np.any((x < lo) | (x > hi))):
         tol = 1e-10 * math.sqrt(float((q - c) @ (q - c) if project else q @ q))
-        x = _pdas(c, rr, A, b, lo, hi, q, project, tol)
+        x = None if x is None else _pdas(c, rr, A, b, lo, hi, q, project,
+                                         tol, x)
     if x is None:
         xs = np.clip(c, lo, hi)
         dist = math.sqrt(float((xs - c) @ (xs - c)))
@@ -377,9 +441,20 @@ class FeasibleSet:
 
     cons: dict  # label -> ClassConstraints
     d: int
+    # label -> _FaceTable, built on the first solve; a set never changes, and
+    # with_halfspace and with_decoy_caps return new sets with empty tables
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def for_label(self, y) -> ClassConstraints:
         return self.cons[int(y)]
+
+    def _table(self, y) -> _FaceTable:
+        faces = self._tables.get(int(y))
+        if faces is None:
+            faces = self._tables[int(y)] = _class_faces(self.for_label(y),
+                                                         self.d)
+        return faces
 
     def contains(self, x, y) -> bool:
         return self.for_label(y).contains(x)
@@ -397,7 +472,7 @@ class FeasibleSet:
         x = np.asarray(x, dtype=float)
         if cc.lp is not None:
             return _lp_project(cc, x, self.d)
-        return _solve(cc, x, self.d, project=True)
+        return _solve(cc, self._table(y), x, project=True)
 
     def with_halfspace(self, y: int, hs: HalfSpace) -> "FeasibleSet":
         cc = self.cons[int(y)]
@@ -493,7 +568,7 @@ class FeasibleSet:
                                      "bounded")
         if not theta.any():
             return self.project(cc.anchor(self.d), y)
-        return _solve(cc, y * theta, self.d, project=False)
+        return _solve(cc, self._table(y), y * theta, project=False)
 
 
 # -- builders -----------------------------------------------------------------

@@ -181,7 +181,7 @@ def objective_value(theta: np.ndarray, D: Dataset, loss: LossSpec, lam: float,
 # dual then closes exactly in finitely many rounds: alpha = w below margin 1,
 # alpha = 0 above it, and the free alpha solve the margin-1 system.
 
-_MARGIN_BAND = 1e-6
+_MARGIN_BAND = 1e-9  # the closer leaves margins within 1e-10 (1 + |m|) of 1
 _KKT_TOL = 1e-10     # relative slack of the closer's margin tests
 _CLOSER_ROUNDS = 4   # closer rounds per point and dimension, at most
 
@@ -189,7 +189,7 @@ _CLOSER_ROUNDS = 4   # closer rounds per point and dimension, at most
 def _hinge_witness(theta, alpha, X, y, w, lam):
     """Minimal-effort member of the objective's subgradient set at theta.
 
-    Margins within a +-1e-6 relative band of 1 may take the fractional
+    Margins within a +-1e-9 relative band of 1 may take the fractional
     coefficient alpha_i/w_i; everything else is forced to its region's value.
     """
     m = y * (X @ theta)

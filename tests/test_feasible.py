@@ -350,20 +350,204 @@ def test_descent_alone_matches_grid(monkeypatch):
      np.ones(3), np.array([-1.0, -1.0, -np.sqrt(2.0)])),
 ], ids=["slab-face", "vertex", "edge"])
 def test_min_margin_on_faces_and_edges(cc, theta, expect):
-    from poisonlab.feasible import _SHRINK, _active_set
+    from poisonlab.feasible import _SHRINK, _FaceTable
     F = FeasibleSet({1: cc, -1: cc}, len(theta))
     x = F.min_margin_point(theta, 1.0)
     assert F.contains(x, 1)
     np.testing.assert_allclose(x, expect, atol=1e-7)
-    # the active-set routine certifies it: non-negative multipliers that
-    # make theta + mu (x - c) + A^T nu vanish
+    # the face table certifies it: non-negative multipliers that make
+    # theta + mu (x - c) + A^T nu vanish
     c, r = cc.ball
     A, b = cc.rows(len(theta))
-    x2, mu, nu = _active_set(c, r * (1.0 - _SHRINK), A, b, theta, project=False)
+    x2, mu, nu = _FaceTable(c, r * (1.0 - _SHRINK), A, b,
+                           reused=False).solve(theta, False)
     np.testing.assert_array_equal(x2, x)
     assert mu >= 0.0 and (nu >= 0.0).all()
     np.testing.assert_allclose(theta + mu * (x - c) + A.T @ nu, 0.0, atol=1e-9)
     assert np.dot(theta, x) == pytest.approx(np.dot(theta, expect), abs=1e-7)
+
+
+def active_set_oracle(c, rr, A, b, q, project):
+    """The per-subset loop the face table replaced, kept as its reference:
+    each active set S of the rows, by size, solved on its own."""
+    import itertools
+    import math
+    k = len(b)
+    z = q - c if project else q
+    zn = math.sqrt(float(z @ z))
+    cn = math.sqrt(float(c @ c))
+    slack = b - A @ c
+    row_n = np.sqrt(np.einsum("ij,ij->i", A, A))
+    nu_tol = 1e-10 * zn
+    AAt = A @ A.T
+    Az = A @ z
+    for size in range(min(k, len(c)) + 1):
+        for S in itertools.combinations(range(k), size):
+            S = list(S)
+            G = AAt[S][:, S]
+            if np.linalg.det(G) <= 1e-12 * np.prod(np.diag(G)):
+                continue
+            w, v = np.linalg.solve(G, np.column_stack([slack[S], Az[S]])).T
+            u0 = A[S].T @ w
+            pz = z - A[S].T @ v
+            s2 = rr * rr - float(u0 @ u0)
+            pn = math.sqrt(float(pz @ pz))
+            if project:
+                if s2 < 0.0 or (s2 == 0.0 and pn > 0.0):
+                    continue
+                t = 1.0 if pn * pn <= s2 else math.sqrt(s2) / pn
+                mu, nu = 1.0 / t - 1.0, v - w / t
+                u = u0 + t * pz
+            elif pn > 1e-12 * zn:
+                if s2 <= 0.0:
+                    continue
+                s = math.sqrt(s2)
+                mu = pn / s
+                u = u0 - (s / pn) * pz
+                nu = -(v + mu * w)
+            else:
+                if s2 < 0.0:
+                    continue
+                mu, u = 0.0, u0
+                nu = -v
+            if (nu * row_n[S] < -nu_tol).any():
+                continue
+            un = math.sqrt(float(u @ u))
+            row_tol = 1e-11 * (row_n * (cn + un) + np.abs(slack))
+            if (A @ u - slack > row_tol).any():
+                continue
+            nu_all = np.zeros(k)
+            nu_all[S] = nu
+            x = (q + ((t - 1.0) * z + A[S].T @ (w - t * v)) if project
+                 else c + u)
+            return x, mu, nu_all
+    return None
+
+
+def _oracle_instance(gen, d):
+    """A ball cut by k <= 5 rows: both faces of a slab (dependent rows),
+    a row through the centre, and random rows, some of which may leave no
+    point; on every fourth instance a last row does."""
+    c = gen.standard_normal(d)
+    r = gen.uniform(0.5, 2.0)
+    rows, rhs = [], []
+    if gen.random() < 0.7:
+        ax = gen.standard_normal(d)
+        t, hw = float(ax @ c) + gen.uniform(-0.5, 0.5), gen.uniform(0.1, 1.5)
+        rows += [ax, -ax]
+        rhs += [t + hw, hw - t]
+    if gen.random() < 0.5:
+        a = gen.standard_normal(d)
+        rows.append(a)
+        rhs.append(float(a @ c))
+    while len(rows) < gen.integers(1, 6):
+        a = gen.standard_normal(d)
+        rows.append(a)
+        rhs.append(float(a @ c) + gen.uniform(-1.2, 1.5) * r
+                   * np.linalg.norm(a))
+    if gen.random() < 0.25:
+        a = gen.standard_normal(d)
+        rows[-1], rhs[-1] = a, float(a @ c) - 1.5 * r * np.linalg.norm(a)
+    return c, r, np.array(rows), np.array(rhs)
+
+
+def check_certified(got, want, c, rr, A, b, q, project):
+    """x agrees with the oracle's, and the multipliers certify it."""
+    x, mu, nu = got
+    np.testing.assert_allclose(
+        x, want[0], rtol=0.0,
+        atol=1e-9 * (1.0 + np.linalg.norm(want[0])))
+    # the certificate: multipliers >= -tol on rows met by x, zero
+    # off the active set, that make the Lagrangian stationary
+    z = q - c if project else q
+    zn = np.linalg.norm(z)
+    row_n = np.linalg.norm(A, axis=1)
+    assert mu >= 0.0
+    assert (nu * row_n >= -1e-10 * zn).all()
+    scale = 1.0 + np.linalg.norm(c) + np.linalg.norm(x)
+    assert (A @ x - b <= 1e-9 * row_n * scale).all()
+    active = nu != 0.0
+    np.testing.assert_allclose((A @ x - b)[active], 0.0,
+                               atol=1e-9 * scale)
+    assert np.linalg.norm(x - c) <= rr * (1.0 + 1e-9)
+    grad = (x - q) if project else q
+    np.testing.assert_allclose(grad + mu * (x - c) + A.T @ nu, 0.0,
+                               atol=1e-8 * (1.0 + zn) * (1.0 + mu))
+
+
+def test_face_table_matches_active_set_oracle():
+    # tolerance fixed before the table was written: the table reorders the
+    # oracle's arithmetic (G^-1 products for solves, stacked sums), so x may
+    # differ by rounding, bounded here by 1e-9 (1 + |x|)
+    from poisonlab.feasible import _FaceTable
+    gen = np.random.default_rng(7)
+    solved = {True: 0, False: 0}
+    empty = 0
+    for trial in range(250):
+        d = int(gen.choice([2, 3, 5, 8]))
+        c, rr, A, b = _oracle_instance(gen, d)
+        # each table serves every query: one stacked block of all sizes, and
+        # one block per size, built on first use
+        tables = [_FaceTable(c, rr, A, b, reused=r) for r in (True, False)]
+        for _ in range(6):
+            project = bool(gen.random() < 0.5)
+            if project:
+                q = c + gen.uniform(0.2, 3.0) * gen.standard_normal(d)
+            elif gen.random() < 0.3:  # along a row: a whole face is optimal
+                q = -gen.uniform(0.5, 2.0) * A[gen.integers(len(b))]
+            else:
+                q = gen.standard_normal(d)
+            want = active_set_oracle(c, rr, A, b, q, project)
+            for table in tables:
+                got = table.solve(q, project)
+                assert (got is None) == (want is None), (trial, project)
+                if got is not None:
+                    check_certified(got, want, c, rr, A, b, q, project)
+            if want is None:
+                empty += 1
+            else:
+                solved[project] += 1
+    assert min(solved.values()) > 200 and empty > 50, (solved, empty)
+
+
+def test_face_table_built_once_per_class(monkeypatch):
+    # criterion 10's set: however many min-max iterations run, each class
+    # builds its face table once, on its first solve
+    from poisonlab import feasible
+    from poisonlab.minmax import run_minmax_basic
+    built = []
+    real = feasible._class_faces
+
+    def counted(cc, d):
+        built.append(cc)
+        return real(cc, d)
+
+    monkeypatch.setattr(feasible, "_class_faces", counted)
+    tr, _ = synth_gaussians(42, 2000, 20, 4.2)
+    F = build_feasible_set(tr, 0.05)
+    for n_burn in (5, 40):
+        built.clear()
+        run_minmax_basic(tr, 0.03, build_feasible_set(tr, 0.05), lam=0.1,
+                         n_burn=n_burn)
+        assert len(built) <= 2
+    built.clear()
+    run_minmax_basic(tr, 0.03, F, lam=0.1, n_burn=5)
+    run_minmax_basic(tr, 0.03, F, lam=0.1, n_burn=5)
+    assert len(built) == 2 and built[0] is not built[1]
+
+
+def test_with_halfspace_builds_its_own_table():
+    # the cut set answers with its new row active, not from the old table
+    F = ball_set(np.zeros(3), 2.0, 3)
+    theta = np.array([1.0, 0.0, 0.0])
+    x = F.min_margin_point(theta, 1)
+    np.testing.assert_allclose(x, [-2.0, 0.0, 0.0], atol=1e-6)
+    G = F.with_halfspace(1, HalfSpace(np.array([-1.0, 0.0, 0.0]), 1.0))
+    x2 = G.min_margin_point(theta, 1)
+    assert G.contains(x2, 1)
+    assert x2[0] == pytest.approx(-1.0, abs=1e-6)  # the new row is active
+    assert G._tables[1] is not F._tables[1]
+    np.testing.assert_array_equal(F.min_margin_point(theta, 1), x)
 
 
 def test_max_loss_point_empty_decoy_set_raises(decoy_pair):

@@ -150,6 +150,24 @@ def test_hinge_duals_meet_kkt_conditions():
         assert hinge_kkt_violators(D, theta, gamma).size == 0, t
 
 
+def test_hinge_witness_rejects_a_nearby_theta():
+    # the exact optimum passes the witness target; the same theta scaled by
+    # 1 + 1e-7 moves every on-margin point out of the band, so their
+    # fractional duals no longer balance lambda theta
+    from test_acceptance import random_instance
+    cfg = TrainConfig(lam=0.1, objective="sum")
+    for t in range(5):
+        D = union(*random_instance(1000 + t, "hinge"))
+        theta, gamma = train_with_duals(D, LossSpec.hinge(), cfg)
+        th, alpha = theta.theta, gamma * D.w
+        assert ((gamma > 0.0) & (gamma < 1.0)).any(), t  # points on the margin
+        for scale, passes in ((1.0, True), (1.0 + 1e-7, False)):
+            r = np.linalg.norm(models._hinge_witness(
+                scale * th, alpha, D.X, D.y, D.w, cfg.lam))
+            target = cfg.tol * (1.0 + np.linalg.norm(scale * th))
+            assert (r <= target) == passes, (t, scale, r, target)
+
+
 def test_hinge_round_limit_raises_with_last_iterate(monkeypatch):
     # five points of this instance start pinned on the wrong side of margin
     # 1; a closer given no rounds cannot certify the smoothed start
