@@ -9,7 +9,8 @@ constraint) fixes that.
 
 import numpy as np
 
-from poisonlab import expected_sq_distance, f_piecewise, lp_constraint_atoms, round_point
+from poisonlab import FeasibleSet, expected_sq_distance, f_piecewise, lp_constraint_atoms, round_point
+from poisonlab.feasible import ClassConstraints
 
 mu = np.array([2.0, 1.0, 3.0])
 tau = 1.2
@@ -32,9 +33,11 @@ for v in grid:
     print(f"  {v:.1f}   {float(f_piecewise(v)):5.2f}  {v*v:5.2f}")
 
 # projecting onto the LP-relaxed set yields the closest point that stays
-# inside the centroid defense *in expectation* after rounding
+# inside the centroid defense *in expectation* after rounding; the attacks
+# project the same way, through a feasible set carrying the LP atom
 C = lp_constraint_atoms(mu, tau, np.array([6, 6, 6]))
-x_lp = C.project(x)
+cc = ClassConstraints(nonneg=True, lp=C)
+x_lp = FeasibleSet({1: cc, -1: cc}, 3).project(x, 1)
 print(f"\nprojected point: {np.round(x_lp, 3)}")
 print(f"its expected post-rounding squared distance: "
       f"{expected_sq_distance(x_lp, mu):.3f} <= {tau**2:.3f}")

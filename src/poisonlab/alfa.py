@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .data import Dataset, union
-from .feasible import FeasibleSet
+from .feasible import FeasibleSet, InfeasibleSetError
 from .models import LossSpec, TrainConfig, loss_of_margin, margins, train
 from .results import AttackResult, evaluated_result
 
@@ -60,7 +60,8 @@ def run_alfa(D_c: Dataset, D_test: Dataset, epsilon: float, F: FeasibleSet,
     flip = Dataset(D_test.X, -D_test.y, D_test.w, D_test.domain)
     feasible = np.array([F.contains(flip.X[i], flip.y[i]) for i in range(flip.n)])
     if not feasible.any():
-        raise ValueError("no flipped test point lies in the feasible set")
+        raise InfeasibleSetError("no flipped test point lies in the "
+                                 "feasible set")
     pool = flip.subset(feasible)
     base_scores = loss_of_margin(loss, margins(theta_star, pool))
     dp = _select(pool, base_scores, budget)

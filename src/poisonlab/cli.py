@@ -116,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minmax: fixed decoy-loss cap (default: per-class "
                         "(1-p)-quantile of clean losses under the decoy)")
     a.add_argument("--n-burn", type=int)
-    a.add_argument("--round-repeats", type=int, default=3)
 
     d = sub.add_parser("decoys", help="generate decoy parameters to a JSON file")
     _add_common(d)
@@ -177,8 +176,7 @@ def main(argv=None) -> int:
             params = {"steps": args.steps, "eta": args.eta,
                       "delta": args.delta, "concentrated": not args.basic,
                       "decoy_file": args.decoy_file, "T": args.grid_T,
-                      "tau_loss": args.tau_loss, "n_burn": args.n_burn,
-                      "round_repeats": args.round_repeats}
+                      "tau_loss": args.tau_loss, "n_burn": args.n_burn}
             cfg = _config_from_args(args, attack=args.kind,
                                     attack_params=params)
             doc = cmd_attack(cfg)

@@ -4,8 +4,9 @@ collapse of an attack with retraining-based verification.
 
 A class set is an intersection of an L2 ball, a slab around the
 inter-centroid axis, half-spaces (decoy-loss caps, support-vector
-constraints), the domain box or non-negativity, and optionally the LP
-relaxation of the expected post-rounding squared distance.
+constraints), the domain box or non-negativity, and, in place of the ball
+on non-negative integer data, the LP relaxation of the expected
+post-rounding squared distance.
 
 Projection and margin minimization share one exact solver: on the ball cut
 by the k <= 5 rows (slab faces, half-spaces) it tries the rows' active sets
@@ -43,7 +44,7 @@ from .models import (
     train,
     train_with_duals,
 )
-from .rounding import LpConstraint
+from .rounding import LpConstraint, default_K
 
 _SHRINK = 1e-8          # relative pull-in so returned points pass strict tests
 _PDAS_ROUNDS = 20       # fast pin/release rounds before the descent
@@ -586,14 +587,13 @@ def _domain_constraints(domain: InputDomain, lp: LpConstraint | None):
 def build_feasible_set(
     D: Dataset,
     p: float,
-    include_slab: bool = True,
     decoy: tuple | None = None,          # (ModelParams, LossSpec, {label: cap})
-    use_lp_for_integer_domain: bool = False,
-    lp_K: np.ndarray | None = None,
 ) -> FeasibleSet:
     """Attack-side feasible set from the centroid defenses fit on D: per class
     an L2 ball and slab at the defender's (1-p)-quantile thresholds, domain
-    constraints, and optionally the decoy-loss half-space."""
+    constraints, and optionally the decoy-loss half-space.  On non-negative
+    integer data the ball gives way to the LP atom, which bounds the L2
+    distance of the rounded point in expectation."""
     cents = class_centroids(D)
     kinds = {"l2": DefenseKind.l2(), "slab": DefenseKind.slab()}
     taus = {}
@@ -603,15 +603,12 @@ def build_feasible_set(
     axis = cents[1] - cents[-1]
     cons = {}
     for lab in (1, -1):
-        lp = None
-        if use_lp_for_integer_domain and D.domain is InputDomain.NONNEG_INT:
-            from .rounding import default_K
-            K = lp_K if lp_K is not None else default_K(D)
-            lp = LpConstraint(cents[lab], taus["l2"][lab], K)
-        extra = _domain_constraints(D.domain, lp)
-        ball = None if lp is not None else (cents[lab], taus["l2"][lab])
-        slab = (axis, cents[lab], taus["slab"][lab]) if include_slab else None
-        cons[lab] = ClassConstraints(ball=ball, slab=slab, **extra)
+        l2 = (cents[lab], taus["l2"][lab])
+        lp = (LpConstraint(*l2, default_K(D))
+              if D.domain is InputDomain.NONNEG_INT else None)
+        cons[lab] = ClassConstraints(ball=l2 if lp is None else None,
+                                     slab=(axis, cents[lab], taus["slab"][lab]),
+                                     **_domain_constraints(D.domain, lp))
     F = FeasibleSet(cons, D.d)
     return F.with_decoy_caps(*decoy) if decoy is not None else F
 

@@ -178,25 +178,22 @@ def run_attack(cfg: ExperimentConfig, D_c: Dataset, D_test: Dataset) -> AttackRe
     tc = cfg.train_config()
     kinds = cfg.defense_kinds()
     pr = dict(cfg.attack_params)
-    use_lp = D_c.domain is InputDomain.NONNEG_INT
     if cfg.attack == "none":
         started = time.perf_counter()
         dp = Dataset.empty(D_c.d, D_c.domain)
         return evaluated_result("none", dp, D_c, D_test, kinds, cfg.p, loss, tc,
                                 started, seed=cfg.seed)
+    F = build_feasible_set(D_c, cfg.p)
     if cfg.attack == "influence":
-        F = build_feasible_set(D_c, cfg.p, use_lp_for_integer_domain=use_lp)
         icfg = InfluenceConfig(
             eta=pr.get("eta"), steps=pr.get("steps", 40),
             delta=pr.get("delta", 0.01),
             concentrated=pr.get("concentrated", True), seed=cfg.seed,
-            cg_tol=pr.get("cg_tol", 1e-8),
-            round_repeats=pr.get("round_repeats", 3))
+            cg_tol=pr.get("cg_tol", 1e-8))
         return run_influence(D_c, D_test, cfg.epsilon, F, icfg, kinds, cfg.p,
                              loss, tc)
     if cfg.attack == "kkt":
         decoys = get_or_gen_decoys(cfg, D_c, D_test, pr)
-        F = build_feasible_set(D_c, cfg.p, use_lp_for_integer_domain=use_lp)
 
         def F_builder(decoy):
             caps = decoy_loss_caps(D_c, decoy.theta_decoy, loss, cfg.p)
@@ -204,28 +201,21 @@ def run_attack(cfg: ExperimentConfig, D_c: Dataset, D_test: Dataset) -> AttackRe
 
         return run_kkt(D_c, D_test, cfg.epsilon, decoys, F_builder,
                        T=pr.get("T", 6), defenses_for_eval=kinds, p=cfg.p,
-                       loss=loss, config=tc,
-                       round_repeats=pr.get("round_repeats", 3), seed=cfg.seed)
+                       loss=loss, config=tc, seed=cfg.seed)
     if cfg.attack == "minmax":
-        F = build_feasible_set(D_c, cfg.p, use_lp_for_integer_domain=use_lp)
         decoys = get_or_gen_decoys(cfg, D_c, D_test, pr)
         return run_minmax(D_c, D_test, cfg.epsilon, F, decoys,
                           tau_loss=pr.get("tau_loss"),
                           eta=pr.get("eta"), n_burn=pr.get("n_burn"),
                           lam=cfg.lam, loss=loss, defenses_for_eval=kinds,
-                          p=cfg.p, config=tc,
-                          round_repeats=pr.get("round_repeats", 3),
-                          seed=cfg.seed)
+                          p=cfg.p, config=tc, seed=cfg.seed)
     if cfg.attack == "minmax-basic":
-        F = build_feasible_set(D_c, cfg.p, use_lp_for_integer_domain=use_lp)
         return run_minmax_basic(D_c, cfg.epsilon, F, eta=pr.get("eta"),
                                 n_burn=pr.get("n_burn"), lam=cfg.lam,
                                 loss=loss, D_test=D_test,
                                 defenses_for_eval=kinds, p=cfg.p, config=tc,
-                                round_repeats=pr.get("round_repeats", 3),
                                 seed=cfg.seed)
     if cfg.attack == "alfa":
-        F = build_feasible_set(D_c, cfg.p, use_lp_for_integer_domain=use_lp)
         return run_alfa(D_c, D_test, cfg.epsilon, F, loss, cfg.lam, kinds,
                         cfg.p, tc, refine=pr.get("refine", True),
                         seed=cfg.seed)

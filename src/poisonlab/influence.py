@@ -9,6 +9,8 @@ the defender's own loss.
 
 In concentrated mode only two distinct points are optimized, one per class,
 carrying the whole poison budget split inversely to the class balance.
+The ascent runs on relaxed (real-valued) data; the poison is put into the
+clean data's domain once, at the end, by ``round_poison``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, InputDomain, union
+from .data import Dataset, union
 from .feasible import FeasibleSet
 from .models import (
     LossSpec,
@@ -32,7 +34,7 @@ from .models import (
     train,
 )
 from .results import AttackResult, evaluated_result
-from .rounding import repeat_round, rng_from_seed
+from .rounding import rng_from_seed, round_poison
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,6 @@ class InfluenceConfig:
     seed: int = 0
     cg_tol: float = 1e-8
     eta_grid: tuple = (1e-2, 1e-1, 1.0, 1e1, 1e2)
-    round_repeats: int = 3            # integer domains only
 
     def __post_init__(self):
         if self.eta is not None and self.eta <= 0:
@@ -91,7 +92,7 @@ def init_label_flip(D_c: Dataset, epsilon: float, F: FeasibleSet,
                     seed: int) -> Dataset:
     """Poison initialization: clean points sampled with replacement, labels
     flipped, kept only when the flip already lies in F; total weight is
-    exactly epsilon * |D_c|."""
+    exactly epsilon * |D_c|.  The result is real-valued."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     target = max(1, int(round(epsilon * D_c.total_weight)))
@@ -109,7 +110,7 @@ def init_label_flip(D_c: Dataset, epsilon: float, F: FeasibleSet,
     if not xs:
         raise RuntimeError("no feasible label flips found")
     w = np.full(len(xs), epsilon * D_c.total_weight / len(xs))
-    return Dataset(np.array(xs), np.array(ys), w, D_c.domain)
+    return Dataset(np.array(xs), np.array(ys), w)
 
 
 def _concentrated_init(D_c: Dataset, epsilon: float, F: FeasibleSet, seed: int):
@@ -131,8 +132,7 @@ def _concentrated_init(D_c: Dataset, epsilon: float, F: FeasibleSet, seed: int):
             chosen = F.project(D_c.X[order[0]], lab)
         pts[lab] = chosen
     X = np.array([pts[1], pts[-1]])
-    return Dataset(X, np.array([1.0, -1.0]), np.array([weights[1], weights[-1]]),
-                   D_c.domain)
+    return Dataset(X, np.array([1.0, -1.0]), np.array([weights[1], weights[-1]]))
 
 
 def _ascend(D_c, D_test, D_p0, F, eta, steps, lam, attack_loss, defender_loss,
@@ -181,6 +181,7 @@ def run_influence(D_c: Dataset, D_test: Dataset, epsilon: float, F: FeasibleSet,
     defender_config = defender_config or TrainConfig()
     attack_loss = LossSpec.smoothed_hinge(config.delta)
     lam = defender_config.lam
+    D_r = Dataset(D_c.X, D_c.y, D_c.w)  # relaxed copy, to train with poison
 
     if config.concentrated:
         D_p0 = _concentrated_init(D_c, epsilon, F, config.seed)
@@ -193,7 +194,7 @@ def run_influence(D_c: Dataset, D_test: Dataset, epsilon: float, F: FeasibleSet,
         dp = D_p0
         trace = []
     else:
-        theta0 = train(union(D_c, D_p0), attack_loss,
+        theta0 = train(union(D_r, D_p0), attack_loss,
                        TrainConfig(lam=lam, objective=defender_config.objective))
         g0 = np.linalg.norm(test_gradient(theta0, D_test, attack_loss))
         base = 1.0 / max(g0, 1e-12)
@@ -202,16 +203,14 @@ def run_influence(D_c: Dataset, D_test: Dataset, epsilon: float, F: FeasibleSet,
         best = (None, -np.inf, [])
         for eta in etas:
             dp_eta, trace_eta = _ascend(
-                D_c, D_test, D_p0, F, eta, config.steps, lam, attack_loss,
+                D_r, D_test, D_p0, F, eta, config.steps, lam, attack_loss,
                 defender_loss, defender_config.objective, config.cg_tol)
             score = max(r["test_loss"] for r in trace_eta)
             if score > best[1]:
                 best = (dp_eta, score, trace_eta)
         dp, _, trace = best
 
-    if D_c.domain is InputDomain.NONNEG_INT:
-        dp = repeat_round(dp, config.round_repeats, config.seed + 7919)
-
+    dp = round_poison(dp, D_c.domain, config.seed + 7919)
     return evaluated_result("influence", dp, D_c, D_test, list(defenses_for_eval),
                             p, defender_loss, defender_config, started,
                             seed=config.seed, trace=trace)

@@ -4,7 +4,9 @@ Decoy candidates come from retraining on the clean data plus r copies of
 high-loss label-flipped test points.  Given decoy parameters, two poisoned
 points (one per class) are placed so their gradients cancel the clean-data
 stationarity residual at the decoy, making it the training-loss minimizer;
-the class split of the poison budget is grid searched.
+the class split of the poison budget is grid searched.  Each split's two
+points are put into the clean data's domain by ``round_poison`` before the
+battery scores them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, InputDomain, union
+from .data import Dataset, union
 from .feasible import FeasibleSet, HalfSpace, InfeasibleSetError
 from .models import (
     LossSpec,
@@ -28,10 +30,12 @@ from .models import (
     train,
 )
 from .results import AttackResult, evaluate_against_defenses
-from .rounding import repeat_round
+from .rounding import round_poison
 
 DEFAULT_R_GRID = (1, 2, 3, 5, 8, 12, 18, 25, 33)
 DEFAULT_Q_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50, 0.55)
+_SOLVE_ITERS = 10_000   # accelerated projected-gradient steps, at most
+_SOLVE_TOL = 1e-12      # relative objective change counted as a stall
 
 
 @dataclass(frozen=True)
@@ -125,8 +129,7 @@ def decoy_loss_caps(D_c: Dataset, theta_decoy: ModelParams, loss: LossSpec,
 
 
 def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: float,
-              eps_minus: float, F: FeasibleSet, lam_eff: float,
-              max_iter: int = 10_000, tol: float = 1e-12):
+              eps_minus: float, F: FeasibleSet, lam_eff: float):
     """Minimize ||gDc - eps+ x+ + eps- x- + lam_eff * theta_decoy||^2 over
     feasible support-vector points (margin <= 1 for each), by accelerated
     projected gradient.  Returns (x_plus, x_minus, objective)."""
@@ -153,7 +156,7 @@ def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: float,
     t_acc = 1.0
     obj_prev = np.inf
     stall = 0
-    for it in range(max_iter):
+    for it in range(_SOLVE_ITERS):
         r = residual(zp, zm)
         gp = -2.0 * eps_plus * r
         gm = 2.0 * eps_minus * r
@@ -166,7 +169,7 @@ def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: float,
         x_p, x_m, t_acc = xp_new, xm_new, t_new
         r = residual(x_p, x_m)
         obj = float(np.dot(r, r))
-        if abs(obj_prev - obj) <= tol * (1.0 + obj):
+        if abs(obj_prev - obj) <= _SOLVE_TOL * (1.0 + obj):
             stall += 1
             if stall >= 5:
                 break
@@ -192,7 +195,7 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
             defenses_for_eval=(), p: float = 0.05,
             loss: LossSpec | None = None,
             config: TrainConfig | None = None,
-            round_repeats: int = 3, seed: int = 0) -> AttackResult:
+            seed: int = 0) -> AttackResult:
     """Grid search class splits for every decoy; keep the attack with the
     highest test error (min over defenses when any are supplied; ties resolve
     to the lower decoy index).  A (decoy, split) subproblem whose feasible
@@ -226,10 +229,9 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
                 xs.append(x_p); ys.append(1.0); ws.append(eps_p * n_c)
             if eps_m > 0:
                 xs.append(x_m); ys.append(-1.0); ws.append(eps_m * n_c)
-            dp = (Dataset(np.array(xs), np.array(ys), np.array(ws), D_c.domain)
-                  if xs else Dataset.empty(D_c.d, D_c.domain))
-            if D_c.domain is InputDomain.NONNEG_INT and dp.n:
-                dp = repeat_round(dp, round_repeats, seed + 31 * di + t)
+            dp = (Dataset(np.array(xs), np.array(ys), np.array(ws))
+                  if xs else Dataset.empty(D_c.d))
+            dp = round_poison(dp, D_c.domain, seed + 31 * di + t)
             if defenses_for_eval:
                 errs, reports = evaluate_against_defenses(
                     D_c, dp, D_test, list(defenses_for_eval), p, loss, config,

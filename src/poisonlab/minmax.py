@@ -5,7 +5,9 @@ attacker problem into a saddle point: descend on theta while repeatedly
 adding the highest-loss feasible point.  The post-burn-in maximizers form
 the attack.  The improved variant constrains every candidate to have low
 loss under decoy parameters, which is what lets it slip past the loss
-defense; it assumes test and training data share a distribution.
+defense; it assumes test and training data share a distribution.  The
+collected maximizers are put into the clean data's domain by
+``round_poison``.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from collections import Counter
 
 import numpy as np
 
-from .data import Dataset, InputDomain
+from .data import Dataset
 from .feasible import FeasibleSet, InfeasibleSetError
 from .kkt import decoy_loss_caps
 from .models import LossSpec, TrainConfig, dloss_dmargin, loss_of_margin
 from .results import AttackResult, evaluated_result
-from .rounding import repeat_round
+from .rounding import round_poison
 
 
 class DivergenceError(RuntimeError):
@@ -71,7 +73,7 @@ def run_minmax_basic(D_c: Dataset, epsilon: float, F: FeasibleSet,
                      lam: float = 0.1, loss: LossSpec | None = None,
                      D_test: Dataset | None = None, defenses_for_eval=(),
                      p: float = 0.05, config: TrainConfig | None = None,
-                     round_repeats: int = 3, seed: int = 0,
+                     seed: int = 0,
                      attack_name: str = "minmax-basic") -> AttackResult:
     """Subgradient descent on the saddle objective; collects one maximizer per
     post-burn-in iteration, then normalizes their weights to a total of
@@ -124,11 +126,10 @@ def run_minmax_basic(D_c: Dataset, epsilon: float, F: FeasibleSet,
         X = np.array([c[0] for c in collected])
         ys = np.array([c[1] for c in collected])
         w = np.full(len(collected), epsilon * n / len(collected))
-        dp = Dataset(X, ys, w, D_c.domain)
+        dp = Dataset(X, ys, w)
     else:
-        dp = Dataset.empty(D_c.d, D_c.domain)
-    if D_c.domain is InputDomain.NONNEG_INT and dp.n:
-        dp = repeat_round(dp, round_repeats, seed + 4241)
+        dp = Dataset.empty(D_c.d)
+    dp = round_poison(dp, D_c.domain, seed + 4241)
     if D_test is None:
         res = AttackResult(attack=attack_name, dp=dp, seed=seed, trace=trace)
         res.seconds = time.perf_counter() - started
@@ -164,7 +165,7 @@ def run_minmax(D_c: Dataset, D_test: Dataset, epsilon: float,
                eta: float | None = None, n_burn: int | None = None,
                lam: float = 0.1, loss: LossSpec | None = None,
                defenses_for_eval=(), p: float = 0.05,
-               config: TrainConfig | None = None, round_repeats: int = 3,
+               config: TrainConfig | None = None,
                seed: int = 0) -> AttackResult:
     """Decoy-constrained variant: candidates must additionally keep low loss
     under the decoy parameters; sweeps the supplied decoys and returns the
@@ -195,8 +196,8 @@ def run_minmax(D_c: Dataset, D_test: Dataset, epsilon: float,
             res = run_minmax_basic(D_c, epsilon, F, eta=eta, n_burn=n_burn,
                                    lam=lam, loss=loss, D_test=D_test,
                                    defenses_for_eval=defenses_for_eval, p=p,
-                                   config=config, round_repeats=round_repeats,
-                                   seed=seed, attack_name="minmax")
+                                   config=config, seed=seed,
+                                   attack_name="minmax")
         except InfeasibleSetError as exc:
             skipped.append({"decoy_index": di, "reason": str(exc)})
             continue

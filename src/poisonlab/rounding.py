@@ -9,6 +9,8 @@ a piecewise-linear convex function, equivalently max_k (2k+1)x - k(k+1).
 Constraining E[||x_hat - mu||^2] <= tau^2 therefore stays convex in x and
 keeps rounded points inside the centroid-distance defense on expectation.
 
+Attacks build their poison relaxed (real-valued) and hand it to
+``round_poison`` once, which is the only place integer poison is made.
 All randomness is counter-based (Philox) and explicitly seeded.
 """
 
@@ -18,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, InputDomain
+
+ROUND_REPEATS = 3  # a relaxed point of weight w becomes about w / 3 draws
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -91,12 +95,11 @@ class LpConstraint:
         return [(2 * k + 1.0, -float(k * (k + 1))) for k in range(self.K[i] + 1)]
 
     def g_value(self, x: np.ndarray) -> float:
-        """Constraint function with truncated pieces (exact for x_i <= K_i)."""
+        """Constraint function with truncated pieces (exact for x_i <= K_i):
+        line k = clip(floor(x_i), 0, K_i) is the largest of lines 0..K_i."""
         x = np.asarray(x, dtype=float)
-        t = np.empty_like(x)
-        for i in range(len(x)):
-            k = np.arange(self.K[i] + 1)
-            t[i] = np.max((2 * k + 1) * x[i] - k * (k + 1))
+        k = np.clip(np.floor(x), 0, self.K)
+        t = (2 * k + 1) * x - k * (k + 1)
         return float(t.sum() - 2.0 * np.dot(x, self.mu) + np.dot(self.mu, self.mu))
 
     def contains(self, x: np.ndarray) -> bool:
@@ -105,14 +108,9 @@ class LpConstraint:
             return False
         return self.g_value(x) <= self.tau ** 2
 
-    # -- exact Euclidean projection onto {x >= 0, g(x) <= tau^2} ------------
-    #
-    # The Lagrangian subproblem min_x>=0 0.5||x-x0||^2 + nu*(sum f_K(x_i)
-    # - 2<x,mu>) separates per coordinate into the prox of a piecewise-linear
-    # convex function, available in closed form; bisection on nu >= 0 then
-    # pins g(x(nu)) = tau^2.
-
     def _prox(self, x0: np.ndarray, nu: float) -> np.ndarray:
+        """argmin_{x >= 0} 0.5||x - x0||^2 + nu * (sum f_K(x_i) - 2<x, mu>):
+        per coordinate the prox of a piecewise-linear convex function."""
         z = x0 + 2.0 * nu * self.mu
         h = (z - nu) / (1.0 + 2.0 * nu)
         k0 = np.floor(h)
@@ -123,28 +121,6 @@ class LpConstraint:
         t = np.where(k0 < 0, z - nu, t)
         t = np.where(k0 >= self.K, z - nu * (2.0 * self.K + 1.0), t)
         return np.maximum(t, 0.0)
-
-    def project(self, x0: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        x0 = np.asarray(x0, dtype=float)
-        c = self.tau ** 2
-        x = np.maximum(x0, 0.0)
-        if self.g_value(x) <= c:
-            return x
-        lo, hi = 0.0, 1.0
-        while self.g_value(self._prox(x0, hi)) > c:
-            hi *= 2.0
-            if hi > 1e12:
-                raise RuntimeError("LP-constraint projection failed to bracket")
-        scale = max(1.0, abs(c))
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.g_value(self._prox(x0, mid)) > c:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= tol and abs(self.g_value(self._prox(x0, hi)) - c) <= 1e-9 * scale:
-                break
-        return self._prox(x0, hi)
 
 
 def lp_constraint_atoms(mu: np.ndarray, tau: float,
@@ -174,3 +150,12 @@ def repeat_round(D_p: Dataset, r: int, seed: int) -> Dataset:
     if not Xs:
         return Dataset.empty(D_p.d, D_p.domain)
     return Dataset(np.array(Xs), np.array(ys), np.array(ws), D_p.domain)
+
+
+def round_poison(dp: Dataset, domain: InputDomain, seed: int) -> Dataset:
+    """An attack's relaxed poison in the clean data's domain.  Non-negative
+    integer domains repeat-round it (``ROUND_REPEATS``), keeping the total
+    weight; any other domain keeps the same points, validated against it."""
+    if domain is InputDomain.NONNEG_INT:
+        dp = repeat_round(dp, ROUND_REPEATS, seed)
+    return Dataset(dp.X, dp.y, dp.w, domain)

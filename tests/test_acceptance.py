@@ -388,8 +388,7 @@ def test_criterion_11_enron_gate():
 
     def decoy_F(d):
         caps = decoy_loss_caps(tr, d.theta_decoy, loss, 0.05)
-        return build_feasible_set(tr, 0.05, decoy=(d.theta_decoy, loss, caps),
-                                  use_lp_for_integer_domain=True)
+        return build_feasible_set(tr, 0.05, decoy=(d.theta_decoy, loss, caps))
 
     res = run_kkt(tr, te, 0.03, decoys, decoy_F, T=6,
                   defenses_for_eval=defenses, p=0.05, loss=loss, config=cfg)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from poisonlab import Dataset, LossSpec, TrainConfig, run_alfa, synth_gaussians, train
-from poisonlab.feasible import ball_only_feasible, build_feasible_set
+from poisonlab.feasible import InfeasibleSetError, ball_only_feasible, build_feasible_set
 from poisonlab.models import test_error_01 as zero_one_error
 
 
@@ -49,5 +49,5 @@ def test_alfa_empty_pool_errors():
     tr, te = synth_gaussians(7, 100, 3, 8.0)
     F = ball_only_feasible({1: np.full(3, 50.0), -1: np.full(3, -50.0)},
                            {1: 0.1, -1: 0.1}, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InfeasibleSetError, match="no flipped test point"):
         run_alfa(tr, te, 0.03, F)

@@ -78,6 +78,27 @@ def test_report_merges_runs(tmp_path, capsys):
     assert "alfa" in rep.read_text()
 
 
+def test_attacks_on_count_files(tmp_path, capsys, counts):
+    from poisonlab import save_dataset
+    tr, te = counts
+    save_dataset(tr, tmp_path / "tr.txt", "sparse-text")
+    save_dataset(te, tmp_path / "te.txt", "sparse-text")
+    files = ["--train-file", str(tmp_path / "tr.txt"), "--test-file",
+             str(tmp_path / "te.txt"), "--domain", "nonneg_int",
+             "--out", str(tmp_path)]
+    dec = str(tmp_path / "dec.json")
+    assert run_cli(["decoys", *files, "--r-grid", "1", "3", "--q-grid", "0.3",
+                    "--decoy-out", dec]) == 0
+    assert run_cli(["attack", "kkt", *files, "--decoy-file", dec,
+                    "--grid-T", "2"]) == 0
+    dp = json.loads((tmp_path / "kkt_seed0.json").read_text())["dp"]
+    assert dp["domain"] == "nonneg_int" and dp["points"]
+    assert all(v == int(v) >= 0 for x, _, _ in dp["points"] for v in x)
+    capsys.readouterr()
+    assert run_cli(["attack", "minmax-basic", *files]) == 3
+    assert "not supported yet" in capsys.readouterr().err
+
+
 def test_validation_error_exit_code():
     assert run_cli(["attack", "kkt", "--epsilon", "0.9"]) == 2
 
@@ -86,7 +107,7 @@ def test_solver_failure_exit_code(tmp_path):
     # alfa on widely separated classes has an empty feasible flip pool
     assert run_cli(["attack", "alfa", "--synth-n", "100", "--synth-d", "3",
                     "--synth-sep", "9", "--defenses", "l2", "slab",
-                    "--out", str(tmp_path)]) == 2
+                    "--out", str(tmp_path)]) == 3
 
 
 def test_console_script_installed():

@@ -206,6 +206,34 @@ def test_kkt_attack_fits_the_centroid_set_once(monkeypatch):
     assert res.decoy_provenance["decoy_index"] >= 0
 
 
+def test_attacks_on_count_data_give_integer_poison(counts):
+    # every attack's relaxed poison is rounded once into the integer domain,
+    # with the budget's weight and the same draws for the same seed; min-max
+    # says that margin minimization on the LP set is not supported yet
+    from poisonlab import InputDomain
+    from poisonlab.feasible import InfeasibleSetError
+    from poisonlab.harness import run_attack
+    tr, te = counts
+    params = {"none": {}, "influence": {"steps": 10},
+              "kkt": {"r_grid": (1, 3), "q_grid": (0.3, 0.6), "T": 2},
+              "alfa": {}}
+    for attack, pr in params.items():
+        cfg = ExperimentConfig(attack=attack, attack_params=pr, seed=4)
+        dp = run_attack(cfg, tr, te).dp
+        again = run_attack(cfg, tr, te).dp
+        assert dp.domain is InputDomain.NONNEG_INT
+        assert np.all(dp.X == np.floor(dp.X)) and np.all(dp.X >= 0)
+        budget = 0.0 if attack == "none" else cfg.epsilon * tr.total_weight
+        assert abs(dp.total_weight - budget) <= 1e-9 * budget
+        for a, b in ((dp.X, again.X), (dp.y, again.y), (dp.w, again.w)):
+            np.testing.assert_array_equal(a, b)
+    for attack in ("minmax", "minmax-basic"):
+        cfg = ExperimentConfig(attack=attack, attack_params={
+            "r_grid": (1,), "q_grid": (0.3,)})
+        with pytest.raises(InfeasibleSetError, match="not supported yet"):
+            run_attack(cfg, tr, te)
+
+
 def test_timing_kkt_faster_than_influence(tmp_path):
     # ordering only, at a scale where per-iteration retraining dominates the
     # influence attack (its cost is steps x step-size-grid retrains)

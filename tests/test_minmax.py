@@ -182,7 +182,7 @@ def test_minmax_all_decoys_skipped_reports_each_reason(rng):
     rates = np.where(y[:, None] > 0, [4.0, 1.0, 2.0], [1.0, 4.0, 2.0])
     tr = Dataset.from_points(rng.poisson(rates).astype(float), y,
                              domain=InputDomain.NONNEG_INT)
-    F = build_feasible_set(tr, 0.05, use_lp_for_integer_domain=True)
+    F = build_feasible_set(tr, 0.05)
     assert F.for_label(1).lp is not None
     th = train(tr, LossSpec.hinge(), TrainConfig(lam=0.1))
     decoy = DecoyParams(th, 0.0, 0, 0.0, 0.1)

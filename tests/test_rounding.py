@@ -3,14 +3,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisonlab import Dataset, expected_sq_distance, f_piecewise, lp_constraint_atoms, repeat_round, round_point
-from poisonlab.rounding import default_K, f_max_of_lines
+from poisonlab import Dataset, InputDomain, expected_sq_distance, f_piecewise, lp_constraint_atoms, repeat_round, round_point
+from poisonlab.feasible import ClassConstraints, FeasibleSet
+from poisonlab.rounding import default_K, f_max_of_lines, round_poison
 
 
 def brute_expected_square(x):
     lo, hi = np.floor(x), np.ceil(x)
     p = x - lo
     return (1.0 - p) * lo ** 2 + p * hi ** 2
+
+
+def g_value_loop(C, x):
+    """The LP constraint function as the largest of lines 0..K_i, one
+    coordinate at a time."""
+    t = np.empty_like(x)
+    for i in range(len(x)):
+        k = np.arange(C.K[i] + 1)
+        t[i] = np.max((2 * k + 1) * x[i] - k * (k + 1))
+    return float(t.sum() - 2.0 * np.dot(x, C.mu) + np.dot(C.mu, C.mu))
+
+
+def lp_project(C, x0):
+    """Projection onto {x >= 0, g(x) <= tau^2} the way the attacks take it:
+    FeasibleSet.project on a set with only the LP atom."""
+    cc = ClassConstraints(nonneg=True, lp=C)
+    return FeasibleSet({1: cc, -1: cc}, len(C.mu)).project(x0, 1)
 
 
 def test_round_integer_input_unchanged():
@@ -106,13 +124,25 @@ def test_lp_epigraph_tight_at_active_piece():
         assert max(vals) == pytest.approx(float(f_piecewise(x)))
 
 
+def test_lp_g_value_matches_loop(rng):
+    # closed form against the per-coordinate max of lines: random points in
+    # and beyond [0, K], integer points, and points below 0
+    K = np.array([0, 1, 3, 6, 6, 10])
+    C = lp_constraint_atoms(rng.random(6) * 3.0, 2.0, K)
+    pts = [rng.random(6) * 12.0 for _ in range(200)]
+    pts += [rng.integers(0, 12, 6).astype(float) for _ in range(100)]
+    pts += [rng.standard_normal(6) for _ in range(50)]
+    for x in pts:
+        assert C.g_value(x) == g_value_loop(C, x)
+
+
 def test_lp_huge_tau_inactive(rng):
     mu = rng.random(3) * 2.0
     C = lp_constraint_atoms(mu, 1e6, np.array([5, 5, 5]))
     for _ in range(20):
         x = rng.random(3) * 4.0
         assert C.contains(x)
-        np.testing.assert_allclose(C.project(x), x, atol=1e-12)
+        np.testing.assert_allclose(lp_project(C, x), x, atol=1e-12)
 
 
 def test_lp_projection_feasible_and_optimal_vs_grid(rng):
@@ -124,7 +154,7 @@ def test_lp_projection_feasible_and_optimal_vs_grid(rng):
     pts = G[member]
     for _ in range(10):
         x0 = rng.standard_normal(2) * 3.0 + mu
-        xp = C.project(x0)
+        xp = lp_project(C, x0)
         assert C.g_value(xp) <= 4.0 + 1e-7
         assert np.linalg.norm(xp - x0) <= np.min(np.linalg.norm(pts - x0, axis=1)) + 2e-2
 
@@ -133,7 +163,7 @@ def test_lp_feasible_x_keeps_monte_carlo_expectation(rng):
     mu = np.array([0.5, 1.0])
     tau = 1.8
     C = lp_constraint_atoms(mu, tau, np.array([6, 6]))
-    x = C.project(np.array([1.9, 2.4]))
+    x = lp_project(C, np.array([1.9, 2.4]))
     draws = np.array([round_point(x, s) for s in range(4000)])
     emp = np.mean(np.sum((draws - mu) ** 2, axis=1))
     assert emp <= tau ** 2 + 4.0 / np.sqrt(4000) * np.std(np.sum((draws - mu) ** 2, axis=1))
@@ -167,3 +197,14 @@ def test_repeat_round_mean_preserved_over_seeds():
 def test_default_K_covers_dataset_max():
     D = Dataset.from_points([[0.2, 7.9], [3.0, 1.0]], [1, -1])
     np.testing.assert_array_equal(default_K(D), [4, 9])
+
+
+def test_round_poison_per_domain():
+    Dp = Dataset.from_points([[0.5, 1.5], [2.5, 0.1]], [1, -1], [9.0, 4.5])
+    same = round_poison(Dp, InputDomain.REALS, 0)
+    for a, b in ((same.X, Dp.X), (same.y, Dp.y), (same.w, Dp.w)):
+        np.testing.assert_array_equal(a, b)
+    counts = round_poison(Dp, InputDomain.NONNEG_INT, 0)
+    assert counts.domain is InputDomain.NONNEG_INT
+    assert counts.n == 5 and counts.total_weight == pytest.approx(13.5)
+    assert round_poison(Dataset.empty(2), InputDomain.NONNEG_INT, 0).n == 0
