@@ -29,6 +29,7 @@ from .harness import (
     write_report,
     write_trace_csv,
 )
+from .kkt import DEFAULT_Q_GRID, DEFAULT_R_GRID
 from .models import LossSpec, TrainConfig, TrainingError, model_to_json, test_error_01, train
 
 VALIDATION_ERRORS = (ConfigError, DataError, DefenseError, ValueError, KeyError,
@@ -119,10 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("decoys", help="generate decoy parameters to a JSON file")
     _add_common(d)
-    d.add_argument("--r-grid", type=int, nargs="*",
-                   default=[1, 2, 3, 5, 8, 12, 18, 25, 33])
-    d.add_argument("--q-grid", type=float, nargs="*",
-                   default=[0.05, 0.2, 0.35, 0.5])
+    d.add_argument("--r-grid", type=int, nargs="*", default=DEFAULT_R_GRID)
+    d.add_argument("--q-grid", type=float, nargs="*", default=DEFAULT_Q_GRID)
     d.add_argument("--decoy-out", required=True)
 
     c = sub.add_parser("collapse", help="collapse a stored attack to two points")

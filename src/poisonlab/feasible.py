@@ -14,14 +14,16 @@ by size and returns the first closed-form point whose KKT multipliers are
 non-negative.  What depends only on the set is factored into a face table
 (``_FaceTable``), which each ``FeasibleSet`` builds once per class, on its
 first solve, with every active set in one stacked block; a query is one
-pass of a few numpy operations.  Box and non-negativity bounds are pinned
-around it by a fast primal-dual loop and, where that stalls, by a primal
-active-set descent, whose first phase also shows a set empty.  Each pin
-pattern builds its own table, one size at a time up to the first size that
-certifies.  Sets with an LP atom are projected by their dual and certified
-by the duality gap; margin minimization on them is not supported yet.
-Every returned point passes ``contains``; a solve that cannot certify says
-so, apart from "empty".
+pass of a few numpy operations.  Box and non-negativity bounds are settled
+around it by one bound stage, a primal active-set method: it grows the
+pinned face until its point lies inside the bounds, then descends one
+bound per step.  Where growth finds no point, a first phase finds one;
+only that phase shows a set empty.  Each pin pattern builds its own
+table, one size at a time up to the first size that certifies.  Sets with
+an LP atom are projected by their dual and certified by the duality gap;
+margin minimization on them is not supported yet.  Every returned point
+passes ``contains``; a solve that cannot certify says so, apart from
+"empty".
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .models import (
 from .rounding import LpConstraint, default_K
 
 _SHRINK = 1e-8          # relative pull-in so returned points pass strict tests
-_PDAS_ROUNDS = 20       # fast pin/release rounds before the descent
 _DESCENT_ROUNDS = 4     # descent steps per coordinate and row, at most
 _GAP_TOL = 1e-7         # relative duality gap that certifies an LP-set projection
 _EMPTY = "feasible set is empty: its ball, rows and bounds share no point"
@@ -299,31 +300,49 @@ def _on_face(c, rr, A, b, lo, hi, q, project, pin):
 
 
 def _descend(c, rr, A, b, lo, hi, q, project, x, tol, stop=lambda x: False):
-    """Primal active-set method for the bounds from a point x of the set
-    (Nocedal & Wright, Numerical Optimization, 2006, sec. 16.5): step toward
-    the solution on the face of the pinned bounds until a free coordinate
-    meets its bound and pin it; after a whole step, release the pin with the
+    """The bound stage: a primal active-set method for the box and
+    non-negativity bounds (Nocedal & Wright, Numerical Optimization, 2006,
+    sec. 16.5).  While x lies outside the bounds (the face table's point),
+    it pins every coordinate outside, releases the pins whose multipliers
+    are below -tol, each coordinate once at most, and moves to the solution
+    on that face.  Each such face pins a free coordinate, so this growth
+    ends within 2d faces and cannot cycle; it returns None where a face
+    misses the ball and rows.  From a point of the set it steps toward the
+    solution on the face of the pinned bounds until a free coordinate meets
+    its bound and pins it; after a whole step, it releases the pin with the
     most negative multiplier.  The iterates stay in the set and never raise
     the objective; where no multiplier is below -tol, x is optimal."""
-    pin = np.zeros(len(x), dtype=int)
-    for _ in range(_DESCENT_ROUNDS * (len(x) + len(b) + 1)):
+    pin, freed, sol = np.zeros(len(x), dtype=int), np.zeros(len(x), bool), None
+    below, above = x < lo, x > hi
+    while below.any() or above.any():
+        if sol is not None:
+            drop = (sol[1] < -tol) & ~freed
+            pin[drop], freed = 0, freed | drop
+        pin[below], pin[above] = -1, 1
         sol = _on_face(c, rr, A, b, lo, hi, q, project, pin)
-        if sol is None:  # only rounding can lose x from its own face
-            raise InfeasibleSetError(f"{_UNCERTIFIED}: a face of the bounds "
-                                     f"lost the current point")
-        y, mult = sol
-        step = y - x
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(step < 0.0, (lo - x) / step,
-                            np.where(step > 0.0, (hi - x) / step, np.inf))
-        room[pin != 0] = np.inf
-        i = int(np.argmin(room))
-        if room[i] < 1.0:
-            pin[i] = -1 if step[i] < 0.0 else 1
-            x = np.clip(x + room[i] * step, lo, hi)
-            x[i] = lo[i] if pin[i] < 0 else hi[i]
-        else:
-            x, j = y, int(np.argmin(mult))
+        if sol is None:
+            return None
+        x = sol[0]
+        below, above = x < lo, x > hi
+    for _ in range(_DESCENT_ROUNDS * (len(x) + len(b) + 1)):
+        if sol is None:  # step toward the solution on the pinned face
+            sol = _on_face(c, rr, A, b, lo, hi, q, project, pin)
+            if sol is None:  # only rounding can lose x from its own face
+                raise InfeasibleSetError(f"{_UNCERTIFIED}: a face of the "
+                                         f"bounds lost the current point")
+            step = sol[0] - x
+            with np.errstate(divide="ignore", invalid="ignore"):
+                room = np.where(step < 0.0, (lo - x) / step,
+                                np.where(step > 0.0, (hi - x) / step, np.inf))
+            room[pin != 0] = np.inf
+            i = int(np.argmin(room))
+            if room[i] < 1.0:
+                pin[i], sol = (-1 if step[i] < 0.0 else 1), None
+                x = np.clip(x + room[i] * step, lo, hi)
+                x[i] = lo[i] if pin[i] < 0 else hi[i]
+        if sol is not None:  # a whole step, or the face the growth ended on
+            (x, mult), sol = sol, None
+            j = int(np.argmin(mult))
             if mult[j] >= -tol:
                 return x
             pin[j] = 0
@@ -332,34 +351,13 @@ def _descend(c, rr, A, b, lo, hi, q, project, x, tol, stop=lambda x: False):
     raise InfeasibleSetError(f"{_UNCERTIFIED}: bounds not settled")
 
 
-def _pdas(c, rr, A, b, lo, hi, q, project, tol, x):
-    """Primal-dual active-set loop for the bounds (Hintermueller, Ito &
-    Kunisch, SIAM J. Optim. 2002): pin every coordinate outside its bounds,
-    release the pins with negative multipliers, and solve on that face.  Its
-    first face, with no bound pinned, is x, the solution on the ball and
-    rows alone.  It settles in a few rounds, but may cycle or pin a face that
-    misses the set; then it returns None."""
-    pin, mult = np.zeros(len(c), dtype=int), np.zeros(len(c))
-    for r in range(_PDAS_ROUNDS):
-        if r:
-            sol = _on_face(c, rr, A, b, lo, hi, q, project, pin)
-            if sol is None:
-                return None
-            x, mult = sol
-        new = np.where(x < lo, -1, np.where(x > hi, 1,
-                                            np.where(mult < -tol, 0, pin)))
-        if np.array_equal(new, pin):
-            return x
-        pin = new
-    return None
-
-
 def _solve(cc: ClassConstraints, faces: _FaceTable, q: np.ndarray,
            project: bool):
     """The class set's face table (``_class_faces``) on q; where its point
-    leaves the box or non-negativity bounds, ``_pdas``; where that returns
-    None, ``_descend`` from a point found by a first phase.  That phase
-    descends on t over (x, t) in the rows A x - t <= b and the ball
+    leaves the box or non-negativity bounds, the bound stage ``_descend``
+    from that point.  Where the face table or the stage's growth finds no
+    point, a first phase finds one and ``_descend`` runs from it.  That
+    phase descends on t over (x, t) in the rows A x - t <= b and the ball
     |x - c|^2 + (t - t0)^2 <= rr^2 + t0^2, from the clipped centre at t = t0:
     at t < 0, x lies inside the set, and a certified minimum t >= 0 shows
     that the set is empty."""
@@ -372,8 +370,8 @@ def _solve(cc: ClassConstraints, faces: _FaceTable, q: np.ndarray,
     if x is None or ((cc.box is not None or cc.nonneg)
                      and np.any((x < lo) | (x > hi))):
         tol = 1e-10 * math.sqrt(float((q - c) @ (q - c) if project else q @ q))
-        x = None if x is None else _pdas(c, rr, A, b, lo, hi, q, project,
-                                         tol, x)
+        x = None if x is None else _descend(c, rr, A, b, lo, hi, q, project,
+                                            x, tol)
     if x is None:
         xs = np.clip(c, lo, hi)
         dist = math.sqrt(float((xs - c) @ (xs - c)))

@@ -16,7 +16,8 @@ from .data import Dataset, InputDomain, load_dataset, synth_gaussians
 from .defenses import ALL_DEFENSES, DefenseKind, defend
 from .feasible import build_feasible_set, collapse_with_duals, verify_collapse
 from .influence import InfluenceConfig, run_influence
-from .kkt import DecoyParams, decoy_loss_caps, gen_decoys, run_kkt
+from .kkt import (DEFAULT_Q_GRID, DEFAULT_R_GRID, DecoyParams, decoy_loss_caps,
+                  gen_decoys, run_kkt)
 from .minmax import run_minmax, run_minmax_basic
 from .models import (
     LossSpec,
@@ -168,8 +169,8 @@ def get_or_gen_decoys(cfg: ExperimentConfig, D_c, D_test, params: dict):
     if decoy_file:
         return decoys_from_obj(json.loads(Path(decoy_file).read_text()))
     return gen_decoys(D_c, D_test, cfg.loss_spec(), cfg.lam,
-                      r_grid=tuple(params.get("r_grid", (1, 2, 3, 5, 8, 12, 18, 25, 33))),
-                      q_grid=tuple(params.get("q_grid", (0.05, 0.2, 0.35, 0.5))),
+                      r_grid=tuple(params.get("r_grid", DEFAULT_R_GRID)),
+                      q_grid=tuple(params.get("q_grid", DEFAULT_Q_GRID)),
                       objective=cfg.objective)
 
 

@@ -144,7 +144,8 @@ def _ascend(D_c, D_test, D_p0, F, eta, steps, lam, attack_loss, defender_loss,
     trace = []
     v = None  # warm start for the CG solve across iterations
     for it in range(steps + 1):
-        theta = train(union(D_c, Dp), attack_loss, cfg)
+        D = union(D_c, Dp)
+        theta = train(D, attack_loss, cfg)
         surrogate = float(np.dot(D_test.w, loss_of_margin(
             defender_loss, margins(theta, D_test))) / D_test.total_weight)
         err = float(np.dot(D_test.w, margins(theta, D_test) <= 0) / D_test.total_weight)
@@ -155,9 +156,9 @@ def _ascend(D_c, D_test, D_p0, F, eta, steps, lam, attack_loss, defender_loss,
                           "point_moved_norm": 0.0})
             break
         g_test = test_gradient(theta, D_test, attack_loss)
-        v = inverse_hvp_cg(theta, union(D_c, Dp), lam, g_test, attack_loss,
-                           tol=cg_tol, x0=v)
-        scale = 1.0 / union(D_c, Dp).total_weight
+        v = inverse_hvp_cg(theta, D, lam, g_test, attack_loss, tol=cg_tol,
+                           x0=v)
+        scale = 1.0 / D.total_weight
         moved = 0.0
         newX = Dp.X.copy()
         for i in range(Dp.n):

@@ -33,7 +33,7 @@ from .results import AttackResult, evaluate_against_defenses
 from .rounding import round_poison
 
 DEFAULT_R_GRID = (1, 2, 3, 5, 8, 12, 18, 25, 33)
-DEFAULT_Q_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50, 0.55)
+DEFAULT_Q_GRID = (0.05, 0.2, 0.35, 0.5)
 _SOLVE_ITERS = 10_000   # accelerated projected-gradient steps, at most
 _SOLVE_TOL = 1e-12      # relative objective change counted as a stall
 

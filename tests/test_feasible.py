@@ -152,7 +152,6 @@ def test_uncertified_solve_raises_apart_from_empty(monkeypatch):
     # no point can meet, report that they could not certify, not "empty"
     from poisonlab import feasible
     from poisonlab.rounding import LpConstraint
-    monkeypatch.setattr(feasible, "_PDAS_ROUNDS", 0)
     monkeypatch.setattr(feasible, "_DESCENT_ROUNDS", 0)
     monkeypatch.setattr(feasible, "_GAP_TOL", -1.0)
     box = ClassConstraints(ball=(np.full(2, 0.5), 1.0), box=(0.0, 1.0))
@@ -166,20 +165,37 @@ def test_uncertified_solve_raises_apart_from_empty(monkeypatch):
             solve()
 
 
-@pytest.mark.parametrize("fast_rounds", [20, 0], ids=["pdas", "descent"])
-def test_project_box_with_many_bounds_binding(monkeypatch, fast_rounds):
-    # the ball holds the whole unit box, so the projection is np.clip; with
-    # no fast rounds the bound descent pins every coordinate one by one
+@pytest.mark.parametrize("grow", [True, False], ids=["pdas", "descent"])
+def test_project_box_with_many_bounds_binding(monkeypatch, grow):
+    # the ball holds the whole unit box, so the projection is np.clip.  From
+    # the face table's point outside the bounds, the bound stage pins every
+    # violated bound at once, so it solves on one face and on two, where
+    # pinning one bound per step took 102 and 82; from the centre, inside
+    # the set, it descends and pins the bounds one by one
     from poisonlab import feasible
-    monkeypatch.setattr(feasible, "_PDAS_ROUNDS", fast_rounds)
+    faces = []
+    real = feasible._on_face
+    monkeypatch.setattr(feasible, "_on_face",
+                        lambda *a: faces.append(1) or real(*a))
     d = 100
     cc = ClassConstraints(ball=(np.full(d, 0.5), 10.0), box=(0.0, 1.0))
     F = FeasibleSet({1: cc, -1: cc}, d)
-    np.testing.assert_array_equal(F.project(-np.ones(d), 1), np.zeros(d))
+    if grow:
+        project = lambda q: F.project(q, 1)
+    else:
+        t = feasible._class_faces(cc, d)
+        args = (t.c, t.rr, t.A, t.b, *cc.bounds(d))
+        project = lambda q: feasible._descend(*args, q, True, cc.ball[0],
+                                              1e-10)
+    np.testing.assert_array_equal(project(-np.ones(d)), np.zeros(d))
+    if grow:
+        assert len(faces) == 1
     q = 0.5 + 2.0 * np.random.default_rng(3).standard_normal(d)
     assert np.sum((q < 0.0) | (q > 1.0)) > 50
-    np.testing.assert_allclose(F.project(q, 1), np.clip(q, 0.0, 1.0),
-                               atol=1e-12)
+    faces.clear()
+    np.testing.assert_allclose(project(q), np.clip(q, 0.0, 1.0), atol=1e-12)
+    if grow:
+        assert len(faces) <= 2
 
 
 def test_min_margin_ball_closed_form(rng):
@@ -214,8 +230,9 @@ _GRID_SETS = {
                                  box=(0.0, 1.0)),
     "nonneg-ball-slab": ClassConstraints(ball=(_C2, 2.0), slab=_SLAB2,
                                          nonneg=True),
-    # the loop must release a pinned bound on the first set; on the second,
-    # pinning both violated bounds at once leaves the ball and rows no point
+    # the bound stage must release a pinned bound on the first set; on the
+    # second, pinning both violated bounds at once leaves the ball and rows
+    # no point
     "nonneg-release": ClassConstraints(
         ball=(np.array([0.142, 0.243]), 1.075),
         slab=(np.array([0.153, -0.416]), np.array([0.142, 0.243]), 0.221),
@@ -312,25 +329,66 @@ def test_bounds_certify_where_pinning_cycles(project, q, cc):
         assert q @ x <= np.min(Z @ q) + 1e-6
 
 
-def test_descent_alone_matches_grid(monkeypatch):
-    # with no fast rounds every solve runs the bound descent, which must
-    # release pins on this set to reach the optimum
-    from poisonlab import feasible
-    monkeypatch.setattr(feasible, "_PDAS_ROUNDS", 0)
+def test_descent_alone_matches_grid():
+    # from a point inside the set the bound stage descends with no growth,
+    # and must release pins on this set to reach the optimum
+    from poisonlab.feasible import _class_faces, _descend
     cc = _GRID_SETS["nonneg-release"]
-    F = FeasibleSet({1: cc, -1: cc}, 2)
+    faces = _class_faces(cc, 2)
+    args = (faces.c, faces.rr, faces.A, faces.b, *cc.bounds(2))
+    x0 = cc.ball[0]
+    assert cc.contains(x0)
     g = np.linspace(-2.2, 4.2, 401)
     G = np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2)
     Z = G[_grid_members(cc, G)]
     ang = 0.1 + np.arange(12) * np.pi / 6
     for theta in np.column_stack([np.cos(ang), np.sin(ang)]):
-        x = F.min_margin_point(theta, 1.0)
-        assert F.contains(x, 1)
+        x = _descend(*args, theta, False, x0, 1e-10)
+        assert cc.contains(x)
         assert theta @ x <= np.min(Z @ theta) + 1e-6
         q = cc.ball[0] + 3.0 * theta
-        x = F.project(q, 1)
-        assert F.contains(x, 1)
+        x = _descend(*args, q, True, x0, 1e-10)
+        assert cc.contains(x)
         assert np.max((Z - x) @ (q - x)) <= 1e-6
+
+
+def test_first_phase_serves_where_growth_finds_no_point(monkeypatch):
+    # on this set, pinning both bounds the face table's point leaves gives a
+    # face that misses the ball and rows: growth returns None, the first
+    # phase finds a point of the set, and the descent from it is optimal
+    from poisonlab import feasible
+    cc = _GRID_SETS["nonneg-pin-one"]
+    F = FeasibleSet({1: cc, -1: cc}, 2)
+    calls = []
+    real = feasible._descend
+
+    def recorded(c, *a, **kw):
+        x = real(c, *a, **kw)
+        calls.append((len(c), x))
+        return x
+
+    monkeypatch.setattr(feasible, "_descend", recorded)
+    g = np.linspace(-2.2, 4.2, 1601)
+    G = np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2)
+    Z = G[_grid_members(cc, G)]
+    served = {True: 0, False: 0}
+    ang = 0.1 + np.arange(12) * np.pi / 6
+    for theta in np.column_stack([np.cos(ang), np.sin(ang)]):
+        for project in (True, False):
+            calls.clear()
+            if project:
+                q = cc.ball[0] + 3.0 * theta
+                x = F.project(q, 1)
+                assert np.max((Z - x) @ (q - x)) <= 1e-6
+            else:
+                x = F.min_margin_point(theta, 1.0)
+                assert theta @ x <= np.min(Z @ theta) + 1e-6
+            assert F.contains(x, 1)
+            if calls and calls[0][1] is None:
+                # growth, then the first phase in (x, t), then the descent
+                assert [n for n, _ in calls] == [2, 3, 2]
+                served[project] += 1
+    assert min(served.values()) >= 4, served
 
 
 @pytest.mark.parametrize("cc,theta,expect", [

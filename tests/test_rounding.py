@@ -150,7 +150,7 @@ def test_lp_projection_feasible_and_optimal_vs_grid(rng):
     C = lp_constraint_atoms(mu, 2.0, np.array([6, 6]))
     g = np.linspace(0.0, 5.0, 401)
     G = np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2)
-    member = np.array([expected_sq_distance(p, mu) <= 4.0 for p in G])
+    member = f_piecewise(G).sum(axis=1) - 2.0 * G @ mu + mu @ mu <= 4.0
     pts = G[member]
     for _ in range(10):
         x0 = rng.standard_normal(2) * 3.0 + mu
