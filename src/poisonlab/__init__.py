@@ -1,7 +1,7 @@
 """Data-poisoning attacks on linear classifiers with sanitization defenses."""
 
 from .alfa import run_alfa
-from .data import Dataset, InputDomain, LabeledPoint, load_dataset, save_dataset, synth_gaussians, union
+from .data import Dataset, InputDomain, load_dataset, save_dataset, synth_gaussians, union
 from .defenses import DefenseKind, DetectorParams, Thresholds, defend_and_train, fit_detector, fit_thresholds, sanitize, score
 from .feasible import (
     CollapsedAttack,
@@ -40,7 +40,6 @@ __all__ = [
     "FeasibleSet",
     "InfluenceConfig",
     "InputDomain",
-    "LabeledPoint",
     "LossSpec",
     "ModelParams",
     "Thresholds",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,15 +41,6 @@ def _check_domain(X: np.ndarray, domain: InputDomain) -> None:
         if bad.any():
             i = int(np.argmax(bad))
             raise DataError(f"point {i} is not a non-negative integer vector: {X[i]}")
-
-
-@dataclass(frozen=True)
-class LabeledPoint:
-    """One weighted training/test point."""
-
-    x: np.ndarray
-    y: int
-    w: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -99,9 +90,6 @@ class Dataset:
 
     def class_weight(self, label: int) -> float:
         return float(self.w[self.y == label].sum())
-
-    def point(self, i: int) -> LabeledPoint:
-        return LabeledPoint(self.X[i], int(self.y[i]), float(self.w[i]))
 
     def subset(self, mask: np.ndarray) -> "Dataset":
         return Dataset(self.X[mask], self.y[mask], self.w[mask], self.domain)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +16,7 @@ from .data import Dataset, InputDomain, load_dataset, synth_gaussians
 from .defenses import ALL_DEFENSES, DefenseKind, defend
 from .feasible import build_feasible_set, collapse_with_duals, verify_collapse
 from .influence import InfluenceConfig, run_influence
-from .kkt import (DEFAULT_Q_GRID, DEFAULT_R_GRID, DecoyParams, decoy_loss_caps,
-                  gen_decoys, run_kkt)
+from .kkt import DecoyParams, decoy_loss_caps, gen_decoys, run_kkt
 from .minmax import run_minmax, run_minmax_basic
 from .models import (
     LossSpec,
@@ -48,8 +47,6 @@ class ExperimentConfig:
     loss: str = "hinge"
     loss_delta: float = 0.01
     objective: str = "mean"
-    optimizer: str = "batch"           # "batch" | "sgd"
-    eta0: float = 0.1                  # sgd defender
     seed: int = 0
     output_dir: str = "runs"
 
@@ -67,7 +64,7 @@ class ExperimentConfig:
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(lam=self.lam, objective=self.objective,
-                           eta0=self.eta0, seed=self.seed)
+                           seed=self.seed)
 
     def defense_kinds(self) -> list[DefenseKind]:
         out = []
@@ -79,8 +76,15 @@ class ExperimentConfig:
         return out
 
     @staticmethod
-    def from_json(text: str) -> "ExperimentConfig":
-        return ExperimentConfig(**json.loads(text))
+    def from_obj(obj) -> "ExperimentConfig":
+        """The config a JSON object (a config file, a report's "config")
+        describes; a key that names no field raises ConfigError."""
+        if not isinstance(obj, dict):
+            raise ConfigError("a config must be a JSON object")
+        unknown = set(obj) - {f.name for f in fields(ExperimentConfig)}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        return ExperimentConfig(**obj)
 
 
 def load_experiment_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -164,21 +168,27 @@ def write_trace_csv(rows: list[dict], path) -> None:
 
 # -- commands -----------------------------------------------------------------
 
+def picked(params: dict, *keys) -> dict:
+    """The entries of params under the given keys, where set."""
+    return {k: params[k] for k in keys if k in params}
+
+
 def get_or_gen_decoys(cfg: ExperimentConfig, D_c, D_test, params: dict):
     decoy_file = params.get("decoy_file")
     if decoy_file:
         return decoys_from_obj(json.loads(Path(decoy_file).read_text()))
+    grids = {k: tuple(v) for k, v in picked(params, "r_grid", "q_grid").items()}
     return gen_decoys(D_c, D_test, cfg.loss_spec(), cfg.lam,
-                      r_grid=tuple(params.get("r_grid", DEFAULT_R_GRID)),
-                      q_grid=tuple(params.get("q_grid", DEFAULT_Q_GRID)),
-                      objective=cfg.objective)
+                      objective=cfg.objective, **grids)
 
 
 def run_attack(cfg: ExperimentConfig, D_c: Dataset, D_test: Dataset) -> AttackResult:
+    """Run cfg.attack; each attack takes from cfg.attack_params only the keys
+    it reads, and its own defaults fill the rest."""
     loss = cfg.loss_spec()
     tc = cfg.train_config()
     kinds = cfg.defense_kinds()
-    pr = dict(cfg.attack_params)
+    pr = cfg.attack_params
     if cfg.attack == "none":
         started = time.perf_counter()
         dp = Dataset.empty(D_c.d, D_c.domain)
@@ -186,11 +196,8 @@ def run_attack(cfg: ExperimentConfig, D_c: Dataset, D_test: Dataset) -> AttackRe
                                 started, seed=cfg.seed)
     F = build_feasible_set(D_c, cfg.p)
     if cfg.attack == "influence":
-        icfg = InfluenceConfig(
-            eta=pr.get("eta"), steps=pr.get("steps", 40),
-            delta=pr.get("delta", 0.01),
-            concentrated=pr.get("concentrated", True), seed=cfg.seed,
-            cg_tol=pr.get("cg_tol", 1e-8))
+        icfg = InfluenceConfig(seed=cfg.seed, **picked(
+            pr, "eta", "steps", "delta", "concentrated"))
         return run_influence(D_c, D_test, cfg.epsilon, F, icfg, kinds, cfg.p,
                              loss, tc)
     if cfg.attack == "kkt":
@@ -201,25 +208,22 @@ def run_attack(cfg: ExperimentConfig, D_c: Dataset, D_test: Dataset) -> AttackRe
             return F.with_decoy_caps(decoy.theta_decoy, loss, caps)
 
         return run_kkt(D_c, D_test, cfg.epsilon, decoys, F_builder,
-                       T=pr.get("T", 6), defenses_for_eval=kinds, p=cfg.p,
-                       loss=loss, config=tc, seed=cfg.seed)
+                       defenses_for_eval=kinds, p=cfg.p, loss=loss, config=tc,
+                       seed=cfg.seed, **picked(pr, "T"))
     if cfg.attack == "minmax":
         decoys = get_or_gen_decoys(cfg, D_c, D_test, pr)
-        return run_minmax(D_c, D_test, cfg.epsilon, F, decoys,
-                          tau_loss=pr.get("tau_loss"),
-                          eta=pr.get("eta"), n_burn=pr.get("n_burn"),
-                          lam=cfg.lam, loss=loss, defenses_for_eval=kinds,
-                          p=cfg.p, config=tc, seed=cfg.seed)
+        return run_minmax(D_c, D_test, cfg.epsilon, F, decoys, lam=cfg.lam,
+                          loss=loss, defenses_for_eval=kinds, p=cfg.p,
+                          config=tc, seed=cfg.seed,
+                          **picked(pr, "tau_loss", "eta", "n_burn"))
     if cfg.attack == "minmax-basic":
-        return run_minmax_basic(D_c, cfg.epsilon, F, eta=pr.get("eta"),
-                                n_burn=pr.get("n_burn"), lam=cfg.lam,
-                                loss=loss, D_test=D_test,
-                                defenses_for_eval=kinds, p=cfg.p, config=tc,
-                                seed=cfg.seed)
+        return run_minmax_basic(D_c, cfg.epsilon, F, lam=cfg.lam, loss=loss,
+                                D_test=D_test, defenses_for_eval=kinds, p=cfg.p,
+                                config=tc, seed=cfg.seed,
+                                **picked(pr, "eta", "n_burn"))
     if cfg.attack == "alfa":
         return run_alfa(D_c, D_test, cfg.epsilon, F, loss, cfg.lam, kinds,
-                        cfg.p, tc, refine=pr.get("refine", True),
-                        seed=cfg.seed)
+                        cfg.p, tc, seed=cfg.seed, **picked(pr, "refine"))
     raise ConfigError(f"unknown attack {cfg.attack!r}")
 
 
@@ -248,31 +252,28 @@ def cmd_transfer(attack_doc: dict, lambdas=None, optimizers=("batch",),
                  losses=("hinge",), eta0: float = 0.1) -> list[dict]:
     """Replay a stored attack against defender variants; one row per
     (lambda, optimizer, loss, defense)."""
-    cfg = ExperimentConfig(**{k: v for k, v in attack_doc["config"].items()})
+    cfg = ExperimentConfig.from_obj(attack_doc["config"])
     D_c, D_test = load_experiment_data(cfg)
     D_p = dataset_from_obj(attack_doc["dp"])
-    lambdas = list(lambdas or [cfg.lam])
     rows = []
-    for lam in lambdas:
+    for lam in lambdas or [cfg.lam]:
         for opt in optimizers:
             for loss_name in losses:
-                loss = LossSpec(loss_name, cfg.loss_delta)
-                tc = TrainConfig(lam=lam, objective=cfg.objective, eta0=eta0,
-                                 seed=cfg.seed)
-                for name in cfg.defenses:
-                    kind = (DefenseKind.loss_defense(lam, loss)
-                            if name == "loss" else DefenseKind(name))
+                variant = replace(cfg, lam=lam, loss=loss_name)
+                loss = variant.loss_spec()
+                tc = replace(variant.train_config(), eta0=eta0)
+                for kind in variant.defense_kinds():
                     err = defender_variant_error(D_c, D_p, D_test, kind, cfg.p,
                                                  loss, tc, opt)
                     rows.append({"lambda": lam, "optimizer": opt,
-                                 "loss": loss_name, "defense": name,
+                                 "loss": loss_name, "defense": kind.kind,
                                  "test_error": err})
     return rows
 
 
 def cmd_collapse(attack_doc: dict, tol: float = 1e-4) -> dict:
     """Collapse a stored attack to two points and verify by retraining."""
-    cfg = ExperimentConfig(**{k: v for k, v in attack_doc["config"].items()})
+    cfg = ExperimentConfig.from_obj(attack_doc["config"])
     D_c, _ = load_experiment_data(cfg)
     D_p = dataset_from_obj(attack_doc["dp"])
     loss = cfg.loss_spec()
@@ -296,9 +297,7 @@ def cmd_timing(cfg: ExperimentConfig, attacks: list[str],
     D_c, D_test = load_experiment_data(cfg)
     rows = []
     for name in sorted(attacks):
-        sub = ExperimentConfig(**{**asdict(cfg), "attack": name,
-                                  "defenses": tuple(cfg.defenses)})
-        res = run_attack(sub, D_c, D_test)
+        res = run_attack(replace(cfg, attack=name), D_c, D_test)
         traj = res.trajectory or [(res.seconds, res.min_over_defense)]
         reached = [t for t, e in traj if e is not None and e >= target_error]
         rows.append({

@@ -16,7 +16,7 @@ clean data's domain once, at the end, by ``round_poison``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,10 @@ from .results import AttackResult, evaluated_result
 from .rounding import rng_from_seed, round_poison
 
 
+# step sizes tried when none is given, in units of 1 / ||test gradient||
+ETA_GRID = (1e-2, 1e-1, 1.0, 1e1, 1e2)
+
+
 @dataclass(frozen=True)
 class InfluenceConfig:
     eta: float | None = None          # fixed step size; None = grid search
@@ -44,8 +48,6 @@ class InfluenceConfig:
     delta: float = 0.01               # attack-side smoothing
     concentrated: bool = True
     seed: int = 0
-    cg_tol: float = 1e-8
-    eta_grid: tuple = (1e-2, 1e-1, 1.0, 1e1, 1e2)
 
     def __post_init__(self):
         if self.eta is not None and self.eta <= 0:
@@ -136,7 +138,7 @@ def _concentrated_init(D_c: Dataset, epsilon: float, F: FeasibleSet, seed: int):
 
 
 def _ascend(D_c, D_test, D_p0, F, eta, steps, lam, attack_loss, defender_loss,
-            objective, cg_tol):
+            objective):
     """Run the gradient-ascent loop; returns (best Dp, trace rows)."""
     cfg = TrainConfig(lam=lam, objective=objective)
     Dp = D_p0
@@ -156,8 +158,7 @@ def _ascend(D_c, D_test, D_p0, F, eta, steps, lam, attack_loss, defender_loss,
                           "point_moved_norm": 0.0})
             break
         g_test = test_gradient(theta, D_test, attack_loss)
-        v = inverse_hvp_cg(theta, D, lam, g_test, attack_loss, tol=cg_tol,
-                           x0=v)
+        v = inverse_hvp_cg(theta, D, lam, g_test, attack_loss, x0=v)
         scale = 1.0 / D.total_weight
         moved = 0.0
         newX = Dp.X.copy()
@@ -200,12 +201,12 @@ def run_influence(D_c: Dataset, D_test: Dataset, epsilon: float, F: FeasibleSet,
         g0 = np.linalg.norm(test_gradient(theta0, D_test, attack_loss))
         base = 1.0 / max(g0, 1e-12)
         etas = [config.eta] if config.eta is not None else \
-            [s * base for s in config.eta_grid]
+            [s * base for s in ETA_GRID]
         best = (None, -np.inf, [])
         for eta in etas:
             dp_eta, trace_eta = _ascend(
                 D_r, D_test, D_p0, F, eta, config.steps, lam, attack_loss,
-                defender_loss, defender_config.objective, config.cg_tol)
+                defender_loss, defender_config.objective)
             score = max(r["test_loss"] for r in trace_eta)
             if score > best[1]:
                 best = (dp_eta, score, trace_eta)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .feasible import FeasibleSet, InfeasibleSetError
-from .kkt import decoy_loss_caps
+from .kkt import decoy_loss_caps, effective_lambda
 from .models import LossSpec, TrainConfig, dloss_dmargin, loss_of_margin
 from .results import AttackResult, evaluated_result
 from .rounding import round_poison
@@ -54,12 +54,11 @@ def warn_if_distribution_shift(D_c: Dataset, D_test: Dataset) -> bool:
     return shifted
 
 
-def max_loss_point(theta: np.ndarray, F: FeasibleSet, loss: LossSpec,
-                   labels=(1.0, -1.0)):
+def max_loss_point(theta: np.ndarray, F: FeasibleSet, loss: LossSpec):
     """Highest-loss feasible point: per label, minimize the margin (losses are
     margin-decreasing), then take the larger loss; ties go to label +1."""
     best = None
-    for y in sorted(labels, reverse=True):  # +1 first, so ties keep it
+    for y in (1.0, -1.0):  # +1 first, so ties keep it
         x = F.min_margin_point(theta, y)
         m = y * float(np.dot(theta, x))
         val = float(loss_of_margin(loss, m))
@@ -73,8 +72,7 @@ def run_minmax_basic(D_c: Dataset, epsilon: float, F: FeasibleSet,
                      lam: float = 0.1, loss: LossSpec | None = None,
                      D_test: Dataset | None = None, defenses_for_eval=(),
                      p: float = 0.05, config: TrainConfig | None = None,
-                     seed: int = 0,
-                     attack_name: str = "minmax-basic") -> AttackResult:
+                     seed: int = 0) -> AttackResult:
     """Subgradient descent on the saddle objective; collects one maximizer per
     post-burn-in iteration, then normalizes their weights to a total of
     exactly epsilon * |D_c|.
@@ -100,8 +98,7 @@ def run_minmax_basic(D_c: Dataset, epsilon: float, F: FeasibleSet,
     trace = []
     bound = 1e6 * (1.0 + float(np.abs(D_c.X).max(initial=1.0)))
     # regularizer of the learner's objective rescaled to clean weight n
-    reg = (config.lam * (1.0 + epsilon) if config.objective == "mean"
-           else config.lam / n)
+    reg = effective_lambda(config.lam, epsilon, config.objective, n)
     total_iters = n_burn + n_poison
     for t in range(1, total_iters + 1):
         x, y, val, m = max_loss_point(theta, F, loss)
@@ -131,10 +128,10 @@ def run_minmax_basic(D_c: Dataset, epsilon: float, F: FeasibleSet,
         dp = Dataset.empty(D_c.d)
     dp = round_poison(dp, D_c.domain, seed + 4241)
     if D_test is None:
-        res = AttackResult(attack=attack_name, dp=dp, seed=seed, trace=trace)
+        res = AttackResult(attack="minmax-basic", dp=dp, seed=seed, trace=trace)
         res.seconds = time.perf_counter() - started
         return res
-    return evaluated_result(attack_name, dp, D_c, D_test,
+    return evaluated_result("minmax-basic", dp, D_c, D_test,
                             list(defenses_for_eval), p, loss, config, started,
                             seed=seed, trace=trace)
 
@@ -196,11 +193,11 @@ def run_minmax(D_c: Dataset, D_test: Dataset, epsilon: float,
             res = run_minmax_basic(D_c, epsilon, F, eta=eta, n_burn=n_burn,
                                    lam=lam, loss=loss, D_test=D_test,
                                    defenses_for_eval=defenses_for_eval, p=p,
-                                   config=config, seed=seed,
-                                   attack_name="minmax")
+                                   config=config, seed=seed)
         except InfeasibleSetError as exc:
             skipped.append({"decoy_index": di, "reason": str(exc)})
             continue
+        res.attack = "minmax"
         score = res.min_over_defense
         trajectory.append((time.perf_counter() - started, score))
         if best is None or (score is not None and score > best[0]):

@@ -16,7 +16,8 @@ There is no intercept; append a constant feature if one is wanted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import minimize
@@ -92,15 +93,13 @@ class ModelParams:
 class TrainConfig:
     lam: float = 0.1
     objective: str = "mean"  # "mean" | "sum"
-    tol: float = 1e-8
     eta0: float = 0.1  # SGD only
     seed: int = 0      # SGD only
+    tol: ClassVar[float] = 1e-8  # witness-norm target, relative to 1 + ||theta||
 
     def __post_init__(self):
         if self.objective not in ("mean", "sum"):
             raise ValueError("objective must be 'mean' or 'sum'")
-        if self.tol <= 0:
-            raise ValueError("tol > 0 required")
 
 
 # -- pointwise primitives, vectorized over margins m = y * (X @ theta) -------
@@ -378,7 +377,6 @@ def hvp(theta: ModelParams, D: Dataset, lam: float, v: np.ndarray,
 
 def inverse_hvp_cg(theta: ModelParams, D: Dataset, lam: float, v: np.ndarray,
                    loss: LossSpec, tol: float = 1e-8,
-                   maxiter: int | None = None,
                    x0: np.ndarray | None = None) -> np.ndarray:
     """Solve H u = v by conjugate gradients to ||Hu - v|| <= tol * ||v||;
     x0 warm-starts the solve (e.g. from the previous attack iteration)."""
@@ -390,8 +388,7 @@ def inverse_hvp_cg(theta: ModelParams, D: Dataset, lam: float, v: np.ndarray,
     curv = D.w * d2loss_dmargin2(loss, margins(theta, D)) / D.total_weight
     d = D.d
     op = LinearOperator((d, d), matvec=lambda u: lam * u + D.X.T @ (curv * (D.X @ u)))
-    u, info = cg(op, v, rtol=tol, atol=0.0, x0=x0,
-                 maxiter=maxiter or max(20 * d, 1000))
+    u, info = cg(op, v, rtol=tol, atol=0.0, x0=x0, maxiter=max(20 * d, 1000))
     if info != 0:
         raise TrainingError(f"CG failed to converge (info={info})", theta=u)
     return u

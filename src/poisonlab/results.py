@@ -12,9 +12,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .data import Dataset, union
+from .data import Dataset
 from .defenses import DefenseKind, defend_and_train
 from .models import LossSpec, TrainConfig
 

@@ -115,14 +115,15 @@ def test_criterion_3_rounding_oracle():
     assert report("3 rounding oracle (f, max-of-lines, Jensen)", ok)
 
 
-def test_criterion_4_influence_gradient_fd():
+def test_criterion_4_influence_gradient_fd(monkeypatch):
     started = time.time()
     loss = LossSpec.smoothed_hinge(0.01)
     lam = 0.1
     tr, te = synth_gaussians(77, 50, 5, 2.0)
     # machine-precision retrains: FD differences of the test loss inherit the
-    # trainer's theta error divided by h, so the default 1e-8 is too loose
-    cfg = TrainConfig(lam=lam, tol=1e-12)
+    # trainer's theta error divided by h, so the 1e-8 tolerance is too loose
+    monkeypatch.setattr(TrainConfig, "tol", 1e-12)
+    cfg = TrainConfig(lam=lam)
     theta0 = train(tr, loss, cfg)
     # perturb a margin-active training point (an attack point would be one);
     # a saturated point has zero derivative on both sides of the comparison

@@ -99,6 +99,77 @@ def test_attacks_on_count_files(tmp_path, capsys, counts):
     assert "not supported yet" in capsys.readouterr().err
 
 
+def write_config(tmp_path, **fields):
+    doc = {"dataset": {"kind": "synth", "seed": 3, "n": 150, "d": 3,
+                       "mean_separation": 2.5, "class_balance": 0.5},
+           "defenses": ["l2"], "seed": 5, "epsilon": 0.03,
+           "output_dir": str(tmp_path / "file_out"), **fields}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_config_file_keeps_attack_params_the_flags_leave_unset(tmp_path):
+    conf = write_config(tmp_path, attack_params={"steps": 2, "eta": 0.5})
+    assert run_cli(["attack", "influence", "--config", conf]) == 0
+    out = tmp_path / "file_out"
+    doc = json.loads((out / "influence_seed5.json").read_text())
+    assert doc["config"]["attack_params"] == {"steps": 2, "eta": 0.5}
+    trace = (out / "influence_seed5_trace.csv").read_text().splitlines()
+    assert len(trace) == 1 + 3  # header, then iterations 0..steps
+
+
+def test_flags_given_apply_on_top_of_the_config_file(tmp_path):
+    conf = write_config(tmp_path)
+    out = tmp_path / "flag_out"
+    assert run_cli(["attack", "alfa", "--config", conf, "--seed", "9",
+                    "--epsilon", "0.1", "--out", str(out)]) == 0
+    doc = json.loads((out / "alfa_seed9.json").read_text())
+    cfg = doc["config"]
+    assert (cfg["seed"], cfg["epsilon"], cfg["output_dir"]) == (9, 0.1, str(out))
+    assert cfg["dataset"]["seed"] == 9 and cfg["dataset"]["n"] == 150
+    assert cfg["defenses"] == ["l2"]
+    weight = sum(w for _, _, w in doc["dp"]["points"])
+    assert weight == pytest.approx(0.1 * 150)
+
+
+def test_unknown_config_key_exits_2_and_names_it(tmp_path, capsys):
+    conf = write_config(tmp_path, eta0=0.1)
+    assert run_cli(["attack", "none", "--config", conf]) == 2
+    assert "eta0" in capsys.readouterr().err
+    # a report written with the removed optimizer field is refused the same way
+    assert run_cli(["attack", "none", "--config", write_config(tmp_path)]) == 0
+    report = tmp_path / "file_out" / "none_seed5.json"
+    doc = json.loads(report.read_text())
+    doc["config"]["optimizer"] = "batch"
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["transfer", str(report)]) == 2
+    assert "optimizer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,flags,params", [
+    ("alfa", [], {}),
+    ("kkt", ["--grid-T", "2"], {"T": 2}),
+])
+def test_flags_write_the_report_of_the_config_they_name(tmp_path, kind, flags,
+                                                        params):
+    from poisonlab.harness import ExperimentConfig, cmd_attack
+    cfg = ExperimentConfig(
+        dataset={"kind": "synth", "seed": 0, "n": 150, "d": 3,
+                 "mean_separation": 2.5, "class_balance": 0.5},
+        defenses=("l2", "slab"), attack=kind, attack_params=params,
+        output_dir=str(tmp_path))
+    want = json.loads(json.dumps(cmd_attack(cfg)))
+    assert run_cli(["attack", kind, "--synth-n", "150", "--synth-d", "3",
+                    "--synth-sep", "2.5", "--defenses", "l2", "slab",
+                    "--out", str(tmp_path), *flags]) == 0
+    got = json.loads((tmp_path / f"{kind}_seed0.json").read_text())
+    want.pop("timing")
+    got.pop("timing")
+    assert got == want
+
+
 def test_validation_error_exit_code():
     assert run_cli(["attack", "kkt", "--epsilon", "0.9"]) == 2
 

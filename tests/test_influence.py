@@ -160,13 +160,14 @@ def test_run_influence_ascends_surrogate_loss():
     assert max(losses) >= losses[0] - 1e-9
 
 
-def test_one_small_step_never_loses_more_than_eta_squared():
+def test_one_small_step_never_loses_more_than_eta_squared(monkeypatch):
     # ascent sanity at random iterates: a tiny step along the influence
     # gradient changes the surrogate test loss by eta*||g||^2 + O(eta^2)
     loss = LossSpec.smoothed_hinge(0.05)
     lam = 0.2
     tr, te = synth_gaussians(55, 40, 3, 2.0)
-    cfg = TrainConfig(lam=lam, tol=1e-12)
+    monkeypatch.setattr(TrainConfig, "tol", 1e-12)
+    cfg = TrainConfig(lam=lam)
     rng = np.random.default_rng(0)
     eta = 1e-4
     checked = 0
