@@ -9,7 +9,7 @@ constraint) fixes that.
 
 import numpy as np
 
-from poisonlab import FeasibleSet, expected_sq_distance, f_piecewise, lp_constraint_atoms, round_point
+from poisonlab import FeasibleSet, LpConstraint, expected_sq_distance, f_piecewise, round_point
 from poisonlab.feasible import ClassConstraints
 
 mu = np.array([2.0, 1.0, 3.0])
@@ -35,7 +35,7 @@ for v in grid:
 # projecting onto the LP-relaxed set yields the closest point that stays
 # inside the centroid defense *in expectation* after rounding; the attacks
 # project the same way, through a feasible set carrying the LP atom
-C = lp_constraint_atoms(mu, tau, np.array([6, 6, 6]))
+C = LpConstraint(mu, tau, np.array([6, 6, 6]))
 cc = ClassConstraints(nonneg=True, lp=C)
 x_lp = FeasibleSet({1: cc, -1: cc}, 3).project(x, 1)
 print(f"\nprojected point: {np.round(x_lp, 3)}")

@@ -28,7 +28,7 @@ from .models import (
     train_sgd_single_pass,
 )
 from .results import AttackResult
-from .rounding import expected_sq_distance, f_piecewise, lp_constraint_atoms, repeat_round, round_point
+from .rounding import LpConstraint, expected_sq_distance, f_piecewise, repeat_round, round_point
 
 __all__ = [
     "AttackResult",
@@ -41,6 +41,7 @@ __all__ = [
     "InfluenceConfig",
     "InputDomain",
     "LossSpec",
+    "LpConstraint",
     "ModelParams",
     "Thresholds",
     "TrainConfig",
@@ -61,7 +62,6 @@ __all__ = [
     "kkt_solve",
     "load_dataset",
     "loss_point",
-    "lp_constraint_atoms",
     "max_loss_point",
     "repeat_round",
     "round_point",

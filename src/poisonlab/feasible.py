@@ -493,59 +493,6 @@ class FeasibleSet:
                     lab, HalfSpace(-lab * theta_decoy.theta, -floor))
         return out
 
-    def to_obj(self) -> dict:
-        def one(cc: ClassConstraints) -> dict:
-            out = {}
-            if cc.ball is not None:
-                out["ball"] = {"center": [float(v) for v in cc.ball[0]],
-                               "radius": float(cc.ball[1])}
-            if cc.slab is not None:
-                out["slab"] = {"axis": [float(v) for v in cc.slab[0]],
-                               "center": [float(v) for v in cc.slab[1]],
-                               "halfwidth": float(cc.slab[2])}
-            if cc.halfspaces:
-                out["halfspaces"] = [{"a": [float(v) for v in hs.a],
-                                      "b": float(hs.b)}
-                                     for hs in cc.halfspaces]
-            if cc.box is not None:
-                out["box"] = {"lo": float(np.min(cc.box[0])),
-                              "hi": float(np.max(cc.box[1]))}
-            if cc.nonneg:
-                out["nonneg"] = True
-            if cc.lp is not None:
-                out["lp"] = {"mu": [float(v) for v in cc.lp.mu],
-                             "tau": float(cc.lp.tau),
-                             "K": [int(v) for v in cc.lp.K]}
-            return out
-
-        return {"d": self.d, "classes": {str(lab): one(cc)
-                                         for lab, cc in self.cons.items()}}
-
-    @staticmethod
-    def from_obj(obj: dict) -> "FeasibleSet":
-        def one(spec: dict) -> ClassConstraints:
-            ball = slab = box = lp = None
-            if "ball" in spec:
-                ball = (np.array(spec["ball"]["center"]), spec["ball"]["radius"])
-            if "slab" in spec:
-                slab = (np.array(spec["slab"]["axis"]),
-                        np.array(spec["slab"]["center"]),
-                        spec["slab"]["halfwidth"])
-            hss = tuple(HalfSpace(np.array(h["a"]), h["b"])
-                        for h in spec.get("halfspaces", ()))
-            if "box" in spec:
-                box = (spec["box"]["lo"], spec["box"]["hi"])
-            if "lp" in spec:
-                lp = LpConstraint(np.array(spec["lp"]["mu"]), spec["lp"]["tau"],
-                                  np.array(spec["lp"]["K"]))
-            return ClassConstraints(ball=ball, slab=slab, halfspaces=hss,
-                                    box=box, nonneg=spec.get("nonneg", False),
-                                    lp=lp)
-
-        return FeasibleSet({int(lab): one(spec)
-                            for lab, spec in obj["classes"].items()},
-                           obj["d"])
-
     def min_margin_point(self, theta: np.ndarray, y: float) -> np.ndarray:
         """Minimizer of the margin y theta^T x over the class-y set, pulled
         in like ``project``.
@@ -728,19 +675,17 @@ def verify_collapse(D_c: Dataset, D_p: Dataset, collapsed: CollapsedAttack,
                     loss: LossSpec, lam: float, tol: float = 1e-4,
                     F: FeasibleSet | None = None,
                     objective: str = "sum") -> bool:
-    """Retrain on the original and the collapsed attack and compare; with a
-    mean-loss objective, lambda is rescaled so the underlying sum objectives
-    match despite the differing total weights."""
+    """Retrain on the original and the collapsed attack and compare.  Both
+    retrains use the sum-form lambda the objective has on the original
+    union, so they minimize one objective despite their differing total
+    weights."""
     D1 = union(D_c, D_p)
     D2 = union(D_c, collapsed.points)
-    if objective == "sum":
-        cfg1 = cfg2 = TrainConfig(lam=lam, objective="sum")
-    else:
-        cfg1 = TrainConfig(lam=lam, objective="mean")
-        cfg2 = TrainConfig(lam=lam * D1.total_weight / D2.total_weight,
-                           objective="mean")
-    th1 = train(D1, loss, cfg1).theta
-    th2 = train(D2, loss, cfg2).theta
+    W1 = D1.total_weight
+    lam_sum = TrainConfig(lam=lam, objective=objective).mean_lam(W1) * W1
+    cfg = TrainConfig(lam=lam_sum, objective="sum")
+    th1 = train(D1, loss, cfg).theta
+    th2 = train(D2, loss, cfg).theta
     if np.linalg.norm(th1 - th2) > tol * (1.0 + np.linalg.norm(th1)):
         return False
     if F is not None:

@@ -88,17 +88,22 @@ class ExperimentConfig:
 
 
 def load_experiment_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """The (train, test) pair cfg.dataset names.  Synthetic keys left out
+    take synth_gaussians' defaults; without "domain", each file's sidecar
+    decides its domain."""
     ds = cfg.dataset
     if ds["kind"] == "synth":
         return synth_gaussians(ds["seed"], ds["n"], ds["d"],
                                ds["mean_separation"],
-                               ds.get("class_balance", 0.5),
-                               n_test=ds.get("n_test"))
+                               **picked(ds, "class_balance", "n_test"))
     if ds["kind"] == "file":
-        domain = InputDomain(ds.get("domain", "reals"))
-        tr = load_dataset(ds["train"], ds.get("format", "sparse-text"), domain)
-        te = load_dataset(ds["test"], ds.get("format", "sparse-text"), domain)
-        return tr, te
+        missing = [k for k in ("train", "test") if k not in ds]
+        if missing:
+            raise ConfigError(f"the file dataset has no {' or '.join(missing)} "
+                              "file")
+        domain = InputDomain(ds["domain"]) if "domain" in ds else None
+        return tuple(load_dataset(ds[k], ds.get("format", "sparse-text"), domain)
+                     for k in ("train", "test"))
     raise ConfigError(f"unknown dataset kind {ds['kind']!r}")
 
 
@@ -278,8 +283,9 @@ def cmd_collapse(attack_doc: dict, tol: float = 1e-4) -> dict:
     D_p = dataset_from_obj(attack_doc["dp"])
     loss = cfg.loss_spec()
     theta, collapsed = collapse_with_duals(D_c, D_p, loss, cfg.lam,
-                                           objective="sum")
-    ok = verify_collapse(D_c, D_p, collapsed, loss, cfg.lam, tol=tol)
+                                           objective=cfg.objective)
+    ok = verify_collapse(D_c, D_p, collapsed, loss, cfg.lam, tol=tol,
+                         objective=cfg.objective)
     return {
         "collapsed": dataset_to_obj(collapsed.points),
         "fold_alphas": list(collapsed.fold_alphas),

@@ -137,10 +137,23 @@ def _concentrated_init(D_c: Dataset, epsilon: float, F: FeasibleSet, seed: int):
     return Dataset(X, np.array([1.0, -1.0]), np.array([weights[1], weights[-1]]))
 
 
-def _ascend(D_c, D_test, D_p0, F, eta, steps, lam, attack_loss, defender_loss,
-            objective):
-    """Run the gradient-ascent loop; returns (best Dp, trace rows)."""
-    cfg = TrainConfig(lam=lam, objective=objective)
+def _poison_gradients(theta, D, Dp, g_test, cfg, loss, v0=None):
+    """d(test loss)/dx of each point of the poison Dp inside training on
+    D = D_c + Dp under cfg's objective: -(w_i/W) g_test^T H^-1 (d^2 ell /
+    d theta d x), with H the Hessian of the mean-loss form at
+    cfg.mean_lam(W).  Returns (rows, v = H^-1 g_test); v0 warm-starts CG."""
+    v = inverse_hvp_cg(theta, D, cfg.mean_lam(D.total_weight), g_test, loss,
+                       x0=v0)
+    scale = 1.0 / D.total_weight
+    rows = [-scale * Dp.w[i]
+            * mixed_partial_product(v, theta, Dp.X[i], Dp.y[i], loss)
+            for i in range(Dp.n)]
+    return rows, v
+
+
+def _ascend(D_c, D_test, D_p0, F, eta, steps, cfg, attack_loss, defender_loss):
+    """Run the gradient-ascent loop on the defender's objective cfg; returns
+    (best Dp, trace rows)."""
     Dp = D_p0
     best = (None, -np.inf)
     trace = []
@@ -158,13 +171,10 @@ def _ascend(D_c, D_test, D_p0, F, eta, steps, lam, attack_loss, defender_loss,
                           "point_moved_norm": 0.0})
             break
         g_test = test_gradient(theta, D_test, attack_loss)
-        v = inverse_hvp_cg(theta, D, lam, g_test, attack_loss, x0=v)
-        scale = 1.0 / D.total_weight
+        grads, v = _poison_gradients(theta, D, Dp, g_test, cfg, attack_loss, v)
         moved = 0.0
         newX = Dp.X.copy()
-        for i in range(Dp.n):
-            g_x = -scale * Dp.w[i] * mixed_partial_product(
-                v, theta, Dp.X[i], Dp.y[i], attack_loss)
+        for i, g_x in enumerate(grads):
             x_new = F.project(Dp.X[i] + eta * g_x, Dp.y[i])
             moved += float(np.linalg.norm(x_new - Dp.X[i]))
             newX[i] = x_new
@@ -182,7 +192,6 @@ def run_influence(D_c: Dataset, D_test: Dataset, epsilon: float, F: FeasibleSet,
     defender_loss = defender_loss or LossSpec.hinge()
     defender_config = defender_config or TrainConfig()
     attack_loss = LossSpec.smoothed_hinge(config.delta)
-    lam = defender_config.lam
     D_r = Dataset(D_c.X, D_c.y, D_c.w)  # relaxed copy, to train with poison
 
     if config.concentrated:
@@ -196,8 +205,7 @@ def run_influence(D_c: Dataset, D_test: Dataset, epsilon: float, F: FeasibleSet,
         dp = D_p0
         trace = []
     else:
-        theta0 = train(union(D_r, D_p0), attack_loss,
-                       TrainConfig(lam=lam, objective=defender_config.objective))
+        theta0 = train(union(D_r, D_p0), attack_loss, defender_config)
         g0 = np.linalg.norm(test_gradient(theta0, D_test, attack_loss))
         base = 1.0 / max(g0, 1e-12)
         etas = [config.eta] if config.eta is not None else \
@@ -205,8 +213,8 @@ def run_influence(D_c: Dataset, D_test: Dataset, epsilon: float, F: FeasibleSet,
         best = (None, -np.inf, [])
         for eta in etas:
             dp_eta, trace_eta = _ascend(
-                D_r, D_test, D_p0, F, eta, config.steps, lam, attack_loss,
-                defender_loss, defender_config.objective)
+                D_r, D_test, D_p0, F, eta, config.steps, defender_config,
+                attack_loss, defender_loss)
             score = max(r["test_loss"] for r in trace_eta)
             if score > best[1]:
                 best = (dp_eta, score, trace_eta)

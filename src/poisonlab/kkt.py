@@ -180,16 +180,6 @@ def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: float,
     return x_p, x_m, float(np.dot(r, r))
 
 
-def effective_lambda(lam: float, epsilon: float, objective: str,
-                     clean_weight: float) -> float:
-    """The regularizer coefficient entering the stationarity residual when
-    the clean gradient is weight-averaged: mean-loss training over (1+eps)
-    total mass scales lambda by (1+eps); sum-loss training scales by 1/W."""
-    if objective == "mean":
-        return lam * (1.0 + epsilon)
-    return lam / clean_weight
-
-
 def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
             decoys: list[DecoyParams], F_builder, T: int = 6,
             defenses_for_eval=(), p: float = 0.05,
@@ -207,7 +197,9 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
     loss = loss or LossSpec.hinge()
     config = config or TrainConfig()
     n_c = D_c.total_weight
-    lam_eff = effective_lambda(config.lam, epsilon, config.objective, n_c)
+    # the stationarity residual is weight-averaged over the clean weight, so
+    # lambda is the mean-form one over all n_c (1 + eps), times (1 + eps)
+    lam_eff = config.mean_lam(n_c * (1.0 + epsilon)) * (1.0 + epsilon)
     best = None  # (score, decoy_idx, t, dp, provenance)
     trajectory = []
     skipped = []

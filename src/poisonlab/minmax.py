@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .feasible import FeasibleSet, InfeasibleSetError
-from .kkt import decoy_loss_caps, effective_lambda
+from .kkt import decoy_loss_caps
 from .models import LossSpec, TrainConfig, dloss_dmargin, loss_of_margin
 from .results import AttackResult, evaluated_result
 from .rounding import round_poison
@@ -98,7 +98,7 @@ def run_minmax_basic(D_c: Dataset, epsilon: float, F: FeasibleSet,
     trace = []
     bound = 1e6 * (1.0 + float(np.abs(D_c.X).max(initial=1.0)))
     # regularizer of the learner's objective rescaled to clean weight n
-    reg = effective_lambda(config.lam, epsilon, config.objective, n)
+    reg = config.mean_lam(n * (1.0 + epsilon)) * (1.0 + epsilon)
     total_iters = n_burn + n_poison
     for t in range(1, total_iters + 1):
         x, y, val, m = max_loss_point(theta, F, loss)

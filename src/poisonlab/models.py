@@ -8,7 +8,8 @@ All losses are margin-based, ell(theta; x, y) = c(-y theta^T x):
 
 Training minimizes  lambda/2 ||theta||^2 + agg_i w_i * ell_i  where agg is
 either the weighted mean (``mean``) or the plain weighted sum (``sum``).
-The two modes coincide after rescaling lambda by the total weight.
+The two modes coincide after rescaling lambda by the total weight;
+``TrainConfig.mean_lam`` gives every other module the mean-form lambda.
 
 There is no intercept; append a constant feature if one is wanted.
 """
@@ -100,6 +101,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.objective not in ("mean", "sum"):
             raise ValueError("objective must be 'mean' or 'sum'")
+
+    def mean_lam(self, total_weight: float) -> float:
+        """The lambda' of the mean-loss form lambda'/2 ||theta||^2 +
+        (1/W) sum_i w_i ell_i that has this objective's minimizer on data of
+        total weight W."""
+        return self.lam if self.objective == "mean" else self.lam / total_weight
 
 
 # -- pointwise primitives, vectorized over margins m = y * (X @ theta) -------
@@ -330,13 +337,12 @@ def train_with_duals(D: Dataset, loss: LossSpec, config: TrainConfig):
         raise ValueError("lambda must be positive")
     mask = D.w > 0
     X, y, w = D.X[mask], D.y[mask], D.w[mask]
-    lam_sum = config.lam * (D.total_weight if config.objective == "mean" else 1.0)
+    norm = D.total_weight if config.objective == "mean" else 1.0
     if loss.kind == HINGE:
-        theta, alpha = _train_hinge_sum(X, y, w, lam_sum, config.tol)
+        theta, alpha = _train_hinge_sum(X, y, w, config.lam * norm, config.tol)
         gamma = np.zeros(D.n)
         gamma[mask] = alpha / w
     else:
-        norm = D.total_weight if config.objective == "mean" else 1.0
         theta = _train_smooth(X, y, w, loss, config.lam, config.tol, norm)
         gamma = np.zeros(D.n)
         gamma[mask] = -dloss_dmargin(loss, y * (X @ theta))
@@ -351,13 +357,14 @@ def train(D: Dataset, loss: LossSpec, config: TrainConfig) -> ModelParams:
 
 
 def train_sgd_single_pass(D: Dataset, loss: LossSpec, config: TrainConfig) -> ModelParams:
-    """One seeded shuffled pass of SGD with step size eta0 / (lambda * t)."""
+    """One seeded shuffled pass of SGD on the mean-loss form of the
+    objective, with step size eta0 / (lambda' * t), lambda' = mean_lam(W)."""
     if config.eta0 <= 0:
         raise ValueError("eta0 must be positive")
     rng = np.random.Generator(np.random.Philox(config.seed))
     order = rng.permutation(D.n)
     theta = np.zeros(D.d)
-    lam = config.lam
+    lam = config.mean_lam(D.total_weight)
     scale = D.n / D.total_weight  # per-sample weight correction for mean loss
     for t, i in enumerate(order, start=1):
         eta = config.eta0 / (lam * t)

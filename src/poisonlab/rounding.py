@@ -123,11 +123,6 @@ class LpConstraint:
         return np.maximum(t, 0.0)
 
 
-def lp_constraint_atoms(mu: np.ndarray, tau: float,
-                        K_per_coord: np.ndarray) -> LpConstraint:
-    return LpConstraint(np.asarray(mu, float), float(tau), K_per_coord)
-
-
 def default_K(D: Dataset) -> np.ndarray:
     """Per-coordinate truncation: ceil of the dataset max, plus one slack."""
     if D.n == 0:

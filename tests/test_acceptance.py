@@ -32,7 +32,7 @@ from poisonlab.defenses import fit_detector, fit_thresholds, sanitize, score_dat
 from poisonlab.feasible import ball_only_feasible, build_feasible_set, collapse_with_duals, verify_collapse
 from poisonlab.influence import influence_gradient
 from poisonlab.influence import test_gradient as mean_test_gradient
-from poisonlab.kkt import clean_gradient, decoy_loss_caps, effective_lambda
+from poisonlab.kkt import clean_gradient, decoy_loss_caps
 from poisonlab.minmax import certified_loss_bound
 from poisonlab.models import (
     ModelParams,
@@ -233,8 +233,9 @@ def test_criterion_7_kkt_stationarity():
                                {1: 500.0, -1: 500.0}, 6)
         ep, em = 0.03, 0.02
         n = tr.total_weight
+        scale = 1.0 + ep + em
         xp, xm, obj = kkt_solve(gDc, th_d, ep, em, F,
-                                effective_lambda(lam_sum, ep + em, "sum", n))
+                                cfg.mean_lam(n * scale) * scale)
         if obj <= 1e-10:
             solved += 1
             D_p = Dataset.from_points(np.array([xp, xm]), [1.0, -1.0],

@@ -99,6 +99,28 @@ def test_attacks_on_count_files(tmp_path, capsys, counts):
     assert "not supported yet" in capsys.readouterr().err
 
 
+def test_count_files_take_their_sidecar_domain(tmp_path, counts):
+    from poisonlab import save_dataset
+    tr, te = counts
+    save_dataset(tr, tmp_path / "tr.txt", "sparse-text")
+    save_dataset(te, tmp_path / "te.txt", "sparse-text")
+    assert run_cli(["attack", "kkt", "--train-file", str(tmp_path / "tr.txt"),
+                    "--test-file", str(tmp_path / "te.txt"), "--defenses",
+                    "l2", "--grid-T", "1", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "kkt_seed0.json").read_text())
+    assert "domain" not in doc["config"]["dataset"]
+    dp = doc["dp"]
+    assert dp["domain"] == "nonneg_int" and dp["points"]
+    assert all(v == int(v) >= 0 for x, _, _ in dp["points"] for v in x)
+
+
+def test_file_dataset_without_test_file_exits_2_and_names_it(tmp_path, capsys):
+    tr = tmp_path / "tr.txt"
+    tr.write_text("+1 1:0.5\n-1 1:-0.5\n")
+    assert run_cli(["attack", "none", "--train-file", str(tr)]) == 2
+    assert "no test file" in capsys.readouterr().err
+
+
 def write_config(tmp_path, **fields):
     doc = {"dataset": {"kind": "synth", "seed": 3, "n": 150, "d": 3,
                        "mean_separation": 2.5, "class_balance": 0.5},

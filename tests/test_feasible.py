@@ -783,24 +783,6 @@ def test_collapse_respects_feasibility_check():
     assert not verify_collapse(tr, Dp, col, LossSpec.hinge(), 0.1, F=F_tiny)
 
 
-def test_feasible_set_json_round_trip(rng):
-    from poisonlab.rounding import LpConstraint
-    cc = ClassConstraints(ball=(np.array([1.0, 0.0]), 2.0),
-                          slab=(np.array([1.0, 0.5]), np.array([1.0, 0.0]), 0.8),
-                          halfspaces=(HalfSpace(np.array([0.3, -1.0]), 0.5),),
-                          nonneg=True,
-                          lp=LpConstraint(np.array([1.0, 2.0]), 2.0,
-                                          np.array([6, 6])))
-    cc2 = ClassConstraints(box=(0.0, 1.0))
-    F = FeasibleSet({1: cc, -1: cc2}, 2)
-    import json
-    F2 = FeasibleSet.from_obj(json.loads(json.dumps(F.to_obj())))
-    for _ in range(50):
-        x = rng.random(2) * 3.0
-        assert F.contains(x, 1) == F2.contains(x, 1)
-        assert F.contains(x, -1) == F2.contains(x, -1)
-
-
 def test_iterative_rounds_change_little_at_small_eps():
     # refitting the centroid statistics between rounds moves the result by a
     # few points at most at eps=3%

@@ -15,6 +15,7 @@ from poisonlab.harness import (
     dataset_to_obj,
     decoys_from_obj,
     decoys_to_obj,
+    load_experiment_data,
 )
 from poisonlab import Dataset, LossSpec, TrainConfig, gen_decoys, synth_gaussians
 
@@ -130,6 +131,22 @@ def test_cmd_collapse_verifies(tmp_path):
     assert rep["distinct_points"] <= 2
     assert rep["verified"] is True
     assert rep["total_weight"] <= rep["source_weight"] + 1e-9
+
+
+def test_cmd_collapse_follows_the_reports_objective(tmp_path):
+    from poisonlab.feasible import CollapsedAttack, verify_collapse
+    cfg = ExperimentConfig(dataset={"kind": "synth", "seed": 1, "n": 200,
+                                    "d": 3, "mean_separation": 2.5},
+                           attack="influence", defenses=("l2",), seed=1,
+                           output_dir=str(tmp_path))
+    assert cfg.objective == "mean"
+    doc = cmd_attack(cfg)
+    rep = cmd_collapse(doc)
+    assert rep["verified"] is True
+    D_c, _ = load_experiment_data(cfg)
+    collapsed = CollapsedAttack(dataset_from_obj(rep["collapsed"]))
+    assert verify_collapse(D_c, dataset_from_obj(doc["dp"]), collapsed,
+                           cfg.loss_spec(), cfg.lam, objective="mean")
 
 
 def test_cmd_collapse_tampered_weights_fail(tmp_path):

@@ -5,7 +5,7 @@ from poisonlab import Dataset, InfluenceConfig, LossSpec, ModelParams, TrainConf
 from poisonlab import run_influence, synth_gaussians, train, union
 from poisonlab.influence import test_gradient as mean_test_gradient
 from poisonlab.feasible import ball_only_feasible, build_feasible_set
-from poisonlab.influence import influence_gradient, init_label_flip
+from poisonlab.influence import _poison_gradients, influence_gradient, init_label_flip
 from poisonlab.models import avg_loss, grad_point
 
 
@@ -86,6 +86,32 @@ def test_influence_gradient_matches_retraining_fd():
         fm, _ = test_loss_at(x0 - e)
         fd = (fp - fm) / (2 * h)
         assert g[k] == pytest.approx(fd, rel=2e-3, abs=1e-8)
+
+
+@pytest.mark.parametrize("objective", ["mean", "sum"])
+def test_ascent_gradient_matches_retraining_fd(objective, monkeypatch):
+    # the gradient the ascent steps along, for one poison point of weight 6,
+    # against central differences of the retrained test loss
+    monkeypatch.setattr(TrainConfig, "tol", 1e-12)
+    loss = LossSpec.logistic()
+    cfg = TrainConfig(lam=0.1, objective=objective)
+    tr, te = synth_gaussians(5, 200, 4, 2.0)
+    x0, y0 = tr.X[0].copy(), -tr.y[0]
+
+    def poison(x):
+        return Dataset.from_points(x[None, :], [y0], [6.0])
+
+    def test_loss_at(x):
+        return avg_loss(train(union(tr, poison(x)), loss, cfg), te, loss)
+
+    D = union(tr, poison(x0))
+    theta = train(D, loss, cfg)
+    g_test = mean_test_gradient(theta, te, loss)
+    (g,), _ = _poison_gradients(theta, D, poison(x0), g_test, cfg, loss)
+    h = 1e-5
+    fd = np.array([(test_loss_at(x0 + e) - test_loss_at(x0 - e)) / (2 * h)
+                   for e in h * np.eye(4)])
+    assert np.linalg.norm(g - fd) <= 1e-3 * np.linalg.norm(fd)
 
 
 def test_init_label_flip_budget_and_feasibility():

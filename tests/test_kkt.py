@@ -4,7 +4,7 @@ import pytest
 from poisonlab import Dataset, DecoyParams, LossSpec, ModelParams, TrainConfig
 from poisonlab import clean_gradient, gen_decoys, kkt_solve, run_kkt, synth_gaussians, train, union
 from poisonlab.feasible import ball_only_feasible, build_feasible_set
-from poisonlab.kkt import decoy_loss_caps, effective_lambda, pareto_prune
+from poisonlab.kkt import decoy_loss_caps, pareto_prune
 from poisonlab.models import avg_loss, test_error_01 as zero_one_error
 
 
@@ -140,8 +140,9 @@ def test_kkt_stationarity_retraining_reproduces_decoy(rng):
                            {1: 300.0, -1: 300.0}, 5)
     n = tr.total_weight
     ep, em = 0.03, 0.02
+    # run_kkt's residual lambda: the mean-form one over n (1 + eps), times 1 + eps
     xp, xm, obj = kkt_solve(gDc, th_d, ep, em, F,
-                            effective_lambda(lam_sum, 0.05, "sum", n))
+                            cfg.mean_lam(n * 1.05) * 1.05)
     assert obj <= 1e-10
     Dp = Dataset.from_points(np.array([xp, xm]), [1.0, -1.0],
                              [ep * n, em * n])

@@ -245,6 +245,17 @@ def test_sgd_deterministic_given_seed():
     np.testing.assert_array_equal(a, b)
 
 
+def test_sgd_sum_objective_is_mean_objective_at_lambda_over_weight():
+    tr, _ = synth_gaussians(4, 200, 3, 3.0)
+    tr = tr.with_weights(np.linspace(0.5, 2.0, tr.n))
+    lam = 0.3
+    s = train_sgd_single_pass(tr, LossSpec.hinge(),
+                              TrainConfig(lam=lam, objective="sum", seed=11))
+    m = train_sgd_single_pass(tr, LossSpec.hinge(),
+                              TrainConfig(lam=lam / tr.total_weight, seed=11))
+    np.testing.assert_array_equal(s.theta, m.theta)
+
+
 def test_sgd_close_to_batch_on_big_synth():
     tr, te = synth_gaussians(21, 5000, 10, 3.0)
     cfg = TrainConfig(lam=0.05, eta0=0.1, seed=0)

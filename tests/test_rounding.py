@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisonlab import Dataset, InputDomain, expected_sq_distance, f_piecewise, lp_constraint_atoms, repeat_round, round_point
+from poisonlab import Dataset, InputDomain, LpConstraint, expected_sq_distance, f_piecewise, repeat_round, round_point
 from poisonlab.feasible import ClassConstraints, FeasibleSet
 from poisonlab.rounding import default_K, f_max_of_lines, round_poison
 
@@ -107,7 +107,7 @@ def test_round_unbiasedness_binomial_bound():
 
 def test_lp_membership_matches_direct_check():
     mu = np.array([1.0, 2.0])
-    C = lp_constraint_atoms(mu, 2.0, np.array([6, 6]))
+    C = LpConstraint(mu, 2.0, np.array([6, 6]))
     g = np.linspace(0.0, 5.0, 101)
     for a in g[::10]:
         for b in g[::10]:
@@ -117,7 +117,7 @@ def test_lp_membership_matches_direct_check():
 
 def test_lp_epigraph_tight_at_active_piece():
     # at any x the k = floor(x) line attains f exactly
-    C = lp_constraint_atoms(np.zeros(1), 10.0, np.array([8]))
+    C = LpConstraint(np.zeros(1), 10.0, np.array([8]))
     for x in (0.25, 1.0, 3.7, 6.999):
         lines = C.line_atoms(0)
         vals = [s * x + b for s, b in lines]
@@ -128,7 +128,7 @@ def test_lp_g_value_matches_loop(rng):
     # closed form against the per-coordinate max of lines: random points in
     # and beyond [0, K], integer points, and points below 0
     K = np.array([0, 1, 3, 6, 6, 10])
-    C = lp_constraint_atoms(rng.random(6) * 3.0, 2.0, K)
+    C = LpConstraint(rng.random(6) * 3.0, 2.0, K)
     pts = [rng.random(6) * 12.0 for _ in range(200)]
     pts += [rng.integers(0, 12, 6).astype(float) for _ in range(100)]
     pts += [rng.standard_normal(6) for _ in range(50)]
@@ -138,7 +138,7 @@ def test_lp_g_value_matches_loop(rng):
 
 def test_lp_huge_tau_inactive(rng):
     mu = rng.random(3) * 2.0
-    C = lp_constraint_atoms(mu, 1e6, np.array([5, 5, 5]))
+    C = LpConstraint(mu, 1e6, np.array([5, 5, 5]))
     for _ in range(20):
         x = rng.random(3) * 4.0
         assert C.contains(x)
@@ -147,7 +147,7 @@ def test_lp_huge_tau_inactive(rng):
 
 def test_lp_projection_feasible_and_optimal_vs_grid(rng):
     mu = np.array([1.0, 2.0])
-    C = lp_constraint_atoms(mu, 2.0, np.array([6, 6]))
+    C = LpConstraint(mu, 2.0, np.array([6, 6]))
     g = np.linspace(0.0, 5.0, 401)
     G = np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2)
     member = f_piecewise(G).sum(axis=1) - 2.0 * G @ mu + mu @ mu <= 4.0
@@ -162,7 +162,7 @@ def test_lp_projection_feasible_and_optimal_vs_grid(rng):
 def test_lp_feasible_x_keeps_monte_carlo_expectation(rng):
     mu = np.array([0.5, 1.0])
     tau = 1.8
-    C = lp_constraint_atoms(mu, tau, np.array([6, 6]))
+    C = LpConstraint(mu, tau, np.array([6, 6]))
     x = lp_project(C, np.array([1.9, 2.4]))
     draws = np.array([round_point(x, s) for s in range(4000)])
     emp = np.mean(np.sum((draws - mu) ** 2, axis=1))

@@ -26,3 +26,27 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
+
+
+def objective_name_comparisons(path: Path) -> list[int]:
+    """Lines of the module's comparisons with the string "mean" or "sum",
+    bare or inside a tuple, list or set."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Compare):
+            continue
+        for side in (node.left, *node.comparators):
+            items = (side.elts if isinstance(side, (ast.Tuple, ast.List, ast.Set))
+                     else [side])
+            if any(isinstance(e, ast.Constant) and e.value in ("mean", "sum")
+                   for e in items):
+                hits.append(node.lineno)
+    return hits
+
+
+def test_only_models_compares_with_objective_names():
+    # models.py holds the objective's lambda rule (TrainConfig.mean_lam and
+    # train_with_duals' norm); every other module asks it
+    found = {p.name: objective_name_comparisons(p) for p in MODULES
+             if p.name != "models.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
