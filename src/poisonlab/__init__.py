@@ -12,7 +12,7 @@ from .feasible import (
     verify_collapse,
 )
 from .influence import InfluenceConfig, influence_gradient, run_influence, test_gradient
-from .kkt import DecoyParams, clean_gradient, gen_decoys, kkt_solve, run_kkt
+from .kkt import DecoyParams, clean_gradient, gen_decoys, kkt_solve, run_kkt, support_vector_set
 from .minmax import max_loss_point, run_minmax, run_minmax_basic
 from .models import (
     LossSpec,
@@ -74,6 +74,7 @@ __all__ = [
     "sanitize",
     "save_dataset",
     "score",
+    "support_vector_set",
     "synth_gaussians",
     "test_error_01",
     "test_gradient",

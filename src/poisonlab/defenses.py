@@ -57,6 +57,7 @@ class DefenseKind:
     kind: str
     lam: float = 0.1                              # loss defense
     loss: LossSpec = field(default_factory=LossSpec.hinge)  # loss defense
+    objective: str = "mean"                       # loss defense
     frob_target: float = 0.05                     # svd defense
     k: int = 5                                    # knn defense
 
@@ -77,8 +78,12 @@ class DefenseKind:
         return DefenseKind(SLAB)
 
     @staticmethod
-    def loss_defense(lam: float, loss: LossSpec | None = None) -> "DefenseKind":
-        return DefenseKind(LOSS, lam=lam, loss=loss or LossSpec.hinge())
+    def loss_defense(lam: float, loss: LossSpec | None = None,
+                     objective: str = "mean") -> "DefenseKind":
+        """The loss defense whose detector trains like the defender: loss
+        and lambda under the given objective (see ``TrainConfig``)."""
+        return DefenseKind(LOSS, lam=lam, loss=loss or LossSpec.hinge(),
+                           objective=objective)
 
     @staticmethod
     def svd(frob_target: float = 0.05) -> "DefenseKind":
@@ -114,13 +119,18 @@ def class_centroids(D: Dataset) -> dict:
     return out
 
 
-def fit_detector(kind: DefenseKind, D: Dataset) -> DetectorParams:
+def fit_detector(kind: DefenseKind, D: Dataset,
+                 start: ModelParams | None = None) -> DetectorParams:
+    """Detector parameters fitted on D; ``start`` is the loss defense's
+    training start (see ``models.train``) and is ignored by the others."""
     if D.n == 0:
         raise DefenseError("cannot fit a detector on an empty dataset")
     if kind.kind in (L2, SLAB):
         return DetectorParams(kind.kind, centroids=class_centroids(D))
     if kind.kind == LOSS:
-        model = train(D, kind.loss, TrainConfig(lam=kind.lam))
+        model = train(D, kind.loss,
+                      TrainConfig(lam=kind.lam, objective=kind.objective),
+                      start=start)
         return DetectorParams(LOSS, model=model)
     if kind.kind == SVD:
         # weights act as multiplicities: spectrum of sqrt(w)-scaled rows
@@ -275,14 +285,19 @@ def sanitize(D: Dataset, kind: DefenseKind, beta: DetectorParams,
     return D.subset(_keep(score_dataset(kind, beta, D, training=True), D, tau))
 
 
-def defend(D_c: Dataset, D_p: Dataset, kind: DefenseKind, p: float):
+def defend(D_c: Dataset, D_p: Dataset, kind: DefenseKind, p: float,
+           models: dict | None = None):
     """The defender's sanitize step: fit beta on D = D_c u D_p, score D once,
-    and derive tau and the kept set from those scores.
+    and derive tau and the kept set from those scores.  ``models``: see
+    ``defend_and_train`` (its "detector" entry).
 
     Returns (D, D_san, tau); raises DefenseError when the kept set is empty or
     single-class."""
     D = union(D_c, D_p)
-    beta = fit_detector(kind, D)
+    models = {} if models is None else models
+    beta = fit_detector(kind, D, models.get("detector"))
+    if beta.model is not None:
+        models["detector"] = beta.model
     scores = score_dataset(kind, beta, D, training=True)
     tau = _thresholds(scores, D, p)
     D_san = D.subset(_keep(scores, D, tau))
@@ -294,13 +309,22 @@ def defend(D_c: Dataset, D_p: Dataset, kind: DefenseKind, p: float):
 
 
 def defend_and_train(D_c: Dataset, D_p: Dataset, kind: DefenseKind, p: float,
-                     loss: LossSpec, config: TrainConfig):
+                     loss: LossSpec, config: TrainConfig,
+                     models: dict | None = None):
     """Full defender pipeline: ``defend``, then train on the kept set.
+
+    ``models``, when given, carries this defense's models from one call to
+    the next, such as the previous split of an attack's grid: the loss
+    detector's and the defender's training start from its "detector" and
+    "theta" entries where present (see ``models.train``), and the call stores
+    its own models there.  Results do not depend on it.
 
     Returns (theta_hat, err_fn, report); err_fn maps a test set to 0-1 error.
     """
-    D, D_san, tau = defend(D_c, D_p, kind, p)
-    theta = train(D_san, loss, config)
+    models = {} if models is None else models
+    D, D_san, tau = defend(D_c, D_p, kind, p, models)
+    theta = models["theta"] = train(D_san, loss, config,
+                                    start=models.get("theta"))
     report = {
         "defense": kind.kind,
         "p": p,

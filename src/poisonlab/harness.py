@@ -70,7 +70,8 @@ class ExperimentConfig:
         out = []
         for name in self.defenses:
             if name == "loss":
-                out.append(DefenseKind.loss_defense(self.lam, self.loss_spec()))
+                out.append(DefenseKind.loss_defense(self.lam, self.loss_spec(),
+                                                    self.objective))
             else:
                 out.append(DefenseKind(name))
         return out

@@ -128,20 +128,26 @@ def decoy_loss_caps(D_c: Dataset, theta_decoy: ModelParams, loss: LossSpec,
             for lab in (1, -1)}
 
 
+def support_vector_set(F: FeasibleSet, theta_decoy: ModelParams) -> FeasibleSet:
+    """F with each class's support-vector cap, margin y theta_decoy^T x <= 1:
+    the set ``kkt_solve`` searches.  Build it once per decoy, so that each
+    class's face table is factored once for all of the decoy's splits."""
+    th = theta_decoy.theta
+    return (F.with_halfspace(1, HalfSpace(th, 1.0))
+             .with_halfspace(-1, HalfSpace(-th, 1.0)))
+
+
 def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: float,
-              eps_minus: float, F: FeasibleSet, lam_eff: float):
+              eps_minus: float, F_sv: FeasibleSet, lam_eff: float):
     """Minimize ||gDc - eps+ x+ + eps- x- + lam_eff * theta_decoy||^2 over
-    feasible support-vector points (margin <= 1 for each), by accelerated
-    projected gradient.  Returns (x_plus, x_minus, objective)."""
+    the points of F_sv, ``support_vector_set(F, theta_decoy)``, by
+    accelerated projected gradient.  Returns (x_plus, x_minus, objective)."""
     if eps_plus < 0 or eps_minus < 0:
         raise ValueError("class budgets must be non-negative")
     th = theta_decoy.theta
     d = len(th)
-    Fp = F.with_halfspace(1, HalfSpace(th, 1.0))
-    Fm = F.with_halfspace(-1, HalfSpace(-th, 1.0))
-
-    x_p = Fp.project(F.for_label(1).anchor(d), 1)
-    x_m = Fm.project(F.for_label(-1).anchor(d), -1)
+    x_p = F_sv.project(F_sv.for_label(1).anchor(d), 1)
+    x_m = F_sv.project(F_sv.for_label(-1).anchor(d), -1)
 
     def residual(xp, xm):
         return gDc - eps_plus * xp + eps_minus * xm + lam_eff * th
@@ -160,8 +166,8 @@ def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: float,
         r = residual(zp, zm)
         gp = -2.0 * eps_plus * r
         gm = 2.0 * eps_minus * r
-        xp_new = Fp.project(zp - step * gp, 1) if eps_plus > 0 else x_p
-        xm_new = Fm.project(zm - step * gm, -1) if eps_minus > 0 else x_m
+        xp_new = F_sv.project(zp - step * gp, 1) if eps_plus > 0 else x_p
+        xm_new = F_sv.project(zm - step * gm, -1) if eps_minus > 0 else x_m
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc ** 2))
         beta = (t_acc - 1.0) / t_new
         zp = xp_new + beta * (xp_new - x_p)
@@ -190,7 +196,11 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
     highest test error (min over defenses when any are supplied; ties resolve
     to the lower decoy index).  A (decoy, split) subproblem whose feasible
     set is empty is skipped and recorded in ``decoy_provenance["skipped"]``;
-    InfeasibleSetError is raised only when every subproblem was skipped."""
+    InfeasibleSetError is raised only when every subproblem was skipped.
+
+    Within a decoy, each split's retrains (with defenses: each defense's
+    detector and defender) start from the previous split's models, which
+    differ only in the poison split; results do not depend on it."""
     if not decoys:
         raise ValueError("need at least one decoy")
     started = time.perf_counter()
@@ -204,14 +214,15 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
     trajectory = []
     skipped = []
     for di, decoy in enumerate(decoys):
-        F = F_builder(decoy)
+        F_sv = support_vector_set(F_builder(decoy), decoy.theta_decoy)
         gDc = clean_gradient(decoy.theta_decoy, D_c, loss)
+        theta, models = None, {}  # the previous split's models
         for t in range(T + 1):
             eps_p = t * epsilon / T
             eps_m = epsilon - eps_p
             try:
                 x_p, x_m, obj = kkt_solve(gDc, decoy.theta_decoy, eps_p, eps_m,
-                                          F, lam_eff)
+                                          F_sv, lam_eff)
             except InfeasibleSetError as exc:
                 skipped.append({"decoy_index": di, "eps_plus": eps_p,
                                 "reason": str(exc)})
@@ -227,10 +238,10 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
             if defenses_for_eval:
                 errs, reports = evaluate_against_defenses(
                     D_c, dp, D_test, list(defenses_for_eval), p, loss, config,
-                    return_reports=True)
+                    return_reports=True, models=models)
                 score = min(errs.values())
             else:
-                theta = train(union(D_c, dp), loss, config)
+                theta = train(union(D_c, dp), loss, config, start=theta)
                 errs, reports = {}, []
                 score = test_error_01(theta, D_test)
             trajectory.append((time.perf_counter() - started, score))

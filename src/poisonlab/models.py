@@ -190,6 +190,7 @@ def objective_value(theta: np.ndarray, D: Dataset, loss: LossSpec, lam: float,
 _MARGIN_BAND = 1e-9  # the closer leaves margins within 1e-10 (1 + |m|) of 1
 _KKT_TOL = 1e-10     # relative slack of the closer's margin tests
 _CLOSER_ROUNDS = 4   # closer rounds per point and dimension, at most
+_SMOOTHING_LEVELS = (0.3, 0.03, 0.003)  # the continuation's deltas
 
 
 def _hinge_witness(theta, alpha, X, y, w, lam):
@@ -256,14 +257,20 @@ def _hinge_closer(theta, Z, w, lam, delta):
     return Z.T @ alpha / lam, alpha
 
 
-def _train_hinge_sum(X, y, w, lam, tol):
-    """Smoothing continuation at delta = 0.3, 0.03, 0.003, then the closer;
-    returns (theta, alpha) only where the witness norm meets tol."""
-    theta = np.zeros(X.shape[1])
-    for delta in (0.3, 0.03, 0.003):
-        theta = _train_smooth(X, y, w, LossSpec(SMOOTHED_HINGE, delta), lam,
-                              1e-10, 1.0, x0=theta, strict=False)
-    theta, alpha = _hinge_closer(theta, X * y[:, None], w, lam, delta)
+def _train_hinge_sum(X, y, w, lam, tol, start=None):
+    """Smoothing continuation at delta = 0.3, 0.03, 0.003 from zero, then the
+    closer; given a start theta, the closer alone, from that theta at the
+    last level's band.  Returns (theta, alpha) only where the witness norm
+    meets tol."""
+    if start is None:
+        theta = np.zeros(X.shape[1])
+        for delta in _SMOOTHING_LEVELS:
+            theta = _train_smooth(X, y, w, LossSpec(SMOOTHED_HINGE, delta), lam,
+                                  1e-10, 1.0, x0=theta, strict=False)
+    else:
+        theta = start
+    theta, alpha = _hinge_closer(theta, X * y[:, None], w, lam,
+                                 _SMOOTHING_LEVELS[-1])
     r = float(np.linalg.norm(_hinge_witness(theta, alpha, X, y, w, lam)))
     target = tol * (1.0 + np.linalg.norm(theta))
     if r <= target:
@@ -325,21 +332,31 @@ def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
     return theta
 
 
-def train_with_duals(D: Dataset, loss: LossSpec, config: TrainConfig):
+def train_with_duals(D: Dataset, loss: LossSpec, config: TrainConfig,
+                     start: ModelParams | None = None):
     """Train and also return per-point gradient scales gamma in [0,1]:
     the coefficient such that the point's gradient contribution at theta-hat
     is gamma_i * w_i * (-y_i x_i).  For the hinge these come from the dual
     solution (needed at margins exactly 1); for smooth losses gamma = c'(s).
+
+    ``start`` (hinge only; smooth losses ignore it) skips the smoothing
+    continuation: the exact closer runs from that theta.  The witness check
+    is the same, so the result does not depend on the start; its speed does,
+    since the closer is fast only from a near start, such as the model of a
+    slightly different training set.
     """
     if D.n == 0 or D.total_weight <= 0:
         raise ValueError("cannot train on an empty dataset")
     if config.lam <= 0:
         raise ValueError("lambda must be positive")
+    if start is not None and start.d != D.d:
+        raise ValueError(f"start has dimension {start.d}, data {D.d}")
     mask = D.w > 0
     X, y, w = D.X[mask], D.y[mask], D.w[mask]
     norm = D.total_weight if config.objective == "mean" else 1.0
     if loss.kind == HINGE:
-        theta, alpha = _train_hinge_sum(X, y, w, config.lam * norm, config.tol)
+        theta, alpha = _train_hinge_sum(X, y, w, config.lam * norm, config.tol,
+                                        None if start is None else start.theta)
         gamma = np.zeros(D.n)
         gamma[mask] = alpha / w
     else:
@@ -349,11 +366,12 @@ def train_with_duals(D: Dataset, loss: LossSpec, config: TrainConfig):
     return ModelParams(theta), gamma
 
 
-def train(D: Dataset, loss: LossSpec, config: TrainConfig) -> ModelParams:
+def train(D: Dataset, loss: LossSpec, config: TrainConfig,
+          start: ModelParams | None = None) -> ModelParams:
     """Deterministic batch training to the configured tolerance: on return a
     member of the full-objective subgradient set at theta-hat has norm at
-    most tol * (1 + ||theta-hat||)."""
-    return train_with_duals(D, loss, config)[0]
+    most tol * (1 + ||theta-hat||).  ``start``: see ``train_with_duals``."""
+    return train_with_duals(D, loss, config, start)[0]
 
 
 def train_sgd_single_pass(D: Dataset, loss: LossSpec, config: TrainConfig) -> ModelParams:

@@ -52,20 +52,26 @@ def evaluate_against_defenses(
     loss: LossSpec,
     config: TrainConfig,
     return_reports: bool = False,
+    models: dict | None = None,
 ):
-    """Test error per defense, each refit on D_c u D_p (the defender's view)."""
+    """Test error per defense, each refit on D_c u D_p (the defender's view).
+    ``models``, when given, maps each defense's name to the models dict its
+    ``defend_and_train`` reads and updates (missing entries start empty)."""
+    models = {} if models is None else models
+    slots = [models.setdefault(k.kind, {}) for k in defenses]
 
-    def one(kind: DefenseKind):
-        _, err_fn, report = defend_and_train(D_c, D_p, kind, p, loss, config)
+    def one(kind: DefenseKind, slot: dict):
+        _, err_fn, report = defend_and_train(D_c, D_p, kind, p, loss, config,
+                                             slot)
         report = dict(report, test_error=err_fn(D_test))
         return kind.kind, report
 
     workers = worker_count()
     if workers > 1 and len(defenses) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            pairs = list(ex.map(one, defenses))
+            pairs = list(ex.map(one, defenses, slots))
     else:
-        pairs = [one(k) for k in defenses]
+        pairs = [one(k, slot) for k, slot in zip(defenses, slots)]
     errors = {name: rep["test_error"] for name, rep in pairs}
     if return_reports:
         return errors, [rep for _, rep in pairs]

@@ -24,6 +24,7 @@ from poisonlab import (
     run_kkt,
     run_minmax,
     run_minmax_basic,
+    support_vector_set,
     synth_gaussians,
     train,
     union,
@@ -234,7 +235,7 @@ def test_criterion_7_kkt_stationarity():
         ep, em = 0.03, 0.02
         n = tr.total_weight
         scale = 1.0 + ep + em
-        xp, xm, obj = kkt_solve(gDc, th_d, ep, em, F,
+        xp, xm, obj = kkt_solve(gDc, th_d, ep, em, support_vector_set(F, th_d),
                                 cfg.mean_lam(n * scale) * scale)
         if obj <= 1e-10:
             solved += 1

@@ -65,6 +65,27 @@ def test_loss_detector_separable_near_zero_loss():
     assert avg_loss(beta.model, tr, kind.loss) < 0.05
 
 
+def test_loss_detector_trains_under_the_defenders_objective():
+    # the detector is the defender's model on the unsanitized data: under
+    # "sum" it fits the sum form at lambda, not the mean form, and the
+    # harness hands the config's objective on
+    from poisonlab.harness import ExperimentConfig
+    tr, _ = synth_gaussians(3, 200, 3, 2.0)
+    loss = LossSpec.hinge()
+    thetas = {}
+    for objective in ("mean", "sum"):
+        kind = DefenseKind.loss_defense(0.1, loss, objective)
+        thetas[objective] = fit_detector(kind, tr).model.theta
+        np.testing.assert_array_equal(
+            thetas[objective],
+            train(tr, loss, TrainConfig(lam=0.1, objective=objective)).theta)
+    assert np.linalg.norm(thetas["sum"] - thetas["mean"]) > 0.1
+    assert DefenseKind.loss_defense(0.1).objective == "mean"
+    for objective in ("mean", "sum"):
+        kinds = ExperimentConfig(objective=objective).defense_kinds()
+        assert [k.objective for k in kinds if k.kind == "loss"] == [objective]
+
+
 def test_score_l2():
     D = two_class([[1.0, 0.0]], [[-1.0, 0.0]])
     beta = fit_detector(DefenseKind.l2(), D)

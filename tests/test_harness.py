@@ -192,9 +192,9 @@ def test_attack_json_carries_defense_reports(tmp_path, monkeypatch):
     fits = []
     real = defenses.fit_detector
 
-    def counting(kind, D):
+    def counting(kind, D, start=None):
         fits.append(kind.kind)
-        return real(kind, D)
+        return real(kind, D, start)
 
     monkeypatch.setattr(defenses, "fit_detector", counting)
     doc = cmd_attack(small_config("none", output_dir=str(tmp_path)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from poisonlab import Dataset, DecoyParams, LossSpec, ModelParams, TrainConfig
-from poisonlab import clean_gradient, gen_decoys, kkt_solve, run_kkt, synth_gaussians, train, union
+from poisonlab import clean_gradient, gen_decoys, kkt_solve, run_kkt, support_vector_set, synth_gaussians, train, union
 from poisonlab.feasible import ball_only_feasible, build_feasible_set
 from poisonlab.kkt import decoy_loss_caps, pareto_prune
 from poisonlab.models import avg_loss, test_error_01 as zero_one_error
@@ -74,7 +74,7 @@ def test_kkt_solve_exact_cancellation():
                            {1: 100.0, -1: 100.0}, 2)
     th = ModelParams(np.array([0.0, 0.1]))
     gDc = np.array([1.0, 0.0])
-    xp, xm, obj = kkt_solve(gDc, th, 1.0, 0.0, F, 0.0)
+    xp, xm, obj = kkt_solve(gDc, th, 1.0, 0.0, support_vector_set(F, th), 0.0)
     assert obj <= 1e-10
     np.testing.assert_allclose(xp, [1.0, 0.0], atol=1e-5)
 
@@ -85,10 +85,10 @@ def test_kkt_solve_zero_budgets_deterministic_centers():
     th = ModelParams(np.array([0.1, 0.0]))
     gDc = np.array([0.3, -0.2])
     lam_eff = 0.05
-    xp, xm, obj = kkt_solve(gDc, th, 0.0, 0.0, F, lam_eff)
+    xp, xm, obj = kkt_solve(gDc, th, 0.0, 0.0, support_vector_set(F, th), lam_eff)
     r = gDc + lam_eff * th.theta
     assert obj == pytest.approx(float(np.dot(r, r)))
-    xp2, xm2, _ = kkt_solve(gDc, th, 0.0, 0.0, F, lam_eff)
+    xp2, xm2, _ = kkt_solve(gDc, th, 0.0, 0.0, support_vector_set(F, th), lam_eff)
     np.testing.assert_array_equal(xp, xp2)
 
 
@@ -97,7 +97,8 @@ def test_kkt_solve_support_vector_constraints_hold():
     F = build_feasible_set(tr, 0.05)
     th = train(tr, LossSpec.hinge(), TrainConfig(lam=0.1))
     gDc = clean_gradient(th, tr, LossSpec.hinge())
-    xp, xm, obj = kkt_solve(gDc, th, 0.02, 0.01, F, 0.1 * 1.03)
+    xp, xm, obj = kkt_solve(gDc, th, 0.02, 0.01, support_vector_set(F, th),
+                            0.1 * 1.03)
     assert 1.0 - float(th.theta @ xp) >= -1e-8
     assert 1.0 + float(th.theta @ xm) >= -1e-8
 
@@ -110,7 +111,7 @@ def test_kkt_solve_matches_grid_oracle():
     th = ModelParams(np.array([0.5, 0.5]))
     gDc = np.array([0.9, 1.4])
     ep, em, lam_eff = 0.6, 0.4, 0.2
-    xp, xm, obj = kkt_solve(gDc, th, ep, em, F, lam_eff)
+    xp, xm, obj = kkt_solve(gDc, th, ep, em, support_vector_set(F, th), lam_eff)
     for x, c, y in ((xp, c_p, 1.0), (xm, c_m, -1.0)):
         assert np.linalg.norm(x - c) == pytest.approx(1.0, abs=1e-6)
         assert y * (th.theta @ x) == pytest.approx(1.0, abs=1e-6)
@@ -141,7 +142,7 @@ def test_kkt_stationarity_retraining_reproduces_decoy(rng):
     n = tr.total_weight
     ep, em = 0.03, 0.02
     # run_kkt's residual lambda: the mean-form one over n (1 + eps), times 1 + eps
-    xp, xm, obj = kkt_solve(gDc, th_d, ep, em, F,
+    xp, xm, obj = kkt_solve(gDc, th_d, ep, em, support_vector_set(F, th_d),
                             cfg.mean_lam(n * 1.05) * 1.05)
     assert obj <= 1e-10
     Dp = Dataset.from_points(np.array([xp, xm]), [1.0, -1.0],
@@ -222,3 +223,59 @@ def test_run_kkt_all_subproblems_infeasible_raises(decoy_pair):
     with pytest.raises(InfeasibleSetError, match="8 skipped"):
         run_kkt(tr, te, 0.03, [empty, empty], _capped_F_builder(tr), T=3,
                 loss=LossSpec.hinge(), config=TrainConfig(lam=0.1))
+
+
+@pytest.mark.parametrize("defended, workers", [(False, 1), (True, 1), (True, 2)],
+                         ids=["undefended", "defended", "defended-2-workers"])
+def test_run_kkt_warm_split_grid_equals_cold_recomputation(monkeypatch, defended,
+                                                           workers):
+    # each split's retrains start from the previous split's models (with two
+    # workers, each defense's thread carries its own); the same grid with
+    # every hinge train cold gives the same poison, provenance, trajectory
+    # scores and battery
+    from poisonlab import DefenseKind, models
+    monkeypatch.setenv("POISONLAB_WORKERS", str(workers))
+    tr, te = synth_gaussians(16, 150, 3, 2.5)
+    loss = LossSpec.hinge()
+    cfg = TrainConfig(lam=0.1)
+    decoys = gen_decoys(tr, te, loss, 0.1, r_grid=(1, 3), q_grid=(0.2, 0.4))
+    kinds = ([DefenseKind.l2(), DefenseKind.loss_defense(0.1), DefenseKind.knn()]
+             if defended else [])
+
+    def F_builder(d):
+        caps = decoy_loss_caps(tr, d.theta_decoy, loss, 0.05)
+        return build_feasible_set(tr, 0.05, decoy=(d.theta_decoy, loss, caps))
+
+    real = models._train_hinge_sum
+    starts = []
+    drop_starts = False
+
+    def recorded(X, y, w, lam, tol, start=None):
+        starts.append(start is not None)
+        return real(X, y, w, lam, tol, None if drop_starts else start)
+
+    monkeypatch.setattr(models, "_train_hinge_sum", recorded)
+    runs = {}
+    for drop_starts in (False, True):
+        starts.clear()
+        runs[drop_starts] = run_kkt(tr, te, 0.03, decoys, F_builder, T=3,
+                                    defenses_for_eval=kinds, loss=loss,
+                                    config=cfg)
+        # every split after a decoy's first passes the previous split's
+        # models (defended: each defense's, and the loss detector's); the
+        # cold run drops them
+        assert sum(starts) == len(decoys) * 3 * (len(kinds) + 1 if defended else 1)
+    warm, cold = runs[False], runs[True]
+    for field in ("X", "y", "w"):
+        np.testing.assert_array_equal(getattr(warm.dp, field), getattr(cold.dp, field))
+    assert warm.decoy_provenance == cold.decoy_provenance
+    assert [s for _, s in warm.trajectory] == [s for _, s in cold.trajectory]
+    assert warm.per_defense == cold.per_defense
+    assert warm.min_over_defense == cold.min_over_defense
+    # the loss detector's thresholds agree to the training certificate
+    taus = ("tau_plus", "tau_minus")
+    for a, b in zip(warm.defense_reports, cold.defense_reports, strict=True):
+        assert {k: v for k, v in a.items() if k not in taus} == \
+            {k: v for k, v in b.items() if k not in taus}
+        assert [a[k] for k in taus] == pytest.approx([b[k] for k in taus],
+                                                      rel=1e-12)

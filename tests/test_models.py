@@ -139,6 +139,16 @@ def hinge_kkt_violators(D, theta, gamma):
                           | ((gamma == 0.0) & (D.w > 0.0) & (m < 1.0 - tol)))
 
 
+def assert_hinge_certified(D, cfg, theta, gamma):
+    """train()'s witness-norm certificate, from the returned duals, and the
+    hinge KKT conditions they meet."""
+    norm = D.total_weight if cfg.objective == "mean" else 1.0
+    th = theta.theta
+    witness = cfg.lam * th - D.X.T @ (gamma * D.w * D.y) / norm
+    assert np.linalg.norm(witness) <= cfg.tol * (1.0 + np.linalg.norm(th))
+    assert hinge_kkt_violators(D, theta, gamma).size == 0
+
+
 def test_hinge_duals_meet_kkt_conditions():
     # criterion 1's instances: small sum-objective problems whose smoothed
     # margins put points on the wrong side of margin 1
@@ -207,16 +217,47 @@ def test_hinge_closes_on_sanitized_minmax_sets():
         for cfg in (TrainConfig(lam=0.1),
                     TrainConfig(lam=0.1 * S.total_weight, objective="sum")):
             theta, gamma = train_with_duals(S, loss, cfg)
-            th = theta.theta
-            norm = S.total_weight if cfg.objective == "mean" else 1.0
-            witness = cfg.lam * th - S.X.T @ (gamma * S.w * S.y) / norm
-            assert np.linalg.norm(witness) <= cfg.tol * (1.0 + np.linalg.norm(th))
-            assert hinge_kkt_violators(S, theta, gamma).size == 0
-            thetas[cfg.objective] = th
+            assert_hinge_certified(S, cfg, theta, gamma)
+            thetas[cfg.objective] = theta.theta
         np.testing.assert_allclose(
             thetas["mean"], thetas["sum"],
             atol=1e-6 * (1.0 + np.linalg.norm(thetas["sum"])))
     assert time.perf_counter() - started < 60.0
+
+
+@pytest.mark.parametrize("objective", ["mean", "sum"])
+def test_hinge_warm_start_matches_cold_train(objective):
+    # the closer alone, from a near start (the model before two heavy poison
+    # points were added) and from far ones (zero; the clean model on a set
+    # with 40% of its labels flipped), lands on the cold continuation's
+    # optimum and passes the same certificate
+    cfg = TrainConfig(lam=0.1, objective=objective)
+    loss = LossSpec.hinge()
+    for seed in range(3):
+        tr, te = synth_gaussians(seed, 300, 5, 2.0)
+        clean = train(tr, loss, cfg)
+        poisoned = union(tr, Dataset(2.0 * te.X[:2], -te.y[:2],
+                                     np.array([4.0, 5.0])))
+        flips = np.random.default_rng(seed).random(tr.n) < 0.4
+        flipped = Dataset(tr.X, np.where(flips, -tr.y, tr.y), tr.w)
+        for D, start in ((poisoned, clean), (tr, ModelParams(np.zeros(tr.d))),
+                         (flipped, clean)):
+            cold = train(D, loss, cfg).theta
+            theta, gamma = train_with_duals(D, loss, cfg, start=start)
+            assert (np.linalg.norm(theta.theta - cold)
+                    <= 1e-12 * (1.0 + np.linalg.norm(cold))), seed
+            assert_hinge_certified(D, cfg, theta, gamma)
+    with pytest.raises(ValueError, match="dimension"):
+        train(tr, loss, cfg, start=ModelParams(np.zeros(tr.d + 1)))
+
+
+@pytest.mark.parametrize("loss", [LossSpec.smoothed_hinge(0.05), LossSpec.logistic()])
+def test_smooth_training_ignores_start(loss):
+    tr, _ = synth_gaussians(5, 120, 4, 2.0)
+    cfg = TrainConfig(lam=0.1)
+    cold = train(tr, loss, cfg).theta
+    far = ModelParams(np.full(tr.d, 3.0))
+    np.testing.assert_array_equal(train(tr, loss, cfg, start=far).theta, cold)
 
 
 def test_sgd_pure_decay_matches_recurrence():
