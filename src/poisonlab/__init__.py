@@ -2,13 +2,12 @@
 
 from .alfa import run_alfa
 from .data import Dataset, InputDomain, load_dataset, save_dataset, synth_gaussians, union
-from .defenses import DefenseKind, DetectorParams, Thresholds, defend_and_train, fit_detector, fit_thresholds, sanitize, score
+from .defenses import DefenseKind, DetectorParams, Thresholds, defend_and_train, fit_detector, fit_thresholds, sanitize
 from .feasible import (
     CollapsedAttack,
     FeasibleSet,
     build_feasible_set,
     collapse_two_points,
-    run_constrained_attack,
     verify_collapse,
 )
 from .influence import InfluenceConfig, influence_gradient, run_influence, test_gradient
@@ -66,14 +65,12 @@ __all__ = [
     "repeat_round",
     "round_point",
     "run_alfa",
-    "run_constrained_attack",
     "run_influence",
     "run_kkt",
     "run_minmax",
     "run_minmax_basic",
     "sanitize",
     "save_dataset",
-    "score",
     "support_vector_set",
     "synth_gaussians",
     "test_error_01",

@@ -10,9 +10,9 @@ top-p weight mass per class via a threshold tau_y, and trains on the rest:
     SVD   norm of the component outside the top-k right-singular subspace
     k-NN  distance to the k-th nearest neighbor (weight counts multiplicity)
 
-``score_dataset`` holds each scoring rule; ``score`` is its one-point case.
-``defend`` fits the detector and scores the combined data once per fit, and
-derives both tau and the kept set from that one score array.
+``score_dataset`` holds each scoring rule.  ``defend`` fits the detector
+and scores the combined data once per fit, and derives both tau and the
+kept set from that one score array.
 
 k-NN scoring runs in fixed blocks of rows, so its memory grows with the
 reference size, not with its square.  Per row, a BLAS Gram expansion only
@@ -143,11 +143,6 @@ def fit_detector(kind: DefenseKind, D: Dataset,
         k = int(np.argmax(resid <= kind.frob_target)) + 1
         return DetectorParams(SVD, basis=np.ascontiguousarray(Vt[:k].T))
     return DetectorParams(KNN, reference=D)
-
-
-def score(kind: DefenseKind, beta: DetectorParams, x: np.ndarray, y: float) -> float:
-    """Anomaly score of a single (x, y); larger = more anomalous."""
-    return float(score_dataset(kind, beta, Dataset.from_points(x, [y]))[0])
 
 
 def score_dataset(kind: DefenseKind, beta: DetectorParams, D: Dataset,

@@ -1,6 +1,6 @@
 """Per-class feasible sets: membership, Euclidean projection, margin
-minimization, the iterative constrained-attack loop, and the two-point
-collapse of an attack with retraining-based verification.
+minimization, and the two-point collapse of an attack with
+retraining-based verification.
 
 A class set is an intersection of an L2 ball, a slab around the
 inter-centroid axis, half-spaces (decoy-loss caps, support-vector
@@ -564,30 +564,6 @@ def ball_only_feasible(centers: dict, radii: dict, d: int,
                                   **_domain_constraints(domain, None))
             for lab in (1, -1)}
     return FeasibleSet(cons, d)
-
-
-# -- attack loop ---------------------------------------------------------------
-
-def run_constrained_attack(D_c: Dataset, attack, epsilon: float, rounds: int,
-                           p: float, build_set=None):
-    """Alternate refits of the centroid statistics with inner attack solves.
-
-    ``attack(F) -> AttackResult``-like object with a ``dp`` Dataset attribute;
-    ``build_set(D) -> FeasibleSet`` defaults to the L2+slab construction.
-    rounds=1 reproduces the fixed-beta variant (beta from the clean data).
-    """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    build_set = build_set or (lambda D: build_feasible_set(D, p))
-    D_p = Dataset.empty(D_c.d, D_c.domain)
-    result = None
-    for _ in range(rounds):
-        F = build_set(union(D_c, D_p))
-        result = attack(F)
-        if result.dp.n == 0:
-            break
-        D_p = result.dp
-    return result
 
 
 # -- the two-point collapse ----------------------------------------------------

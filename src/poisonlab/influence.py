@@ -64,30 +64,27 @@ def test_gradient(theta: ModelParams, D_test: Dataset, loss: LossSpec) -> np.nda
     return D_test.X.T @ coeff / D_test.total_weight
 
 
-def mixed_partial_product(v: np.ndarray, theta: ModelParams, x: np.ndarray,
-                          y: float, loss: LossSpec) -> np.ndarray:
-    """v^T (d^2 ell / d theta d x) for a smooth margin loss: the mixed partial
-    is curv * x theta^T + y * coeff * I with coeff/curv the first and second
-    margin derivatives."""
+def influence_gradient(theta: ModelParams, D: Dataset, Dp: Dataset,
+                       g_test: np.ndarray, cfg: TrainConfig, loss: LossSpec,
+                       v0: np.ndarray | None = None):
+    """d(test loss)/dx of each point of the poison Dp inside training on
+    D = D_c + Dp under cfg's objective: -(w_i/W) g_test^T H^-1 (d^2 ell /
+    d theta d x), with H the Hessian of the mean-loss form at
+    cfg.mean_lam(W), solved by CG to cfg.tol.  For a smooth margin loss the
+    mixed partial is curv * x theta^T + y * coeff * I, with coeff and curv
+    the first and second margin derivatives.  Returns (rows, v = H^-1
+    g_test); v0 warm-starts CG."""
+    v = inverse_hvp_cg(theta, D, cfg.mean_lam(D.total_weight), g_test, loss,
+                       tol=cfg.tol, x0=v0)
     th = theta.theta
-    m = y * float(np.dot(th, x))
-    coeff = float(dloss_dmargin(loss, m))
-    curv = float(d2loss_dmargin2(loss, m))
-    return curv * float(np.dot(v, x)) * th + y * coeff * v
-
-
-def influence_gradient(theta_hat: ModelParams, D_train_full: Dataset, lam: float,
-                       g_test: np.ndarray, x_tilde: np.ndarray, y_tilde: float,
-                       loss: LossSpec, cg_tol: float = 1e-8,
-                       point_weight: float = 1.0) -> np.ndarray:
-    """d(test loss)/d(x_tilde) through the trained parameters, for a point of
-    weight ``point_weight`` inside mean-loss training on D_train_full:
-    -(w/W) * g_test^T H^-1 (d^2 ell / d theta d x)."""
-    if not np.any(g_test):
-        return np.zeros(D_train_full.d)
-    v = inverse_hvp_cg(theta_hat, D_train_full, lam, g_test, loss, tol=cg_tol)
-    scale = point_weight / D_train_full.total_weight
-    return -scale * mixed_partial_product(v, theta_hat, x_tilde, y_tilde, loss)
+    scale = 1.0 / D.total_weight
+    rows = []
+    for x, y, w in zip(Dp.X, Dp.y, Dp.w):
+        m = y * float(np.dot(th, x))
+        coeff = float(dloss_dmargin(loss, m))
+        curv = float(d2loss_dmargin2(loss, m))
+        rows.append(-scale * w * (curv * float(np.dot(v, x)) * th + y * coeff * v))
+    return rows, v
 
 
 def init_label_flip(D_c: Dataset, epsilon: float, F: FeasibleSet,
@@ -137,20 +134,6 @@ def _concentrated_init(D_c: Dataset, epsilon: float, F: FeasibleSet, seed: int):
     return Dataset(X, np.array([1.0, -1.0]), np.array([weights[1], weights[-1]]))
 
 
-def _poison_gradients(theta, D, Dp, g_test, cfg, loss, v0=None):
-    """d(test loss)/dx of each point of the poison Dp inside training on
-    D = D_c + Dp under cfg's objective: -(w_i/W) g_test^T H^-1 (d^2 ell /
-    d theta d x), with H the Hessian of the mean-loss form at
-    cfg.mean_lam(W).  Returns (rows, v = H^-1 g_test); v0 warm-starts CG."""
-    v = inverse_hvp_cg(theta, D, cfg.mean_lam(D.total_weight), g_test, loss,
-                       x0=v0)
-    scale = 1.0 / D.total_weight
-    rows = [-scale * Dp.w[i]
-            * mixed_partial_product(v, theta, Dp.X[i], Dp.y[i], loss)
-            for i in range(Dp.n)]
-    return rows, v
-
-
 def _ascend(D_c, D_test, D_p0, F, eta, steps, cfg, attack_loss, defender_loss):
     """Run the gradient-ascent loop on the defender's objective cfg; returns
     (best Dp, trace rows)."""
@@ -171,7 +154,7 @@ def _ascend(D_c, D_test, D_p0, F, eta, steps, cfg, attack_loss, defender_loss):
                           "point_moved_norm": 0.0})
             break
         g_test = test_gradient(theta, D_test, attack_loss)
-        grads, v = _poison_gradients(theta, D, Dp, g_test, cfg, attack_loss, v)
+        grads, v = influence_gradient(theta, D, Dp, g_test, cfg, attack_loss, v)
         moved = 0.0
         newX = Dp.X.copy()
         for i, g_x in enumerate(grads):

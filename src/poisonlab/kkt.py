@@ -78,8 +78,7 @@ def gen_decoys(D_c: Dataset, D_test: Dataset, loss: LossSpec, lam: float,
 
     For each (r, q): gamma is the q-quantile of the loss of the label-flipped
     test set under the clean model; the flips at or above gamma are added with
-    weight r and the model is retrained.  An empty flip set degenerates to the
-    clean model itself (emitted once)."""
+    weight r and the model is retrained."""
     if not r_grid or not q_grid:
         raise ValueError("grids must be non-empty")
     cfg = TrainConfig(lam=lam, objective=objective)
@@ -87,19 +86,10 @@ def gen_decoys(D_c: Dataset, D_test: Dataset, loss: LossSpec, lam: float,
     flip_all = flipped(D_test)
     losses = loss_of_margin(loss, margins(theta_c, flip_all))
     out = []
-    emitted_clean = False
     for r in r_grid:
         for q in q_grid:
             gamma = float(np.quantile(losses, q))
             mask = losses >= gamma
-            if not mask.any():
-                if emitted_clean:
-                    continue
-                emitted_clean = True
-                out.append(DecoyParams(
-                    theta_c, gamma, 0, avg_loss(theta_c, D_c, loss),
-                    test_error_01(theta_c, D_test)))
-                continue
             D_flip = Dataset(flip_all.X[mask], flip_all.y[mask],
                              flip_all.w[mask] * r, flip_all.domain)
             theta_d = train(union(D_c, D_flip), loss, cfg)

@@ -64,7 +64,7 @@ def max_loss_point(theta: np.ndarray, F: FeasibleSet, loss: LossSpec):
         val = float(loss_of_margin(loss, m))
         if best is None or val > best[2] + 1e-12:
             best = (x, y, val, m)
-    return best[0], best[1], best[2], best[3]
+    return best
 
 
 def run_minmax_basic(D_c: Dataset, epsilon: float, F: FeasibleSet,
@@ -127,13 +127,9 @@ def run_minmax_basic(D_c: Dataset, epsilon: float, F: FeasibleSet,
     else:
         dp = Dataset.empty(D_c.d)
     dp = round_poison(dp, D_c.domain, seed + 4241)
-    if D_test is None:
-        res = AttackResult(attack="minmax-basic", dp=dp, seed=seed, trace=trace)
-        res.seconds = time.perf_counter() - started
-        return res
     return evaluated_result("minmax-basic", dp, D_c, D_test,
-                            list(defenses_for_eval), p, loss, config, started,
-                            seed=seed, trace=trace)
+                            list(defenses_for_eval) if D_test is not None else [],
+                            p, loss, config, started, seed=seed, trace=trace)
 
 
 def certified_loss_bound(trace: list) -> float:

@@ -69,10 +69,6 @@ class LossSpec:
     def logistic() -> "LossSpec":
         return LossSpec(LOGISTIC)
 
-    @property
-    def smooth(self) -> bool:
-        return self.kind != HINGE
-
 
 @dataclass(frozen=True)
 class ModelParams:

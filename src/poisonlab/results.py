@@ -30,17 +30,18 @@ class AttackResult:
     trace: list = field(default_factory=list)         # per-iteration dict rows
     trajectory: list = field(default_factory=list)    # (seconds, error) pairs
 
-    def finalize_min(self):
-        if self.per_defense:
-            self.min_over_defense = min(self.per_defense.values())
-        return self
-
 
 def worker_count() -> int:
+    """The defense-evaluation thread count, POISONLAB_WORKERS (default 1)."""
+    raw = os.environ.get("POISONLAB_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("POISONLAB_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"POISONLAB_WORKERS must be an integer >= 1, "
+                         f"got {raw!r}")
+    return workers
 
 
 def evaluate_against_defenses(
@@ -86,6 +87,6 @@ def evaluated_result(attack_name, dp, D_c, D_test, defenses, p, loss, config,
     if defenses:
         res.per_defense, res.defense_reports = evaluate_against_defenses(
             D_c, dp, D_test, defenses, p, loss, config, return_reports=True)
-        res.finalize_min()
+        res.min_over_defense = min(res.per_defense.values())
     res.seconds = time.perf_counter() - started
     return res

@@ -129,7 +129,7 @@ def test_criterion_4_influence_gradient_fd(monkeypatch):
     # perturb a margin-active training point (an attack point would be one);
     # a saturated point has zero derivative on both sides of the comparison
     i = int(np.argmin(np.abs(margins(theta0, tr) - 1.0)))
-    x0, y0 = tr.X[i].copy(), tr.y[i]
+    x0 = tr.X[i].copy()
 
     def test_loss_at(x):
         X = tr.X.copy()
@@ -138,8 +138,7 @@ def test_criterion_4_influence_gradient_fd(monkeypatch):
 
     theta = train(tr, loss, cfg)
     g_test = mean_test_gradient(theta, te, loss)
-    g = influence_gradient(theta, tr, lam, g_test, x0, y0, loss, cg_tol=1e-12,
-                           point_weight=tr.w[i])
+    (g,), _ = influence_gradient(theta, tr, tr.subset([i]), g_test, cfg, loss)
     rng = np.random.default_rng(4)
     ok = True
     h = 1e-5

@@ -121,6 +121,15 @@ def test_file_dataset_without_test_file_exits_2_and_names_it(tmp_path, capsys):
     assert "no test file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "two"])
+def test_invalid_worker_count_exits_2_and_names_it(workers, tmp_path,
+                                                   monkeypatch, capsys):
+    monkeypatch.setenv("POISONLAB_WORKERS", workers)
+    assert run_cli(["attack", "none", "--synth-n", "150", "--synth-d", "3",
+                    "--defenses", "l2", "--out", str(tmp_path)]) == 2
+    assert "POISONLAB_WORKERS" in capsys.readouterr().err
+
+
 def write_config(tmp_path, **fields):
     doc = {"dataset": {"kind": "synth", "seed": 3, "n": 150, "d": 3,
                        "mean_separation": 2.5, "class_balance": 0.5},

@@ -10,7 +10,7 @@ import poisonlab
 
 from poisonlab import Dataset, DefenseKind, LossSpec, TrainConfig, synth_gaussians, union
 from poisonlab import defenses
-from poisonlab.defenses import DefenseError, fit_detector, fit_thresholds, sanitize, score, score_dataset, defend_and_train
+from poisonlab.defenses import DefenseError, fit_detector, fit_thresholds, sanitize, score_dataset, defend_and_train
 from poisonlab.models import avg_loss, test_error_01 as zero_one_error, train
 
 
@@ -89,20 +89,23 @@ def test_loss_detector_trains_under_the_defenders_objective():
 def test_score_l2():
     D = two_class([[1.0, 0.0]], [[-1.0, 0.0]])
     beta = fit_detector(DefenseKind.l2(), D)
-    assert score(DefenseKind.l2(), beta, np.array([3.0, 0.0]), 1.0) == 2.0
+    one = Dataset.from_points([3.0, 0.0], [1.0])
+    assert score_dataset(DefenseKind.l2(), beta, one)[0] == 2.0
 
 
 def test_score_slab_direct_dot():
     D = two_class([[1.0, 0.0]], [[-1.0, 0.0]])
     beta = fit_detector(DefenseKind.slab(), D)
     # |(mu+ - mu-).(x - mu_+)| = |(2,0).(-0.5,3)| = 1
-    assert score(DefenseKind.slab(), beta, np.array([0.5, 3.0]), 1.0) == pytest.approx(1.0)
+    one = Dataset.from_points([0.5, 3.0], [1.0])
+    assert score_dataset(DefenseKind.slab(), beta, one)[0] == pytest.approx(1.0)
 
 
 def test_score_svd_orthogonal_residual():
     from poisonlab.defenses import DetectorParams
     beta = DetectorParams("svd", basis=np.array([[1.0], [0.0]]))
-    assert score(DefenseKind.svd(), beta, np.array([3.0, 4.0]), 1.0) == pytest.approx(4.0)
+    one = Dataset.from_points([3.0, 4.0], [1.0])
+    assert score_dataset(DefenseKind.svd(), beta, one)[0] == pytest.approx(4.0)
 
 
 def test_knn_scores_with_self_exclusion():
@@ -127,7 +130,8 @@ def test_knn_weight_counts_as_multiplicity():
     D = Dataset.from_points([[0.0], [1.0]], [1, -1], [1.0, 3.0])
     kind = DefenseKind.knn(3)
     beta = fit_detector(kind, D)
-    assert score(kind, beta, np.array([0.0]), 1.0) == pytest.approx(1.0)
+    one = Dataset.from_points([0.0], [1.0])
+    assert score_dataset(kind, beta, one)[0] == pytest.approx(1.0)
 
 
 def knn_oracle(D, ref, k, exclude_self):
@@ -262,7 +266,8 @@ def test_score_is_score_dataset_on_one_point(kind):
     beta = fit_detector(kind, tr)
     batch = score_dataset(kind, beta, tr)
     for i in range(0, tr.n, 37):
-        assert score(kind, beta, tr.X[i], tr.y[i]) == pytest.approx(batch[i], rel=1e-12)
+        one = Dataset.from_points(tr.X[i], [tr.y[i]])
+        assert score_dataset(kind, beta, one)[0] == pytest.approx(batch[i], rel=1e-12)
 
 
 def test_defend_and_train_scores_once_per_fit(monkeypatch):
@@ -439,10 +444,12 @@ def test_hand_computed_scores_all_defenses():
     np.testing.assert_allclose(l2beta.centroids[1], [1.0, 1.0 / 3.0])
     np.testing.assert_allclose(l2beta.centroids[-1], [-2.0, 0.0])
     # L2 score of (0,0,+1): ||(-1,-1/3)|| = sqrt(10)/3
-    assert score(DefenseKind.l2(), l2beta, Xp[0], 1.0) == pytest.approx(np.sqrt(10.0) / 3.0)
+    one = Dataset.from_points(Xp[0], [1.0])
+    assert score_dataset(DefenseKind.l2(), l2beta, one)[0] == pytest.approx(np.sqrt(10.0) / 3.0)
     # slab axis = (3, 1/3); score of (2,0,+1): |(3,1/3).(1,-1/3)| = |3 - 1/9|
     slabbeta = fit_detector(DefenseKind.slab(), D)
-    assert score(DefenseKind.slab(), slabbeta, Xp[1], 1.0) == pytest.approx(3.0 - 1.0 / 9.0)
+    one = Dataset.from_points(Xp[1], [1.0])
+    assert score_dataset(DefenseKind.slab(), slabbeta, one)[0] == pytest.approx(3.0 - 1.0 / 9.0)
     # knn k=1 of (-1,0,-1): nearest other reference is (-2,0) at distance 1
     knnbeta = fit_detector(DefenseKind.knn(1), D)
     s = score_dataset(DefenseKind.knn(1), knnbeta, D, training=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poisonlab import Dataset, LossSpec, TrainConfig, synth_gaussians, union
+from poisonlab import Dataset, LossSpec, TrainConfig, synth_gaussians
 from poisonlab.feasible import (
     ClassConstraints,
     FeasibleSet,
@@ -13,11 +13,9 @@ from poisonlab.feasible import (
     collapse_with_duals,
     margin_floor,
     poisoned_gradient_sum,
-    run_constrained_attack,
     verify_collapse,
 )
 from poisonlab.models import dloss_dmargin, train_with_duals
-from poisonlab.results import AttackResult
 
 
 def ball_set(center, radius, d):
@@ -655,47 +653,6 @@ def test_build_feasible_set_quantile_radii():
         assert r == pytest.approx(tau.tau[lab])
 
 
-def test_run_constrained_attack_single_round_fixed_beta():
-    tr, _ = synth_gaussians(6, 100, 3, 3.0)
-    seen = []
-
-    def attack(F):
-        seen.append(F)
-        dp = Dataset.from_points([F.for_label(1).ball[0]], [1.0], [3.0])
-        return AttackResult(attack="stub", dp=dp)
-
-    res = run_constrained_attack(tr, attack, 0.03, 1, 0.05)
-    F_clean = build_feasible_set(tr, 0.05)
-    np.testing.assert_allclose(seen[0].for_label(1).ball[0],
-                               F_clean.for_label(1).ball[0])
-    assert res.dp.n == 1
-
-
-def test_run_constrained_attack_empty_is_fixed_point():
-    tr, _ = synth_gaussians(6, 100, 3, 3.0)
-    calls = []
-
-    def attack(F):
-        calls.append(1)
-        return AttackResult(attack="stub", dp=Dataset.empty(3))
-
-    run_constrained_attack(tr, attack, 0.03, 5, 0.05)
-    assert len(calls) == 1
-
-
-def test_run_constrained_attack_refits_on_union():
-    tr, _ = synth_gaussians(6, 100, 3, 3.0)
-    centers = []
-
-    def attack(F):
-        centers.append(F.for_label(1).ball[0].copy())
-        dp = Dataset.from_points([F.for_label(1).ball[0] + 1.0], [1.0], [20.0])
-        return AttackResult(attack="stub", dp=dp)
-
-    run_constrained_attack(tr, attack, 0.2, 2, 0.05)
-    assert not np.allclose(centers[0], centers[1])  # beta moved with D_p
-
-
 # -- collapse ------------------------------------------------------------------
 
 def test_collapse_hinge_two_points_midpoint():
@@ -781,24 +738,3 @@ def test_collapse_respects_feasibility_check():
     F_tiny = ball_set(np.array([50.0, 0.0, 0.0]), 0.01, 3)
     assert verify_collapse(tr, Dp, col, LossSpec.hinge(), 0.1, F=F_big)
     assert not verify_collapse(tr, Dp, col, LossSpec.hinge(), 0.1, F=F_tiny)
-
-
-def test_iterative_rounds_change_little_at_small_eps():
-    # refitting the centroid statistics between rounds moves the result by a
-    # few points at most at eps=3%
-    from poisonlab import InfluenceConfig, run_influence
-    from poisonlab.defenses import DefenseKind
-    from poisonlab.models import TrainConfig
-    tr, te = synth_gaussians(21, 400, 5, 3.0)
-    cfg = TrainConfig(lam=0.1)
-    kinds = [DefenseKind.l2()]
-
-    def attack(F):
-        return run_influence(tr, te, 0.03, F,
-                             InfluenceConfig(steps=5, eta=1.0, seed=0),
-                             defenses_for_eval=kinds, p=0.05,
-                             defender_config=cfg)
-
-    r1 = run_constrained_attack(tr, attack, 0.03, 1, 0.05)
-    r3 = run_constrained_attack(tr, attack, 0.03, 3, 0.05)
-    assert abs(r1.min_over_defense - r3.min_over_defense) <= 0.05

@@ -251,6 +251,30 @@ def test_attacks_on_count_data_give_integer_poison(counts):
             run_attack(cfg, tr, te)
 
 
+def test_attacks_on_unit_interval_data_stay_in_the_box():
+    # the domain box bounds every attack's poison: logistic-squashed
+    # Gaussians, poison in [0, 1] and in F, of the budget's weight
+    from poisonlab import InputDomain, build_feasible_set
+    from poisonlab.harness import run_attack
+    tr, te = (Dataset(1.0 / (1.0 + np.exp(-D.X)), D.y, D.w,
+                      InputDomain.UNIT_INTERVAL)
+              for D in synth_gaussians(3, 400, 5, 3.0))
+    params = {"none": {}, "influence": {"steps": 10},
+              "kkt": {"r_grid": (1, 3), "q_grid": (0.3, 0.6), "T": 2},
+              "minmax": {"r_grid": (1, 3), "q_grid": (0.3,)},
+              "minmax-basic": {}, "alfa": {}}
+    for attack, pr in params.items():
+        cfg = ExperimentConfig(attack=attack, attack_params=pr, seed=4)
+        F = build_feasible_set(tr, cfg.p)
+        dp = run_attack(cfg, tr, te).dp
+        assert dp.domain is InputDomain.UNIT_INTERVAL
+        assert np.all((dp.X >= 0.0) & (dp.X <= 1.0))
+        for i in range(dp.n):
+            assert F.contains(dp.X[i], dp.y[i]), (attack, i)
+        budget = 0.0 if attack == "none" else cfg.epsilon * tr.total_weight
+        assert abs(dp.total_weight - budget) <= 1e-9 * budget, attack
+
+
 def test_timing_kkt_faster_than_influence(tmp_path):
     # ordering only, at a scale where per-iteration retraining dominates the
     # influence attack (its cost is steps x step-size-grid retrains)

@@ -5,7 +5,7 @@ from poisonlab import Dataset, InfluenceConfig, LossSpec, ModelParams, TrainConf
 from poisonlab import run_influence, synth_gaussians, train, union
 from poisonlab.influence import test_gradient as mean_test_gradient
 from poisonlab.feasible import ball_only_feasible, build_feasible_set
-from poisonlab.influence import _poison_gradients, influence_gradient, init_label_flip
+from poisonlab.influence import influence_gradient, init_label_flip
 from poisonlab.models import avg_loss, grad_point
 
 
@@ -42,8 +42,9 @@ def test_test_gradient_matches_fd(rng):
 def test_influence_gradient_zero_mean_test_gradient():
     tr, _ = synth_gaussians(3, 30, 4, 2.0)
     th = train(tr, LossSpec.smoothed_hinge(0.05), TrainConfig(lam=0.1))
-    out = influence_gradient(th, tr, 0.1, np.zeros(4), tr.X[0], tr.y[0],
-                             LossSpec.smoothed_hinge(0.05))
+    (out,), _ = influence_gradient(th, tr, tr.subset([0]), np.zeros(4),
+                                   TrainConfig(lam=0.1),
+                                   LossSpec.smoothed_hinge(0.05))
     np.testing.assert_array_equal(out, np.zeros(4))
 
 
@@ -53,13 +54,15 @@ def test_influence_gradient_vanishes_far_past_margin(rng):
     th = train(tr, loss, TrainConfig(lam=0.1))
     g_test = rng.standard_normal(4)
     x_far = 100.0 * th.theta / np.linalg.norm(th.theta)
-    out = influence_gradient(th, tr, 0.1, g_test, x_far, 1.0, loss)
+    (out,), _ = influence_gradient(th, tr, Dataset.from_points(x_far, [1.0]),
+                                   g_test, TrainConfig(lam=0.1), loss)
     assert np.linalg.norm(out) < 1e-12
 
 
-def test_influence_gradient_matches_retraining_fd():
+def test_influence_gradient_matches_retraining_fd(monkeypatch):
     # small-scale version of the acceptance oracle; perturb a margin-active
     # point so the derivative carries signal
+    monkeypatch.setattr(TrainConfig, "tol", 1e-12)
     loss = LossSpec.smoothed_hinge(0.02)
     lam = 0.2
     tr, te = synth_gaussians(7, 30, 3, 2.0)
@@ -67,7 +70,7 @@ def test_influence_gradient_matches_retraining_fd():
     th_probe = train(tr, loss, cfg)
     margins = tr.y * (tr.X @ th_probe.theta)
     i = int(np.argmin(np.abs(margins - 1.0)))
-    x0, y0 = tr.X[i].copy(), tr.y[i]
+    x0 = tr.X[i].copy()
 
     def test_loss_at(x):
         X = tr.X.copy(); X[i] = x
@@ -77,8 +80,7 @@ def test_influence_gradient_matches_retraining_fd():
     _, D0 = test_loss_at(x0)
     theta = train(D0, loss, cfg)
     g_test = mean_test_gradient(theta, te, loss)
-    g = influence_gradient(theta, D0, lam, g_test, x0, y0, loss, cg_tol=1e-12,
-                           point_weight=tr.w[i])
+    (g,), _ = influence_gradient(theta, D0, D0.subset([i]), g_test, cfg, loss)
     h = 1e-5
     for k in range(3):
         e = np.zeros(3); e[k] = h
@@ -107,7 +109,7 @@ def test_ascent_gradient_matches_retraining_fd(objective, monkeypatch):
     D = union(tr, poison(x0))
     theta = train(D, loss, cfg)
     g_test = mean_test_gradient(theta, te, loss)
-    (g,), _ = _poison_gradients(theta, D, poison(x0), g_test, cfg, loss)
+    (g,), _ = influence_gradient(theta, D, poison(x0), g_test, cfg, loss)
     h = 1e-5
     fd = np.array([(test_loss_at(x0 + e) - test_loss_at(x0 - e)) / (2 * h)
                    for e in h * np.eye(4)])
@@ -168,6 +170,24 @@ def test_run_influence_concentrated_two_points_weight_split():
     assert w[1] + w[-1] == pytest.approx(0.03 * n)
 
 
+def test_run_influence_per_point_mode():
+    # one poison point per label flip (CLI --basic): the budget's weight,
+    # every point in F, and the same poison on a rerun
+    tr, te = synth_gaussians(8, 150, 3, 2.0)
+    F = build_feasible_set(tr, 0.05)
+    cfg = InfluenceConfig(steps=3, eta=0.5, concentrated=False, seed=2)
+    res = run_influence(tr, te, 0.03, F, cfg)
+    again = run_influence(tr, te, 0.03, F, cfg)
+    assert res.dp.n > 2
+    assert res.dp.total_weight == pytest.approx(0.03 * tr.total_weight,
+                                                rel=1e-12)
+    for i in range(res.dp.n):
+        assert F.contains(res.dp.X[i], res.dp.y[i])
+    for a, b in ((res.dp.X, again.dp.X), (res.dp.y, again.dp.y),
+                 (res.dp.w, again.dp.w)):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_run_influence_iterates_stay_feasible():
     tr, te = synth_gaussians(18, 150, 3, 2.0)
     F = build_feasible_set(tr, 0.05)
@@ -199,11 +219,11 @@ def test_one_small_step_never_loses_more_than_eta_squared(monkeypatch):
     checked = 0
     for trial in range(10):
         i = int(rng.integers(tr.n))
-        x0, y0 = tr.X[i].copy(), tr.y[i]
+        x0 = tr.X[i].copy()
         theta = train(tr, loss, cfg)
         g_test = mean_test_gradient(theta, te, loss)
-        g = influence_gradient(theta, tr, lam, g_test, x0, y0, loss,
-                               cg_tol=1e-12, point_weight=tr.w[i])
+        (g,), _ = influence_gradient(theta, tr, tr.subset([i]), g_test, cfg,
+                                     loss)
         if np.linalg.norm(g) < 1e-9:
             continue
         checked += 1
