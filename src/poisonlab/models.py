@@ -164,15 +164,6 @@ def test_error_01(theta: ModelParams, D: Dataset) -> float:
     return float(np.dot(D.w, margins(theta, D) <= 0.0) / D.total_weight)
 
 
-def objective_value(theta: np.ndarray, D: Dataset, loss: LossSpec, lam: float,
-                    objective: str = "mean") -> float:
-    m = D.y * (D.X @ theta)
-    total = float(np.dot(D.w, loss_of_margin(loss, m)))
-    if objective == "mean":
-        total /= D.total_weight
-    return 0.5 * lam * float(np.dot(theta, theta)) + total
-
-
 # -- hinge training: box-constrained dual QP ---------------------------------
 #
 # For the sum objective  lambda/2 ||theta||^2 + sum_i w_i max(0, 1 - m_i)
@@ -275,7 +266,7 @@ def _train_hinge_sum(X, y, w, lam, tol, start=None):
                         f"(target {target:.3e})", theta=theta, residual=r)
 
 
-# -- smooth training: L-BFGS start + Newton polish ---------------------------
+# -- smooth training: Newton with Armijo backtracking, from L-BFGS-B or x0 ---
 
 _DENSE_NEWTON_MAX_D = 800
 
@@ -308,16 +299,21 @@ def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
         else:
             op = LinearOperator((d, d), matvec=lambda v: lam * v + X.T @ (curv * (X @ v)))
             step, _ = cg(op, g, rtol=1e-12, atol=0.0, maxiter=10 * d)
-        gn = np.linalg.norm(g)
+        # backtrack to the Armijo condition f(theta - t s) <= f - 1e-4 t g^T s
+        # (Nocedal & Wright sec. 3.1).  Near the optimum f differences drown
+        # in rounding: f sums len(w) non-negative terms, so where f rises by
+        # at most len(w) * eps * f a step that lowers the gradient norm counts
+        slope, gn = 1e-4 * np.dot(g, step), np.linalg.norm(g)
+        noise = np.finfo(float).eps * len(w) * abs(f)
         t = 1.0
-        f_new, g_new = fg(theta - t * step)
-        # near the optimum f-differences drown in float noise, so accept on
-        # gradient decrease as well
-        while f_new > f and np.linalg.norm(g_new) >= gn and t > 1e-12:
-            t *= 0.5
+        while t >= 1e-12:
             f_new, g_new = fg(theta - t * step)
-        if f_new > f and np.linalg.norm(g_new) >= gn:
-            break
+            if f_new <= f - t * slope or (
+                    f_new - f <= noise and np.linalg.norm(g_new) < gn):
+                break
+            t *= 0.5
+        else:
+            break  # no step qualifies
         theta, f, g = theta - t * step, f_new, g_new
         target = tol * (1.0 + np.linalg.norm(theta))
         it += 1

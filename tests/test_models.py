@@ -14,7 +14,6 @@ from poisonlab.models import (
     loss_of_margin,
     model_from_json,
     model_to_json,
-    objective_value,
     train_with_duals,
 )
 
@@ -107,16 +106,23 @@ def test_train_large_lambda_shrinks_theta():
     assert np.linalg.norm(theta) <= bound * 1.01
 
 
+def objective_value(theta, D, loss, lam):
+    """The mean-form training objective lambda/2 ||theta||^2 + (1/W) sum_i
+    w_i ell_i, the reference value of what ``train`` minimizes."""
+    total = float(np.dot(D.w, loss_of_margin(loss, D.y * (D.X @ theta))))
+    return 0.5 * lam * float(np.dot(theta, theta)) + total / D.total_weight
+
+
 @pytest.mark.parametrize("loss", [LossSpec.hinge(), LossSpec.logistic()])
 def test_train_is_local_minimum(rng, loss):
     tr, _ = synth_gaussians(2, 80, 5, 3.0)
     cfg = TrainConfig(lam=0.2)
     theta = train(tr, loss, cfg).theta
-    f0 = objective_value(theta, tr, loss, 0.2, "mean")
+    f0 = objective_value(theta, tr, loss, 0.2)
     for _ in range(100):
         z = rng.standard_normal(5)
         z *= 1e-2 / np.linalg.norm(z)
-        assert objective_value(theta + z, tr, loss, 0.2, "mean") >= f0 - 1e-12
+        assert objective_value(theta + z, tr, loss, 0.2) >= f0 - 1e-12
 
 
 def test_mean_equals_sum_with_scaled_lambda():
@@ -249,6 +255,32 @@ def test_hinge_warm_start_matches_cold_train(objective):
             assert_hinge_certified(D, cfg, theta, gamma)
     with pytest.raises(ValueError, match="dimension"):
         train(tr, loss, cfg, start=ModelParams(np.zeros(tr.d + 1)))
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5])
+def test_smoothing_levels_converge_from_the_clean_model(q):
+    # criterion 10's instance plus gen_decoys' r = 8 flip set at quantile q,
+    # from the clean model: a step rule that took any step lowering the
+    # gradient norm, even where f rose, ran Newton to its iteration cap here
+    from poisonlab.kkt import flipped
+    tr, te = synth_gaussians(42, 2000, 20, 4.2)
+    loss, cfg = LossSpec.hinge(), TrainConfig(lam=0.1)
+    clean = train(tr, loss, cfg).theta
+    flips = flipped(te)
+    losses = loss_of_margin(loss, flips.y * (flips.X @ clean))
+    keep = losses >= np.quantile(losses, q)
+    D = union(tr, Dataset(flips.X[keep], flips.y[keep], 8.0 * flips.w[keep]))
+    lam = cfg.lam * D.total_weight
+    theta = clean
+    for delta in models._SMOOTHING_LEVELS:
+        smooth = LossSpec.smoothed_hinge(delta)
+        # strict: raises unless the gradient target is met within the cap
+        models._train_smooth(D.X, D.y, D.w, smooth, lam, 1e-10, 1.0, x0=clean)
+        theta = models._train_smooth(D.X, D.y, D.w, smooth, lam, 1e-10, 1.0,
+                                     x0=theta)
+    theta, _ = models._hinge_closer(theta, D.X * D.y[:, None], D.w, lam, delta)
+    cold = train(D, loss, cfg).theta
+    assert np.linalg.norm(theta - cold) <= 1e-12 * (1.0 + np.linalg.norm(cold))
 
 
 @pytest.mark.parametrize("loss", [LossSpec.smoothed_hinge(0.05), LossSpec.logistic()])
