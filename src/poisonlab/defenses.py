@@ -24,12 +24,32 @@ on the expansion puts below every other reference point.  Any other row
 (weight short of k, ties at the cut) doubles its candidates until it
 settles, and scans its whole reference exactly once they would reach it.
 Scores are thus the per-row rule's bit for bit, whatever the BLAS thread
-count.
+count.  These are "the rounds".
+
+The defender scores D = D_c u D_p on every battery, always with the same
+clean set D_c, so the rounds run on D_c once per k: the table of D_c holds
+each row's training score and the indices of every D_c point at exact
+distance <= that score, ties included.  It is kept on the D_c object and
+freed with it.  A training score of D is then merged from the table:
+- a clean row keeps its tabled score unless the expansion puts some poison
+  point within its squared score plus the rounding bound;
+- such a row is rescored exactly over its tabled points and those poison
+  points.  Adding reference weight can only bring the crossing of k nearer:
+  the cumulative weight at each clean point, in (distance, index) order,
+  only grows when poison weight comes before it, in floating point too.  So
+  the crossing lies among these points, and their order and partial sums
+  are the rounds' on D;
+- poison rows, and clean rows whose weight never reaches k (for them a far
+  poison point can raise the farthest distance), are scored by the rounds
+  on D.
+Distances use the same formula either way, so scores are bit for bit the
+rounds' on D.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -101,6 +121,8 @@ class DetectorParams:
     model: ModelParams | None = None      # loss
     basis: np.ndarray | None = None       # svd: (d, k) orthonormal columns
     reference: Dataset | None = None      # knn
+    clean: Dataset | None = None          # knn: a prefix of the reference
+                                          # (None: all of it), see score_dataset
 
 
 @dataclass(frozen=True)
@@ -150,7 +172,8 @@ def score_dataset(kind: DefenseKind, beta: DetectorParams, D: Dataset,
     """Anomaly scores of every point of D; the one place each defense's rule
     is written.  With ``training=True`` and the k-NN defense, each point's own
     weight is excluded from its neighbor search (duplicate locations still
-    shield each other)."""
+    shield each other), and D's scores come from the table of the detector's
+    clean prefix of D (D's own table when it has none) and the rest of D."""
     if kind.kind in (L2, SLAB):
         axis = beta.centroids[1] - beta.centroids[-1]
         out = np.empty(D.n)
@@ -167,26 +190,105 @@ def score_dataset(kind: DefenseKind, beta: DetectorParams, D: Dataset,
         return np.linalg.norm(D.X - proj, axis=1)
     # k-NN: the distance at which cumulative reference weight, nearest first
     # (ties by reference index), reaches k (the farthest distance when it
-    # never does), in row blocks
+    # never does)
     ref = beta.reference
-    m = 2 * kind.k + 6  # candidates per row in the first round
-    ref_sq = np.sum(ref.X ** 2, axis=1)
-    # bound on the rounding of the Gram expansion and of the exact distances,
-    # relative to |x|^2 + max |r|^2
-    tol = (6 * ref.d + 24) * np.finfo(float).eps
-    everyone = np.arange(ref.n)[None, :]
+    if not (training and D is ref):
+        return _knn_rounds(D.X, np.full(D.n, -1), ref, kind.k)[0]
+    clean = ref if beta.clean is None else beta.clean
+    table = _knn_table(clean, kind.k)
+    if clean is ref:
+        return table.score.copy()
+    return _knn_merged(table, clean, ref, kind.k)
+
+
+@dataclass(frozen=True)
+class _KnnTable:
+    """The k-NN training scores of one dataset by the rounds, per row: the
+    score, whether the row's weight falls short of k, and the indices of
+    every point at exact distance <= the score (none for a short row),
+    padded with the row's own index."""
+    score: np.ndarray
+    short: np.ndarray
+    nbrs: np.ndarray
+
+
+_KNN_TABLES_LOCK = threading.Lock()
+
+
+def _knn_table(D: Dataset, k: int) -> _KnnTable:
+    """D's k-NN table, built on first use and kept on the Dataset object
+    itself, so that it is freed with it (D is immutable)."""
+    with _KNN_TABLES_LOCK:
+        tables = vars(D).setdefault("_knn_tables", {})
+        if k not in tables:
+            tables[k] = _KnnTable(*_knn_rounds(D.X, np.arange(D.n), D, k))
+        return tables[k]
+
+
+def _knn_merged(table: _KnnTable, clean: Dataset, D: Dataset,
+                k: int) -> np.ndarray:
+    """The k-NN training scores of D, whose first rows are ``clean``, from
+    clean's table and the rest of D (the poison); equal to the rounds' on D
+    bit for bit (see the module docstring)."""
+    n_c = clean.n
+    if not (n_c <= D.n and all(np.array_equal(getattr(D, a)[:n_c], getattr(clean, a))
+                               for a in "Xyw")):
+        raise DefenseError("the k-NN detector's clean set is not a prefix of "
+                           "its reference")
+    poison = np.arange(n_c, D.n)
     out = np.empty(D.n)
-    for lo in range(0, D.n, _KNN_BLOCK):
-        X = D.X[lo:lo + _KNN_BLOCK]
-        i = np.arange(len(X))
-        own = lo + i if training and ref is D else np.full(len(X), -1)
+    out[:n_c] = table.score
+    # the poison rows, and clean rows short of k, whose farthest point a far
+    # poison point can replace
+    redo = np.concatenate([np.flatnonzero(table.short), poison])
+    out[redo] = _knn_rounds(D.X[redo], redo, D, k)[0]
+    ref_sq = np.sum(D.X ** 2, axis=1)
+    for lo in range(0, n_c, _KNN_BLOCK):
+        rows = np.arange(lo, min(lo + _KNN_BLOCK, n_c))
+        g, err = _gram(clean.X[rows], D.X[n_c:], ref_sq[n_c:], ref_sq.max())
+        # a poison point outside every such bound lies beyond the row's score
+        near = ((g <= (table.score[rows] ** 2 + err)[:, None])
+                & ~table.short[rows, None])
+        hit = near.any(axis=1)
+        rows, near = rows[hit], near[hit]
+        if not len(rows):
+            continue
+        # the nearby poison, padded with the row's own index: its weight is
+        # left out, so a pad shifts the crossing's position but not its sum
+        cols = np.sort(np.where(near, poison, rows[:, None]), axis=1)
+        cand = np.hstack([table.nbrs[rows], cols[:, -near.sum(axis=1).max():]])
+        out[rows] = _knn_crossing(D.X[rows], np.sort(cand, axis=1), D, k, rows)[0]
+    return out
+
+
+def _gram(X: np.ndarray, R: np.ndarray, r_sq: np.ndarray, r_sq_max: float):
+    """Squared distances from the rows X to the rows R (|r|^2 = r_sq) by the
+    Gram expansion, and per row of X a bound on their rounding and on that of
+    a squared exact distance, relative to |x|^2 + r_sq_max."""
+    x_sq = np.sum(X ** 2, axis=1)
+    tol = (6 * X.shape[1] + 24) * np.finfo(float).eps
+    return x_sq[:, None] - 2.0 * X @ R.T + r_sq, tol * (x_sq + r_sq_max)
+
+
+def _knn_rounds(X: np.ndarray, own: np.ndarray, ref: Dataset, k: int):
+    """The k-NN scores of the rows X against ref, row r leaving out the
+    weight of reference index own[r] (-1: none), in row blocks; also, as in
+    ``_KnnTable``, whether each row falls short of k and its reference
+    indices within its score, padded with own[r]."""
+    m = 2 * k + 6  # candidates per row in the first round
+    ref_sq = np.sum(ref.X ** 2, axis=1)
+    everyone = np.arange(ref.n)[None, :]
+    score, short = np.empty(len(X)), np.zeros(len(X), dtype=bool)
+    found = []  # (rows, their reference indices within their scores)
+    for lo in range(0, len(X), _KNN_BLOCK):
+        Xb, ob = X[lo:lo + _KNN_BLOCK], own[lo:lo + _KNN_BLOCK]
+        i = np.arange(len(Xb))
         rest = i
         if ref.n > m:
-            x_sq = np.sum(X ** 2, axis=1)
-            g = x_sq[:, None] - 2.0 * X @ ref.X.T + ref_sq
-            err = tol * (x_sq + ref_sq.max())
-            score_k, ok = _knn_settle(X, g, m, err, ref, kind.k, own)
-            out[lo + i[ok]] = score_k[ok]
+            g, err = _gram(Xb, ref.X, ref_sq, ref_sq.max())
+            s, nb, ok = _knn_settle(Xb, g, m, err, ref, k, ob)
+            score[lo + i[ok]] = s[ok]
+            found.append((lo + i[ok], nb[ok]))
             rest = i[~ok]
         # each row left doubles its candidates until it settles; once they
         # would reach the whole reference, it scans all of it exactly
@@ -194,46 +296,58 @@ def score_dataset(kind: DefenseKind, beta: DetectorParams, D: Dataset,
             row = slice(r, r + 1)
             width = 2 * m
             while width < ref.n:
-                score_k, ok = _knn_settle(X[row], g[row], width, err[row], ref,
-                                          kind.k, own[row])
+                s, nb, ok = _knn_settle(Xb[row], g[row], width, err[row], ref,
+                                        k, ob[row])
                 if ok[0]:
                     break
                 width *= 2
             else:
-                dist, j = _knn_crossing(X[row], everyone, ref, kind.k, own[row])
-                score_k = dist[:, min(j[0], ref.n - 1)]
-            out[lo + r] = score_k[0]
-    return out
+                s, sh, nb = _knn_crossing(Xb[row], everyone, ref, k, ob[row])
+                short[lo + r] = sh[0]
+            score[lo + r] = s[0]
+            found.append(([lo + r], nb))
+    nbrs = np.repeat(own[:, None], max((nb.shape[1] for _, nb in found), default=0),
+                     axis=1)
+    for rows, nb in found:
+        nbrs[rows, :nb.shape[1]] = nb
+    return score, short, nbrs
 
 
 def _knn_settle(X: np.ndarray, g: np.ndarray, m: int, err: np.ndarray,
                 ref: Dataset, k: int, own: np.ndarray):
-    """Per row of X, the k-NN score over its m nearest reference points by
-    the Gram expansion g, and whether that score is certified: k weight is
-    reached inside the candidates, and every other point's expansion exceeds
-    the crossing's squared distance by more than the rounding bound err."""
+    """Per row of X, the score and points of ``_knn_crossing`` over its m
+    nearest reference points by the Gram expansion g, and whether that score
+    is certified: k weight is reached inside the candidates, and every other
+    point's expansion exceeds the crossing's squared distance by more than
+    the rounding bound err."""
     part = np.argpartition(g, m, axis=1)
-    dist, j = _knn_crossing(X, np.sort(part[:, :m], axis=1), ref, k, own)
-    i = np.arange(len(X))
-    score_k = dist[i, np.minimum(j, m - 1)]
-    return score_k, (j < m) & (score_k ** 2 + err < g[i, part[:, m]])
+    score, short, nb = _knn_crossing(X, np.sort(part[:, :m], axis=1), ref, k, own)
+    return score, nb, ~short & (score ** 2 + err < g[np.arange(len(X)), part[:, m]])
 
 
 def _knn_crossing(X: np.ndarray, cand: np.ndarray, ref: Dataset, k: int,
                   own: np.ndarray):
-    """Per row of X: the exact distances to the reference points ``cand``
-    (indices ascending per row), sorted by (distance, index), and the first
-    position at which their cumulative weight reaches k (``cand``'s width
-    when it never does).  ``own[r]`` is the reference index whose weight row
-    r leaves out, or -1."""
+    """Per row of X, over the reference points ``cand`` (indices ascending
+    per row) in (exact distance, index) order: the distance at which
+    cumulative weight, leaving out index own[r] (-1: none), first reaches k,
+    or the farthest when it never does; whether it never does (short); and
+    the candidates at distance <= that score (none when short), padded with
+    own[r]."""
     dist = np.sqrt(np.sum((ref.X[cand] - X[:, None, :]) ** 2, axis=2))
     order = np.argsort(dist, axis=1, kind="stable")
+    dist = np.take_along_axis(dist, order, axis=1)
     idx = np.take_along_axis(cand, order, axis=1)
     w = np.where(idx == own[:, None], 0.0, ref.w[idx])
     # cumulative weights never decrease, so the count below k is the first
     # position that reaches it
-    return (np.take_along_axis(dist, order, axis=1),
-            np.count_nonzero(np.cumsum(w, axis=1) < k, axis=1))
+    j = np.count_nonzero(np.cumsum(w, axis=1) < k, axis=1)
+    short = j == cand.shape[1]
+    score = dist[np.arange(len(X)), np.where(short, -1, j)]
+    # the points within the score are a prefix of the sorted row
+    c = np.where(short, 0, np.count_nonzero(dist <= score[:, None], axis=1))
+    width = c.max(initial=0)
+    nb = np.where(np.arange(width) < c[:, None], idx[:, :width], own[:, None])
+    return score, short, nb
 
 
 def _thresholds(scores: np.ndarray, D: Dataset, p: float) -> Thresholds:
@@ -291,6 +405,8 @@ def defend(D_c: Dataset, D_p: Dataset, kind: DefenseKind, p: float,
     D = union(D_c, D_p)
     models = {} if models is None else models
     beta = fit_detector(kind, D, models.get("detector"))
+    if kind.kind == KNN:
+        beta = replace(beta, clean=D_c)
     if beta.model is not None:
         models["detector"] = beta.model
     scores = score_dataset(kind, beta, D, training=True)

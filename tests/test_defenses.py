@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,9 @@ import poisonlab
 
 from poisonlab import Dataset, DefenseKind, LossSpec, TrainConfig, synth_gaussians, union
 from poisonlab import defenses
-from poisonlab.defenses import DefenseError, fit_detector, fit_thresholds, sanitize, score_dataset, defend_and_train
+from poisonlab.defenses import KNN, DefenseError, DetectorParams, fit_detector, fit_thresholds, sanitize, score_dataset, defend_and_train
 from poisonlab.models import avg_loss, test_error_01 as zero_one_error, train
+from poisonlab.results import evaluate_against_defenses
 
 
 def two_class(Xp, Xm, wp=None, wm=None):
@@ -151,7 +154,9 @@ def knn_oracle(D, ref, k, exclude_self):
     return out
 
 
-def test_knn_blocked_scores_match_per_row_oracle(rng, monkeypatch):
+def knn_oracle_sets(rng):
+    """Reference sets (grid, gauss, small) that stress the k-NN rounds, each
+    with a set of other points to score against it."""
     weights = [1.0, 30.0, 0.1, 1.0 / 3.0, 0.0]
     p = [0.5, 0.05, 0.2, 0.15, 0.1]
     # half-integer grid coordinates keep every distance exact; 600 rows span
@@ -190,7 +195,11 @@ def test_knn_blocked_scores_match_per_row_oracle(rng, monkeypatch):
     # 30 reference points of weight at most 1: at most 2k + 6 at k = 40,
     # and short of 40 weight
     small = Dataset.from_points(X[300:330], y[300:330], np.minimum(w[300:330], 1.0))
+    return {"grid": (grid, grid_other), "gauss": (gauss, gauss_other),
+            "small": (small, gauss_other)}
 
+
+def test_knn_blocked_scores_match_per_row_oracle(rng, monkeypatch):
     rounds = set()
     real_cross = defenses._knn_crossing
 
@@ -201,7 +210,7 @@ def test_knn_blocked_scores_match_per_row_oracle(rng, monkeypatch):
         return real_cross(X, cand, ref, k, own)
 
     monkeypatch.setattr(defenses, "_knn_crossing", counted)
-    for D, other in ((grid, grid_other), (gauss, gauss_other), (small, gauss_other)):
+    for D, other in knn_oracle_sets(rng).values():
         for k in (1, 5, 40):
             kind = DefenseKind.knn(k)
             beta = fit_detector(kind, D)
@@ -216,15 +225,99 @@ def test_knn_blocked_scores_match_per_row_oracle(rng, monkeypatch):
     assert rounds == {"first", "wider", "all"}
 
 
+def test_knn_table_merge_matches_per_row_oracle_on_the_union(rng):
+    """D_c u D_p scored from D_c's table and the poison: bit for bit the
+    per-row rule on the union, and so are defend's tau and kept set."""
+    moved = {}
+    for name, (C, _) in knn_oracle_sets(rng).items():
+        pick = rng.choice(C.n, 8, replace=False)
+        if name == "gauss":
+            pick[:3] = [0, 50, 99]  # inside its 100-copy tie group
+        flip = -C.y[pick]
+        u = rng.standard_normal((8, C.d))
+        poisons = {
+            "none": Dataset.empty(C.d),
+            "copies": Dataset.from_points(C.X[pick], flip, np.tile([30.0, 0.0], 4)),
+            "near": Dataset.from_points(
+                C.X[pick] + 1e-11 * u / np.linalg.norm(u, axis=1)[:, None], flip),
+        }
+        if name == "small":
+            # beyond every clean point: the farthest point of a row short of
+            # k weight
+            far = C.X.max(axis=0) + 100.0 * np.arange(1, 3)[:, None]
+            poisons["far"] = Dataset.from_points(far, [1, -1], [0.5, 0.5])
+        for k in (1, 5, 40):
+            kind = DefenseKind.knn(k)
+            clean = score_dataset(kind, fit_detector(kind, C), C, training=True)
+            for shape, P in poisons.items():
+                D = union(C, P)
+                beta = DetectorParams(KNN, reference=D, clean=C)
+                merged = score_dataset(kind, beta, D, training=True)
+                np.testing.assert_array_equal(merged, knn_oracle(D, D, k, True))
+                moved[name] = (moved.get(name, 0)
+                               + np.count_nonzero(merged[:C.n] != clean))
+                if shape == "far" and k == 40:
+                    assert (merged[:C.n] > clean).all()
+                _, D_san, tau = defenses.defend(C, P, kind, 0.05)
+                beta = fit_detector(kind, D)
+                rounds_tau = fit_thresholds(kind, beta, D, 0.05)
+                assert tau.tau == rounds_tau.tau
+                kept = sanitize(D, kind, beta, rounds_tau)
+                for a in ("X", "y", "w"):
+                    np.testing.assert_array_equal(getattr(D_san, a), getattr(kept, a))
+    # the poison moved clean rows' scores in every set
+    assert all(moved.values()), moved
+    # a clean set that is not a prefix of the reference is refused
+    for clean_set in (C.with_weights(C.w + 1.0), union(D, P)):
+        with pytest.raises(DefenseError, match="prefix"):
+            score_dataset(kind, DetectorParams(KNN, reference=D, clean=clean_set), D,
+                          training=True)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_knn_table_built_once_per_clean_set_and_freed_with_it(monkeypatch, workers):
+    monkeypatch.setenv("POISONLAB_WORKERS", workers)
+    built = []
+    real_table = defenses._KnnTable
+
+    def counted(*a):
+        table = real_table(*a)
+        built.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(defenses, "_KnnTable", counted)
+    tr, te = synth_gaussians(5, 200, 4, 2.0)
+    kinds = [DefenseKind.knn(3), DefenseKind.knn(5)]
+
+    def battery(D_c, r):
+        poison = Dataset.from_points(tr.X[r:r + 2] + 0.5, -tr.y[r:r + 2], [3.0, 3.0])
+        evaluate_against_defenses(D_c, poison, te, kinds, 0.05, LossSpec.hinge(),
+                                  TrainConfig(lam=0.1))
+
+    for r in range(3):
+        battery(tr, r)
+    assert len(built) == 2  # one per k
+    twin = Dataset(tr.X.copy(), tr.y.copy(), tr.w.copy())
+    battery(twin, 0)
+    assert len(built) == 4  # equal bytes, another object: its own tables
+    alive = weakref.ref(tr)
+    del tr
+    gc.collect()
+    assert alive() is None
+    assert [t() is None for t in built] == [True, True, False, False]
+
+
 # Criterion 10's instance with two of its battery poison shapes: the two
 # test points nearest their class centroids, flipped, projected into F and
 # given weight 30 each (the KKT shape), and the 18 test flips that lie in F,
-# of fractional weight (the ALFA shape).  Prints the raw k-NN training scores.
+# of fractional weight (the ALFA shape).  Prints the raw k-NN training scores
+# of D = D_c u D_p by the rounds on D, then as defend computes them, from
+# D_c's table and the poison.
 _KNN_SHAPES_SCRIPT = """
 import sys
 import numpy as np
 from poisonlab import Dataset, DefenseKind, build_feasible_set, synth_gaussians, union
-from poisonlab.defenses import class_centroids, fit_detector, score_dataset
+from poisonlab.defenses import KNN, DetectorParams, class_centroids, score_dataset
 tr, te = synth_gaussians(42, 2000, 20, 4.2)
 F = build_feasible_set(tr, 0.05)
 budget = 0.03 * tr.total_weight
@@ -236,10 +329,12 @@ heavy = Dataset(np.array([F.project(te.X[i], -te.y[i]) for i in near]),
 flips = [i for i in range(te.n) if F.contains(te.X[i], -te.y[i])]
 frac = Dataset(te.X[flips], -te.y[flips], np.full(len(flips), budget / len(flips)))
 kind = DefenseKind.knn()
-for dp in (heavy, frac):
-    D = union(tr, dp)
-    scores = score_dataset(kind, fit_detector(kind, D), D, training=True)
-    sys.stdout.buffer.write(scores.tobytes())
+for clean in (None, tr):
+    for dp in (heavy, frac):
+        D = union(tr, dp)
+        scores = score_dataset(kind, DetectorParams(KNN, reference=D, clean=clean),
+                               D, training=True)
+        sys.stdout.buffer.write(scores.tobytes())
 """
 
 
@@ -254,8 +349,11 @@ def test_knn_scores_do_not_depend_on_blas_threads():
                                       env=env, capture_output=True, check=True,
                                       timeout=300).stdout
     one, two = (np.frombuffer(out[t]) for t in ("1", "2"))
-    assert len(one) == 2 * 2000 + 2 + 18
+    assert len(one) == 2 * (2 * 2000 + 2 + 18)
     assert out["1"] == out["2"], f"{np.count_nonzero(one != two)} scores differ"
+    rounds, table = one[:len(one) // 2], one[len(one) // 2:]
+    assert rounds.tobytes() == table.tobytes(), \
+        f"{np.count_nonzero(rounds != table)} table scores differ"
 
 
 @pytest.mark.parametrize("kind", [DefenseKind.l2(), DefenseKind.slab(),
