@@ -19,6 +19,8 @@ import numpy as np
 from .data import Dataset, union
 from .feasible import FeasibleSet, HalfSpace, InfeasibleSetError
 from .models import (
+    _MARGIN_BAND,
+    HINGE,
     LossSpec,
     ModelParams,
     TrainConfig,
@@ -104,8 +106,16 @@ def gen_decoys(D_c: Dataset, D_test: Dataset, loss: LossSpec, lam: float,
 
 def clean_gradient(theta_decoy: ModelParams, D_c: Dataset,
                    loss: LossSpec) -> np.ndarray:
-    """Weighted mean clean-data gradient at the decoy parameters."""
-    coeff = D_c.w * dloss_dmargin(loss, margins(theta_decoy, D_c)) * D_c.y
+    """Weighted mean clean-data gradient at the decoy parameters.  For the
+    hinge, margins within the witness band of 1 take the zero subgradient,
+    each point's minimal-norm choice, where the loss is 0 too: decoys are
+    trained to that band, so which side of 1 such a margin rounds to is
+    noise, and it must not move the poison."""
+    m = margins(theta_decoy, D_c)
+    slope = dloss_dmargin(loss, m)
+    if loss.kind == HINGE:
+        slope[np.abs(m - 1.0) <= _MARGIN_BAND * (1.0 + np.abs(m))] = 0.0
+    coeff = D_c.w * slope * D_c.y
     return D_c.X.T @ coeff / D_c.total_weight
 
 

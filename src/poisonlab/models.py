@@ -107,13 +107,22 @@ class TrainConfig:
 
 # -- pointwise primitives, vectorized over margins m = y * (X @ theta) -------
 
+def _smooth_terms(loss: LossSpec, m: np.ndarray):
+    """(ell, ell', ell'') of a smooth loss at margins m; every formula for
+    the smooth losses is here."""
+    if loss.kind == SMOOTHED_HINGE:
+        z = (1.0 - m) / loss.delta
+        s = expit(z)
+        return loss.delta * np.logaddexp(0.0, z), -s, s * (1.0 - s) / loss.delta
+    s = expit(-m)
+    return np.logaddexp(0.0, -m), -s, expit(m) * s
+
+
 def loss_of_margin(loss: LossSpec, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if loss.kind == HINGE:
         return np.maximum(0.0, 1.0 - m)
-    if loss.kind == SMOOTHED_HINGE:
-        return loss.delta * np.logaddexp(0.0, (1.0 - m) / loss.delta)
-    return np.logaddexp(0.0, -m)
+    return _smooth_terms(loss, m)[0]
 
 
 def dloss_dmargin(loss: LossSpec, m: np.ndarray) -> np.ndarray:
@@ -122,19 +131,14 @@ def dloss_dmargin(loss: LossSpec, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if loss.kind == HINGE:
         return np.where(m <= 1.0, -1.0, 0.0)
-    if loss.kind == SMOOTHED_HINGE:
-        return -expit((1.0 - m) / loss.delta)
-    return -expit(-m)
+    return _smooth_terms(loss, m)[1]
 
 
 def d2loss_dmargin2(loss: LossSpec, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if loss.kind == HINGE:
         raise UnsupportedLossError("hinge loss has no second derivative")
-    if loss.kind == SMOOTHED_HINGE:
-        s = expit((1.0 - m) / loss.delta)
-        return s * (1.0 - s) / loss.delta
-    return expit(m) * expit(-m)
+    return _smooth_terms(loss, m)[2]
 
 
 def loss_point(loss: LossSpec, theta: ModelParams, x: np.ndarray, y: float) -> float:
@@ -195,25 +199,29 @@ def _hinge_witness(theta, alpha, X, y, w, lam):
 def _hinge_closer(theta, Z, w, lam, delta):
     """Primal active-set method on the dual box QP (Nocedal & Wright,
     Numerical Optimization, 2006, sec. 16.5) from the smoothed iterate at
-    level delta.  Points with margin below 1 - 3 delta start pinned at
-    alpha = w, those above 1 + 3 delta pinned at 0, and the rest free at
-    their smoothed duals w * sigma((1 - m) / delta).
+    level delta.  Points with margin below 1 - delta start pinned at
+    alpha = w, those above 1 + delta pinned at 0, and the rest free at
+    their smoothed duals w * sigma((1 - m) / delta).  A wider band frees
+    points that the first rounds pin again, one round each.
 
     Each round solves the free margin-1 system by least squares.  Where it
     is consistent, the free alpha take the Newton step to the minimizer on
     their face; where it is not, they follow its residual, a direction of
-    zero curvature that lowers the dual, to the first bound.  A step that
-    meets a bound pins that point.  At a face minimizer the pinned point
-    whose margin lies farthest on the wrong side of 1 is released; with
-    none left by more than _KKT_TOL * (1 + |m|), alpha is optimal.  Returns
-    the last (theta, alpha)."""
+    zero curvature that lowers the dual, to the first bound.  The residual
+    is orthogonal to the range of the free rows, so Z^T alpha, theta and
+    the margins stay where they are: they are recomputed only after a
+    Newton step.  A step that meets a bound pins that point.  At a face
+    minimizer the pinned point whose margin lies farthest on the wrong side
+    of 1 is released; with none left by more than _KKT_TOL * (1 + |m|),
+    alpha is optimal.  Returns the last (theta, alpha)."""
     m = Z @ theta
-    pin = np.where(m < 1.0 - 3.0 * delta, 1, np.where(m > 1.0 + 3.0 * delta, -1, 0))
+    pin = np.where(m < 1.0 - delta, 1, np.where(m > 1.0 + delta, -1, 0))
     alpha = np.where(pin > 0, w, np.where(pin < 0, 0.0, w * expit((1.0 - m) / delta)))
-    at_min = False
+    at_min, newton = False, True
     for _ in range(_CLOSER_ROUNDS * (len(w) + Z.shape[1])):
-        theta = Z.T @ alpha / lam
-        m = Z @ theta
+        if newton:  # the last step was a Newton step
+            theta = Z.T @ alpha / lam
+            m = Z @ theta
         if at_min:
             wrong = pin * (m - 1.0) - _KKT_TOL * (1.0 + np.abs(m))
             j = int(np.argmax(wrong))
@@ -275,29 +283,31 @@ def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
                   strict=True):
     d = X.shape[1]
 
-    def fg(th):
-        m = y * (X @ th)
-        f = 0.5 * lam * np.dot(th, th) + np.dot(w, loss_of_margin(loss, m)) / norm
-        g = lam * th + X.T @ (w * dloss_dmargin(loss, m) * y) / norm
-        return f, g
+    def fgc(th):
+        ell, dl, curv = _smooth_terms(loss, y * (X @ th))
+        f = 0.5 * lam * np.dot(th, th) + np.dot(w, ell) / norm
+        g = lam * th + X.T @ (w * dl * y) / norm
+        return f, g, w * curv / norm
 
     if x0 is None:
-        res = minimize(fg, np.zeros(d), jac=True, method="L-BFGS-B",
+        res = minimize(lambda th: fgc(th)[:2], np.zeros(d), jac=True,
+                       method="L-BFGS-B",
                        options={"maxiter": 300, "ftol": 1e-18, "gtol": 1e-14})
         theta = res.x
     else:
         theta = np.asarray(x0, dtype=float).copy()  # warm Newton handles it
-    f, g = fg(theta)
+    f, g, curv = fgc(theta)
     target = tol * (1.0 + np.linalg.norm(theta))
     it = 0
     while np.linalg.norm(g) > 0.5 * target and it < 100:
-        m = y * (X @ theta)
-        curv = w * d2loss_dmargin2(loss, m) / norm
+        # the Hessian from the rows whose curvature is not lost in rounding
+        # against the largest: near the hinge's corner only those near margin 1
+        curved = curv > np.finfo(float).eps * np.max(curv)
+        Xb, cb = (X, curv) if curved.all() else (X[curved], curv[curved])
         if d <= _DENSE_NEWTON_MAX_D:
-            H = lam * np.eye(d) + (X.T * curv) @ X
-            step = np.linalg.solve(H, g)
+            step = np.linalg.solve(lam * np.eye(d) + (Xb.T * cb) @ Xb, g)
         else:
-            op = LinearOperator((d, d), matvec=lambda v: lam * v + X.T @ (curv * (X @ v)))
+            op = LinearOperator((d, d), matvec=lambda v: lam * v + Xb.T @ (cb * (Xb @ v)))
             step, _ = cg(op, g, rtol=1e-12, atol=0.0, maxiter=10 * d)
         # backtrack to the Armijo condition f(theta - t s) <= f - 1e-4 t g^T s
         # (Nocedal & Wright sec. 3.1).  Near the optimum f differences drown
@@ -307,14 +317,14 @@ def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
         noise = np.finfo(float).eps * len(w) * abs(f)
         t = 1.0
         while t >= 1e-12:
-            f_new, g_new = fg(theta - t * step)
+            f_new, g_new, curv_new = fgc(theta - t * step)
             if f_new <= f - t * slope or (
                     f_new - f <= noise and np.linalg.norm(g_new) < gn):
                 break
             t *= 0.5
         else:
             break  # no step qualifies
-        theta, f, g = theta - t * step, f_new, g_new
+        theta, f, g, curv = theta - t * step, f_new, g_new, curv_new
         target = tol * (1.0 + np.linalg.norm(theta))
         it += 1
     if strict and np.linalg.norm(g) > target:

@@ -69,6 +69,18 @@ def test_clean_gradient_matches_pointwise(rng):
     np.testing.assert_allclose(g, expect, atol=1e-12)
 
 
+def test_clean_gradient_does_not_depend_on_rounding_at_margin_one():
+    # a decoy trained to the witness band leaves margins within rounding of
+    # 1; the row's subgradient must not depend on which side it lands
+    th = ModelParams(np.array([1.0, 0.0]))
+    grads = [clean_gradient(th, Dataset(np.array([[0.5, 1.0], [m, 2.0]]),
+                                        np.array([1.0, 1.0]), np.ones(2)),
+                            LossSpec.hinge())
+             for m in (np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0))]
+    np.testing.assert_array_equal(grads[0], grads[1])
+    np.testing.assert_array_equal(grads[0], [-0.25, -0.5])
+
+
 def test_kkt_solve_exact_cancellation():
     F = ball_only_feasible({1: np.zeros(2), -1: np.zeros(2)},
                            {1: 100.0, -1: 100.0}, 2)

@@ -185,11 +185,15 @@ def test_hinge_witness_rejects_a_nearby_theta():
 
 
 def test_hinge_round_limit_raises_with_last_iterate(monkeypatch):
-    # five points of this instance start pinned on the wrong side of margin
-    # 1; a closer given no rounds cannot certify the smoothed start
+    # the smoothed start pins all 210 points of this instance, ten of which
+    # end on margin 1 with a fractional dual; a closer given no rounds
+    # cannot certify it
     from test_acceptance import random_instance
-    monkeypatch.setattr(models, "_CLOSER_ROUNDS", 0)
     D = union(*random_instance(1001, "hinge"))
+    _, gamma = train_with_duals(D, LossSpec.hinge(),
+                                TrainConfig(lam=0.1, objective="sum"))
+    assert ((gamma > 0.0) & (gamma < 1.0)).sum() == 10
+    monkeypatch.setattr(models, "_CLOSER_ROUNDS", 0)
     with pytest.raises(TrainingError, match="witness norm") as err:
         train(D, LossSpec.hinge(), TrainConfig(lam=0.1, objective="sum"))
     assert err.value.theta.shape == (D.d,)
@@ -257,11 +261,9 @@ def test_hinge_warm_start_matches_cold_train(objective):
         train(tr, loss, cfg, start=ModelParams(np.zeros(tr.d + 1)))
 
 
-@pytest.mark.parametrize("q", [0.05, 0.5])
-def test_smoothing_levels_converge_from_the_clean_model(q):
-    # criterion 10's instance plus gen_decoys' r = 8 flip set at quantile q,
-    # from the clean model: a step rule that took any step lowering the
-    # gradient norm, even where f rose, ran Newton to its iteration cap here
+def decoy_flip_set(q):
+    """Criterion 10's instance plus gen_decoys' r = 8 flip set at quantile
+    q, with its sum-form lambda and the clean model."""
     from poisonlab.kkt import flipped
     tr, te = synth_gaussians(42, 2000, 20, 4.2)
     loss, cfg = LossSpec.hinge(), TrainConfig(lam=0.1)
@@ -270,7 +272,15 @@ def test_smoothing_levels_converge_from_the_clean_model(q):
     losses = loss_of_margin(loss, flips.y * (flips.X @ clean))
     keep = losses >= np.quantile(losses, q)
     D = union(tr, Dataset(flips.X[keep], flips.y[keep], 8.0 * flips.w[keep]))
-    lam = cfg.lam * D.total_weight
+    return D, cfg.lam * D.total_weight, clean
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5])
+def test_smoothing_levels_converge_from_the_clean_model(q):
+    # criterion 10's instance plus gen_decoys' r = 8 flip set at quantile q,
+    # from the clean model: a step rule that took any step lowering the
+    # gradient norm, even where f rose, ran Newton to its iteration cap here
+    D, lam, clean = decoy_flip_set(q)
     theta = clean
     for delta in models._SMOOTHING_LEVELS:
         smooth = LossSpec.smoothed_hinge(delta)
@@ -279,8 +289,67 @@ def test_smoothing_levels_converge_from_the_clean_model(q):
         theta = models._train_smooth(D.X, D.y, D.w, smooth, lam, 1e-10, 1.0,
                                      x0=theta)
     theta, _ = models._hinge_closer(theta, D.X * D.y[:, None], D.w, lam, delta)
-    cold = train(D, loss, cfg).theta
+    cold = train(D, LossSpec.hinge(), TrainConfig(lam=0.1)).theta
     assert np.linalg.norm(theta - cold) <= 1e-12 * (1.0 + np.linalg.norm(cold))
+
+
+def full_hessian_newton(D, loss, lam, theta):
+    """Newton on the sum-form smooth objective with every row in the
+    Hessian, halving each step until the gradient norm falls; returns where
+    no step lowers it."""
+    def grad(th):
+        m = D.y * (D.X @ th)
+        return (lam * th + D.X.T @ (D.w * models.dloss_dmargin(loss, m) * D.y),
+                D.w * d2loss_dmargin2(loss, m))
+
+    g, curv = grad(theta)
+    for _ in range(200):
+        step = np.linalg.solve(lam * np.eye(D.d) + (D.X.T * curv) @ D.X, g)
+        t = 1.0
+        while t > 1e-6:
+            g_new, curv_new = grad(theta - t * step)
+            if np.linalg.norm(g_new) < np.linalg.norm(g):
+                break
+            t *= 0.5
+        else:
+            return theta
+        theta, g, curv = theta - t * step, g_new, curv_new
+    raise AssertionError("reference Newton did not converge")
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5])
+def test_curved_row_newton_matches_full_hessian_newton(q):
+    # at delta = 0.003 only 8-15% of these rows carry curvature above
+    # rounding level against the largest; Newton solves built from those
+    # rows land where Newton on the full Hessian lands, at every level
+    D, lam, _ = decoy_flip_set(q)
+    theta = np.zeros(D.d)
+    for delta in models._SMOOTHING_LEVELS:
+        smooth = LossSpec.smoothed_hinge(delta)
+        expect = full_hessian_newton(D, smooth, lam, theta)
+        theta = models._train_smooth(D.X, D.y, D.w, smooth, lam, 1e-10, 1.0,
+                                     x0=theta)
+        assert (np.linalg.norm(theta - expect)
+                <= 1e-12 * np.linalg.norm(expect)), delta
+
+
+def test_closer_rounds_over_gen_decoys_benchmark_grid(monkeypatch):
+    # each closer round takes one SVD of the free rows: the 25 trains of
+    # the benchmark's decoy grid took 718 rounds when the closer started
+    # on a 3 delta band, and take 348 on the delta band
+    from poisonlab import gen_decoys
+    tr, te = synth_gaussians(42, 2000, 20, 4.2)
+    rounds = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        rounds.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    gen_decoys(tr, te, LossSpec.hinge(), 0.1, r_grid=(1, 2, 3, 5, 8, 12),
+               q_grid=(0.05, 0.2, 0.35, 0.5))
+    assert len(rounds) <= 1.1 * 348
 
 
 @pytest.mark.parametrize("loss", [LossSpec.smoothed_hinge(0.05), LossSpec.logistic()])
