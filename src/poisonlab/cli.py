@@ -26,6 +26,7 @@ from .harness import (
     get_or_gen_decoys,
     load_experiment_data,
     picked,
+    read_stored,
     write_trace_csv,
 )
 from .models import TrainingError, model_to_json, test_error_01, train
@@ -197,7 +198,7 @@ def main(argv=None) -> int:
             print(f"wrote {len(decoys)} decoys to {args.decoy_out}")
             return 0
         if args.cmd == "collapse":
-            doc = json.loads(Path(args.attack_file).read_text())
+            doc = read_stored(args.attack_file, "report")
             rep = cmd_collapse(doc, **picked(given, "tol"))
             text = json.dumps(rep, sort_keys=True, indent=2)
             if "out" in args:
@@ -205,7 +206,7 @@ def main(argv=None) -> int:
             print(text)
             return 0
         if args.cmd == "transfer":
-            doc = json.loads(Path(args.attack_file).read_text())
+            doc = read_stored(args.attack_file, "report")
             rows = cmd_transfer(doc, **picked(given, "lambdas", "optimizers",
                                               "losses", "eta0"))
             if "out" in args:
@@ -220,7 +221,7 @@ def main(argv=None) -> int:
         if args.cmd == "report":
             rows = []
             for f in args.files:
-                doc = json.loads(Path(f).read_text())
+                doc = read_stored(f, "report")
                 rows.append({"file": f, "attack": doc.get("attack"),
                              "min_over_defense": doc.get("min_over_defense"),
                              **{f"err_{k}": v

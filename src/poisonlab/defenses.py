@@ -18,13 +18,18 @@ k-NN scoring runs in fixed blocks of rows, so its memory grows with the
 reference size, not with its square.  Per row, a BLAS Gram expansion only
 picks the 2k + 6 nearest candidates (``np.argpartition``); their distances
 are recomputed exactly from coordinate differences and sorted by (distance,
-reference index) before weight is accumulated.  A row is settled when k
-weight is reached inside the candidates at a distance that a rounding bound
-on the expansion puts below every other reference point.  Any other row
-(weight short of k, ties at the cut) doubles its candidates until it
-settles, and scans its whole reference exactly once they would reach it.
-Scores are thus the per-row rule's bit for bit, whatever the BLAS thread
-count.  These are "the rounds".
+reference index) before weight is accumulated.  Adding reference weight can
+only bring the crossing of k nearer: the cumulative weight at each point,
+in (distance, index) order, only grows when weight comes before it, in
+floating point too.  So the crossing U over the candidates bounds the row's
+score from above.  A row is settled when a rounding bound on the expansion
+puts every other reference point beyond U.  Any other row (ties at the cut)
+takes one exact second round over every reference point whose expansion
+lies within U^2 plus that bound, a set that holds every point within its
+score.  A row whose weight falls short of k among the candidates, and every
+row of a reference of at most 2k + 6 points, takes every reference point
+instead.  Scores are thus the per-row rule's bit for bit, whatever
+the BLAS thread count.  These are "the rounds".
 
 The defender scores D = D_c u D_p on every battery, always with the same
 clean set D_c, so the rounds run on D_c once per k: the table of D_c holds
@@ -34,11 +39,9 @@ freed with it.  A training score of D is then merged from the table:
 - a clean row keeps its tabled score unless the expansion puts some poison
   point within its squared score plus the rounding bound;
 - such a row is rescored exactly over its tabled points and those poison
-  points.  Adding reference weight can only bring the crossing of k nearer:
-  the cumulative weight at each clean point, in (distance, index) order,
-  only grows when poison weight comes before it, in floating point too.  So
-  the crossing lies among these points, and their order and partial sums
-  are the rounds' on D;
+  points.  Poison weight can only bring the row's crossing nearer, so the
+  crossing lies among these points, and their order and partial sums are
+  the rounds' on D;
 - poison rows, and clean rows whose weight never reaches k (for them a far
   poison point can raise the farthest distance), are scored by the rounds
   on D.
@@ -277,34 +280,23 @@ def _knn_rounds(X: np.ndarray, own: np.ndarray, ref: Dataset, k: int):
     indices within its score, padded with own[r]."""
     m = 2 * k + 6  # candidates per row in the first round
     ref_sq = np.sum(ref.X ** 2, axis=1)
-    everyone = np.arange(ref.n)[None, :]
     score, short = np.empty(len(X)), np.zeros(len(X), dtype=bool)
     found = []  # (rows, their reference indices within their scores)
     for lo in range(0, len(X), _KNN_BLOCK):
         Xb, ob = X[lo:lo + _KNN_BLOCK], own[lo:lo + _KNN_BLOCK]
         i = np.arange(len(Xb))
-        rest = i
+        g, err = _gram(Xb, ref.X, ref_sq, ref_sq.max())
+        bound = np.full(len(Xb), np.inf)  # no first round: every point
         if ref.n > m:
-            g, err = _gram(Xb, ref.X, ref_sq, ref_sq.max())
-            s, nb, ok = _knn_settle(Xb, g, m, err, ref, k, ob)
+            s, nb, ok, bound = _knn_settle(Xb, g, m, err, ref, k, ob)
             score[lo + i[ok]] = s[ok]
             found.append((lo + i[ok], nb[ok]))
-            rest = i[~ok]
-        # each row left doubles its candidates until it settles; once they
-        # would reach the whole reference, it scans all of it exactly
-        for r in rest:
-            row = slice(r, r + 1)
-            width = 2 * m
-            while width < ref.n:
-                s, nb, ok = _knn_settle(Xb[row], g[row], width, err[row], ref,
-                                        k, ob[row])
-                if ok[0]:
-                    break
-                width *= 2
-            else:
-                s, sh, nb = _knn_crossing(Xb[row], everyone, ref, k, ob[row])
-                short[lo + r] = sh[0]
-            score[lo + r] = s[0]
+            i = i[~ok]
+        # one exact round over every point within the row's bound
+        for r in i:
+            cand = np.flatnonzero(g[r] <= bound[r])[None]
+            s, sh, nb = _knn_crossing(Xb[r:r + 1], cand, ref, k, ob[r:r + 1])
+            score[lo + r], short[lo + r] = s[0], sh[0]
             found.append(([lo + r], nb))
     nbrs = np.repeat(own[:, None], max((nb.shape[1] for _, nb in found), default=0),
                      axis=1)
@@ -316,13 +308,13 @@ def _knn_rounds(X: np.ndarray, own: np.ndarray, ref: Dataset, k: int):
 def _knn_settle(X: np.ndarray, g: np.ndarray, m: int, err: np.ndarray,
                 ref: Dataset, k: int, own: np.ndarray):
     """Per row of X, the score and points of ``_knn_crossing`` over its m
-    nearest reference points by the Gram expansion g, and whether that score
-    is certified: k weight is reached inside the candidates, and every other
-    point's expansion exceeds the crossing's squared distance by more than
-    the rounding bound err."""
+    nearest reference points by the Gram expansion g; whether every other
+    point's expansion exceeds the bound, which certifies the score; and the
+    bound, score^2 + err (inf when short), that g meets within the score."""
     part = np.argpartition(g, m, axis=1)
     score, short, nb = _knn_crossing(X, np.sort(part[:, :m], axis=1), ref, k, own)
-    return score, nb, ~short & (score ** 2 + err < g[np.arange(len(X)), part[:, m]])
+    bound = np.where(short, np.inf, score ** 2 + err)
+    return score, nb, bound < g[np.arange(len(X)), part[:, m]], bound
 
 
 def _knn_crossing(X: np.ndarray, cand: np.ndarray, ref: Dataset, k: int,

@@ -19,11 +19,10 @@ around it by one bound stage, a primal active-set method: it grows the
 pinned face until its point lies inside the bounds, then descends one
 bound per step.  Where growth finds no point, a first phase finds one;
 only that phase shows a set empty.  Each pin pattern builds its own
-table, one size at a time up to the first size that certifies.  Sets with
-an LP atom are projected by their dual and certified by the duality gap;
-margin minimization on them is not supported yet.  Every returned point
-passes ``contains``; a solve that cannot certify says so, apart from
-"empty".
+table, stacked the same way, for its one query.  Sets with an LP atom are
+projected by their dual and certified by the duality gap; margin
+minimization on them is not supported yet.  Every returned point passes
+``contains``; a solve that cannot certify says so, apart from "empty".
 """
 
 from __future__ import annotations
@@ -159,10 +158,8 @@ class _FaceTable:
     Its query-independent half is a table of the rows' linearly independent
     active sets S.  With G = A_S A_S^T it holds G^-1, w = G^-1 (b_S - A_S c),
     u0 = A_S^T w, the offset from c to the faces' affine hull, and s2 = rr^2
-    - |u0|^2.  A table that serves many queries (``reused``) stacks the sets
-    of every size into one block, so a query tests them all in one pass.  A
-    table that serves one query builds and tests one size at a time, so it
-    builds no size past the first that certifies.
+    - |u0|^2.  The sets of every size are stacked into one block, so a query
+    tests them all in one pass.
 
     A query takes z = q - c (projection) or q (margin), and per S, v = G^-1
     A_S z and Pz = z - A_S^T v, the part of z in the null space of A_S:
@@ -176,16 +173,32 @@ class _FaceTable:
     That x satisfies the KKT conditions of a convex problem, so it is the
     global solution."""
 
-    def __init__(self, c, rr, A, b, reused: bool):
+    def __init__(self, c, rr, A, b):
         self.c, self.rr, self.A, self.b = c, rr, A, b
         self.slack = b - A @ c
         self.row_n = np.sqrt(np.einsum("ij,ij->i", A, A))
         # the row test A u - slack <= 1e-11 (|A_i| (|c| + |u|) + |slack_i|)
         self._tol0 = 1e-11 * (self.row_n * math.sqrt(float(c @ c))
                               + np.abs(self.slack))
-        sizes = tuple(range(min(len(b), len(c)) + 1))
-        self._groups = [sizes] if reused else [(n,) for n in sizes]
-        self._blocks = {}
+        sizes = range(min(len(b), len(c)) + 1)
+        sets = [self._sets(n) for n in sizes]
+        m, top, d = sum(len(S) for S, _, _ in sets), sizes[-1], len(c)
+        # sets smaller than the largest are padded with zeros: a padded row
+        # adds nothing to v, Pz, u0 or x, and its nu is 0
+        S, size = np.zeros((m, top), dtype=int), np.zeros(m, dtype=int)
+        Ginv, w = np.zeros((m, top, top)), np.zeros((m, top))
+        AS, rnS = np.zeros((m, top, d)), np.zeros((m, top))
+        i = 0
+        for n, (Sn, Gn, wn) in zip(sizes, sets):
+            k = i + len(Sn)
+            S[i:k, :n], size[i:k], Ginv[i:k, :n, :n] = Sn, n, Gn
+            w[i:k, :n], AS[i:k, :n], rnS[i:k, :n] = wn, A[Sn], self.row_n[Sn]
+            i = k
+        u0 = np.einsum("ms,msd->md", w, AS)
+        s2 = rr * rr - np.einsum("md,md->m", u0, u0)
+        with np.errstate(invalid="ignore"):
+            s = np.sqrt(s2)
+        self._block = (S, size, AS, Ginv, w, rnS, u0, s2, s)
 
     def _sets(self, n: int):
         """S, G^-1 and w of the independent active sets of size n."""
@@ -201,72 +214,44 @@ class _FaceTable:
         return (S, np.linalg.inv(G),
                 np.linalg.solve(G, self.slack[S][:, :, None])[:, :, 0])
 
-    def _block(self, j: int):
-        block = self._blocks.get(j)
-        if block is None:
-            sizes = self._groups[j]
-            sets = [self._sets(n) for n in sizes]
-            m, top, d = sum(len(S) for S, _, _ in sets), sizes[-1], len(self.c)
-            # sets smaller than the block's largest are padded with zeros:
-            # a padded row adds nothing to v, Pz, u0 or x, and its nu is 0
-            S, size = np.zeros((m, top), dtype=int), np.zeros(m, dtype=int)
-            Ginv, w = np.zeros((m, top, top)), np.zeros((m, top))
-            AS, rnS = np.zeros((m, top, d)), np.zeros((m, top))
-            i = 0
-            for n, (Sn, Gn, wn) in zip(sizes, sets):
-                k = i + len(Sn)
-                S[i:k, :n], size[i:k], Ginv[i:k, :n, :n] = Sn, n, Gn
-                w[i:k, :n], AS[i:k, :n], rnS[i:k, :n] = (wn, self.A[Sn],
-                                                         self.row_n[Sn])
-                i = k
-            u0 = np.einsum("ms,msd->md", w, AS)
-            s2 = self.rr * self.rr - np.einsum("md,md->m", u0, u0)
-            with np.errstate(invalid="ignore"):
-                s = np.sqrt(s2)
-            block = self._blocks[j] = (S, size, AS, Ginv, w, rnS, u0, s2, s)
-        return block
-
     def solve(self, q, project: bool):
         """Returns (x, mu, nu), with the ball's multiplier mu and the rows'
         multipliers nu (zero off the active set), or None when no active set
         certifies, which means that the ball and rows share no point."""
         c, A, slack = self.c, self.A, self.slack
+        S, size, AS, Ginv, w, rnS, u0, s2, s = self._block
         z = q - c if project else q
         zn = math.sqrt(float(z @ z))
-        Az = A @ z
-        for j in range(len(self._groups)):
-            S, size, AS, Ginv, w, rnS, u0, s2, s = self._block(j)
-            v = np.einsum("mij,mj->mi", Ginv, Az[S])
-            pz = z - np.einsum("ms,msd->md", v, AS)
-            pn = np.sqrt(np.einsum("md,md->m", pz, pz))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if project:
-                    # the faces' hull must meet the ball's interior
-                    ok = (s2 > 0.0) | ((s2 == 0.0) & (pn == 0.0))
-                    t = np.where(pn * pn <= s2, 1.0, s / pn)
-                    mu, nu, step = 1.0 / t - 1.0, v - w / t[:, None], t
-                else:
-                    ball = pn > 1e-12 * zn
-                    ok = (s2 > 0.0) | (~ball & (s2 == 0.0))
-                    mu = np.where(ball, pn / s, 0.0)
-                    nu = -(v + mu[:, None] * w)
-                    step = np.where(ball, -s / pn, 0.0)
-                u = u0 + step[:, None] * pz
-                un = np.sqrt(np.einsum("md,md->m", u, u))
-                ok &= ~((nu * rnS < -1e-10 * zn).any(axis=1)
-                        | (u @ A.T - slack > self._tol0 + 1e-11 * self.row_n
-                           * un[:, None]).any(axis=1))
-            hit = np.flatnonzero(ok)
-            if hit.size:
-                i = hit[0]
-                nu_all = np.zeros(len(self.b))
-                nu_all[S[i, :size[i]]] = nu[i, :size[i]]
-                # x - q = (t - 1) z + A_S^T (w - t v): exactly q when q lies
-                # inside
-                x = (q + ((t[i] - 1.0) * z + AS[i].T @ (w[i] - t[i] * v[i]))
-                     if project else c + u[i])
-                return x, float(mu[i]), nu_all
-        return None
+        v = np.einsum("mij,mj->mi", Ginv, (A @ z)[S])
+        pz = z - np.einsum("ms,msd->md", v, AS)
+        pn = np.sqrt(np.einsum("md,md->m", pz, pz))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if project:
+                # the faces' hull must meet the ball's interior
+                ok = (s2 > 0.0) | ((s2 == 0.0) & (pn == 0.0))
+                t = np.where(pn * pn <= s2, 1.0, s / pn)
+                mu, nu, step = 1.0 / t - 1.0, v - w / t[:, None], t
+            else:
+                ball = pn > 1e-12 * zn
+                ok = (s2 > 0.0) | (~ball & (s2 == 0.0))
+                mu = np.where(ball, pn / s, 0.0)
+                nu = -(v + mu[:, None] * w)
+                step = np.where(ball, -s / pn, 0.0)
+            u = u0 + step[:, None] * pz
+            un = np.sqrt(np.einsum("md,md->m", u, u))
+            ok &= ~((nu * rnS < -1e-10 * zn).any(axis=1)
+                    | (u @ A.T - slack > self._tol0 + 1e-11 * self.row_n
+                       * un[:, None]).any(axis=1))
+        hit = np.flatnonzero(ok)
+        if not hit.size:
+            return None
+        i = hit[0]
+        nu_all = np.zeros(len(self.b))
+        nu_all[S[i, :size[i]]] = nu[i, :size[i]]
+        # x - q = (t - 1) z + A_S^T (w - t v): exactly q when q lies inside
+        x = (q + ((t[i] - 1.0) * z + AS[i].T @ (w[i] - t[i] * v[i]))
+             if project else c + u[i])
+        return x, float(mu[i]), nu_all
 
 
 def _class_faces(cc: ClassConstraints, d: int) -> _FaceTable:
@@ -274,7 +259,7 @@ def _class_faces(cc: ClassConstraints, d: int) -> _FaceTable:
     infinite without one) and rows; it serves every solve on the set."""
     c, r = cc.ball if cc.ball is not None else (np.zeros(d), math.inf)
     return _FaceTable(np.asarray(c, dtype=float), r * (1.0 - _SHRINK),
-                      *cc.rows(d), reused=True)
+                      *cc.rows(d))
 
 
 def _on_face(c, rr, A, b, lo, hi, q, project, pin):
@@ -289,8 +274,7 @@ def _on_face(c, rr, A, b, lo, hi, q, project, pin):
     r2 = rr * rr - float(off @ off)
     sol = None if r2 < 0.0 else _FaceTable(
         c[free], math.sqrt(r2) if off.size else rr,
-        np.compress(free, A, axis=1), b - A[:, ~free] @ at,
-        reused=False).solve(q[free], project)
+        np.compress(free, A, axis=1), b - A[:, ~free] @ at).solve(q[free], project)
     if sol is None:
         return None
     x = np.empty(len(c))

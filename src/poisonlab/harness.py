@@ -158,6 +158,23 @@ def result_to_obj(cfg: ExperimentConfig, res: AttackResult) -> dict:
     }
 
 
+def read_stored(path, shape: str):
+    """The JSON document stored in path, which must be an attack report
+    (``shape="report"``) or a decoy file (``shape="decoys"``: a list of
+    decoy objects); ConfigError names the file and the keys it must hold."""
+    doc = json.loads(Path(path).read_text())
+    if shape == "report":
+        keys, what = {"config", "dp", "attack"}, "an attack report (an object"
+        objs = [doc]
+    else:
+        keys = {"theta", "gamma", "r", "train_loss_on_clean", "test_error"}
+        what = "a decoy file (a list of objects"
+        objs = doc if isinstance(doc, list) else [None]
+    if not all(isinstance(o, dict) and keys <= o.keys() for o in objs):
+        raise ConfigError(f"{path} is not {what} with keys {', '.join(sorted(keys))})")
+    return doc
+
+
 def write_report(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
@@ -182,7 +199,7 @@ def picked(params: dict, *keys) -> dict:
 def get_or_gen_decoys(cfg: ExperimentConfig, D_c, D_test, params: dict):
     decoy_file = params.get("decoy_file")
     if decoy_file:
-        return decoys_from_obj(json.loads(Path(decoy_file).read_text()))
+        return decoys_from_obj(read_stored(decoy_file, "decoys"))
     grids = {k: tuple(v) for k, v in picked(params, "r_grid", "q_grid").items()}
     return gen_decoys(D_c, D_test, cfg.loss_spec(), cfg.lam,
                       objective=cfg.objective, **grids)

@@ -26,11 +26,12 @@ from .models import (
     LossSpec,
     ModelParams,
     TrainConfig,
+    avg_loss,
     d2loss_dmargin2,
     dloss_dmargin,
     inverse_hvp_cg,
-    loss_of_margin,
     margins,
+    test_error_01,
     train,
 )
 from .results import AttackResult, evaluated_result
@@ -144,9 +145,8 @@ def _ascend(D_c, D_test, D_p0, F, eta, steps, cfg, attack_loss, defender_loss):
     for it in range(steps + 1):
         D = union(D_c, Dp)
         theta = train(D, attack_loss, cfg)
-        surrogate = float(np.dot(D_test.w, loss_of_margin(
-            defender_loss, margins(theta, D_test))) / D_test.total_weight)
-        err = float(np.dot(D_test.w, margins(theta, D_test) <= 0) / D_test.total_weight)
+        surrogate = avg_loss(theta, D_test, defender_loss)
+        err = test_error_01(theta, D_test)
         if surrogate > best[1]:
             best = (Dp, surrogate)
         if it == steps:

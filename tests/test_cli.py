@@ -201,6 +201,41 @@ def test_flags_write_the_report_of_the_config_they_name(tmp_path, kind, flags,
     assert got == want
 
 
+# what `decoys`, `train` and `attack` write, with their shapes only
+DECOY_FILE = [{"theta": [0.5, -0.5, 0.0], "gamma": 0.3, "r": 1,
+               "train_loss_on_clean": 1.0, "test_error": 0.5}]
+MODEL_FILE = {"d": 3, "theta": [0.5, -0.5, 0.0],
+              "loss": {"kind": "hinge", "delta": 0.01}, "lambda": 0.1}
+REPORT_FILE = {"config": {}, "dp": {}, "attack": "kkt"}
+
+
+@pytest.mark.parametrize("cmd,doc,want", [
+    ("collapse", DECOY_FILE, "not an attack report"),
+    ("transfer", DECOY_FILE, "not an attack report"),
+    ("report", DECOY_FILE, "not an attack report"),
+    ("collapse", MODEL_FILE, "not an attack report"),
+    ("report", MODEL_FILE, "not an attack report"),
+    ("decoy-file", REPORT_FILE, "not a decoy file"),
+    ("decoy-file", [{}], "not a decoy file"),
+], ids=["collapse-decoys", "transfer-decoys", "report-decoys", "collapse-model",
+        "report-model", "decoy-file-report", "decoy-file-empty-decoy"])
+def test_stored_file_of_the_wrong_shape_exits_2_and_names_it(cmd, doc, want,
+                                                              tmp_path, capsys):
+    stored = tmp_path / "stored.json"
+    stored.write_text(json.dumps(doc))
+    args = {"collapse": ["collapse", str(stored)],
+            "transfer": ["transfer", str(stored)],
+            "report": ["report", str(stored), "--csv-out",
+                       str(tmp_path / "rep.csv")],
+            "decoy-file": ["attack", "kkt", "--synth-n", "150", "--synth-d",
+                           "3", "--defenses", "l2", "--decoy-file", str(stored),
+                           "--out", str(tmp_path)]}[cmd]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert str(stored) in err and want in err
+    assert not (tmp_path / "rep.csv").exists()
+
+
 def test_validation_error_exit_code():
     assert run_cli(["attack", "kkt", "--epsilon", "0.9"]) == 2
 

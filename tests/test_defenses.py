@@ -171,7 +171,7 @@ def knn_oracle_sets(rng):
     # real-valued points far from the origin: |x|^2 ~ 5e4 against squared
     # distances ~ 40, so a Gram-expansion distance is off in its last bits.
     # - 100 copies of one point, more than the 2k + 6 candidates even at
-    #   k = 40, tie at the candidate cut and need wider rounds;
+    #   k = 40, tie at the candidate cut and need the second round;
     # - 52 copies of another weigh 40 in all, but in index order (21 of 1/3,
     #   30 of 0.1, then 30) their sum rounds to just below 40, as few orders
     #   do: at k = 40 only the (distance, index) order gives the oracle's sum;
@@ -221,8 +221,33 @@ def test_knn_blocked_scores_match_per_row_oracle(rng, monkeypatch):
             # a reference other than the scored set: nothing to exclude
             np.testing.assert_array_equal(score_dataset(kind, beta, other, training=True),
                                           knn_oracle(other, D, k, False))
-    # the first round, wider rounds and the whole-reference scan all ran
+    # the first round, the bounded second round and the whole-reference
+    # scan all ran
     assert rounds == {"first", "wider", "all"}
+
+
+def test_knn_tie_group_takes_one_bounded_second_round(monkeypatch):
+    """Count rows with a 150-point all-zero tie group: every row whose k-th
+    neighbour lies in the group misses the first round.  One exact pass over
+    the points within its first-round crossing scores it, so the distances
+    computed stay near one such pass per row: 86 838 here, against 178 624
+    when each such row doubled its candidates until it settled."""
+    gen = np.random.default_rng(0)
+    X = gen.poisson(0.05, (600, 40)).astype(float)
+    X[:150] = 0.0
+    D = Dataset.from_points(X, np.where(gen.random(600) < 0.5, 1.0, -1.0))
+    distances = []
+    real_cross = defenses._knn_crossing
+
+    def counted(X, cand, ref, k, own):
+        distances.append(cand.size)
+        return real_cross(X, cand, ref, k, own)
+
+    monkeypatch.setattr(defenses, "_knn_crossing", counted)
+    kind = DefenseKind.knn(5)
+    scores = score_dataset(kind, fit_detector(kind, D), D, training=True)
+    np.testing.assert_array_equal(scores, knn_oracle(D, D, 5, True))
+    assert sum(distances) <= 1.1 * 86838
 
 
 def test_knn_table_merge_matches_per_row_oracle_on_the_union(rng):

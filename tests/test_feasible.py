@@ -415,8 +415,7 @@ def test_min_margin_on_faces_and_edges(cc, theta, expect):
     # theta + mu (x - c) + A^T nu vanish
     c, r = cc.ball
     A, b = cc.rows(len(theta))
-    x2, mu, nu = _FaceTable(c, r * (1.0 - _SHRINK), A, b,
-                           reused=False).solve(theta, False)
+    x2, mu, nu = _FaceTable(c, r * (1.0 - _SHRINK), A, b).solve(theta, False)
     np.testing.assert_array_equal(x2, x)
     assert mu >= 0.0 and (nu >= 0.0).all()
     np.testing.assert_allclose(theta + mu * (x - c) + A.T @ nu, 0.0, atol=1e-9)
@@ -542,9 +541,7 @@ def test_face_table_matches_active_set_oracle():
     for trial in range(250):
         d = int(gen.choice([2, 3, 5, 8]))
         c, rr, A, b = _oracle_instance(gen, d)
-        # each table serves every query: one stacked block of all sizes, and
-        # one block per size, built on first use
-        tables = [_FaceTable(c, rr, A, b, reused=r) for r in (True, False)]
+        table = _FaceTable(c, rr, A, b)  # serves every query
         for _ in range(6):
             project = bool(gen.random() < 0.5)
             if project:
@@ -554,11 +551,10 @@ def test_face_table_matches_active_set_oracle():
             else:
                 q = gen.standard_normal(d)
             want = active_set_oracle(c, rr, A, b, q, project)
-            for table in tables:
-                got = table.solve(q, project)
-                assert (got is None) == (want is None), (trial, project)
-                if got is not None:
-                    check_certified(got, want, c, rr, A, b, q, project)
+            got = table.solve(q, project)
+            assert (got is None) == (want is None), (trial, project)
+            if got is not None:
+                check_certified(got, want, c, rr, A, b, q, project)
             if want is None:
                 empty += 1
             else:

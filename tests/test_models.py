@@ -352,6 +352,41 @@ def test_closer_rounds_over_gen_decoys_benchmark_grid(monkeypatch):
     assert len(rounds) <= 1.1 * 348
 
 
+@pytest.mark.parametrize("objective", ["mean", "sum"])
+def test_cg_newton_matches_dense_newton(objective, monkeypatch):
+    # above _DENSE_NEWTON_MAX_D each Newton step is solved by CG on the
+    # curved rows' operator; with the limit at 0 that branch runs at d = 20
+    tr, _ = synth_gaussians(3, 300, 20, 3.0)
+    cfg = TrainConfig(lam=0.1, objective=objective)
+    losses = [LossSpec.hinge(), LossSpec.smoothed_hinge(0.05), LossSpec.logistic()]
+    dense = [train(tr, loss, cfg).theta for loss in losses]
+    solves = []
+    real_cg = models.cg
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return real_cg(*args, **kwargs)
+
+    monkeypatch.setattr(models, "cg", counted)
+    monkeypatch.setattr(models, "_DENSE_NEWTON_MAX_D", 0)
+    for loss, want in zip(losses, dense):
+        got = train(tr, loss, cfg).theta
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), loss
+    assert solves
+
+
+@pytest.mark.parametrize("loss", [LossSpec.smoothed_hinge(0.05), LossSpec.logistic()])
+def test_smooth_training_out_of_reach_raises_with_last_iterate(loss, monkeypatch):
+    # a zero tolerance no gradient meets: Newton stops at its step cap or
+    # where no step qualifies, and the strict check raises with that iterate
+    monkeypatch.setattr(TrainConfig, "tol", 0.0)
+    tr, _ = synth_gaussians(5, 120, 4, 2.0)
+    with pytest.raises(TrainingError, match="gradient norm") as err:
+        train(tr, loss, TrainConfig(lam=0.1))
+    assert err.value.theta.shape == (tr.d,) and np.isfinite(err.value.theta).all()
+    assert err.value.residual > 0.0
+
+
 @pytest.mark.parametrize("loss", [LossSpec.smoothed_hinge(0.05), LossSpec.logistic()])
 def test_smooth_training_ignores_start(loss):
     tr, _ = synth_gaussians(5, 120, 4, 2.0)
