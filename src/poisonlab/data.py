@@ -64,7 +64,7 @@ class Dataset:
             raise DataError("X must be 2-dimensional")
         if len(y) != len(X) or len(w) != len(X):
             raise DataError("X, y, w length mismatch")
-        if len(y) and not np.all(np.isin(y, (-1.0, 1.0))):
+        if not ((y == 1.0) | (y == -1.0)).all():
             raise DataError("labels must be -1 or +1")
         if np.any(w < 0):
             raise DataError("weights must be non-negative")

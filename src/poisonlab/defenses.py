@@ -270,7 +270,11 @@ def _gram(X: np.ndarray, R: np.ndarray, r_sq: np.ndarray, r_sq_max: float):
     a squared exact distance, relative to |x|^2 + r_sq_max."""
     x_sq = np.sum(X ** 2, axis=1)
     tol = (6 * X.shape[1] + 24) * np.finfo(float).eps
-    return x_sq[:, None] - 2.0 * X @ R.T + r_sq, tol * (x_sq + r_sq_max)
+    g = X @ R.T  # built in place: one block-sized array
+    g *= -2.0
+    g += x_sq[:, None]
+    g += r_sq
+    return g, tol * (x_sq + r_sq_max)
 
 
 def _knn_rounds(X: np.ndarray, own: np.ndarray, ref: Dataset, k: int):
@@ -298,6 +302,7 @@ def _knn_rounds(X: np.ndarray, own: np.ndarray, ref: Dataset, k: int):
             s, sh, nb = _knn_crossing(Xb[r:r + 1], cand, ref, k, ob[r:r + 1])
             score[lo + r], short[lo + r] = s[0], sh[0]
             found.append(([lo + r], nb))
+        del g  # before the next block's product
     nbrs = np.repeat(own[:, None], max((nb.shape[1] for _, nb in found), default=0),
                      axis=1)
     for rows, nb in found:

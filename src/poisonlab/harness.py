@@ -158,10 +158,16 @@ def result_to_obj(cfg: ExperimentConfig, res: AttackResult) -> dict:
     }
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def read_stored(path, shape: str):
     """The JSON document stored in path, which must be an attack report
     (``shape="report"``) or a decoy file (``shape="decoys"``: a list of
-    decoy objects); ConfigError names the file and the keys it must hold."""
+    decoy objects whose theta is a list of numbers and whose other values
+    are numbers); ConfigError names the file and the keys it must hold, or
+    the field of the wrong type."""
     doc = json.loads(Path(path).read_text())
     if shape == "report":
         keys, what = {"config", "dp", "attack"}, "an attack report (an object"
@@ -172,6 +178,15 @@ def read_stored(path, shape: str):
         objs = doc if isinstance(doc, list) else [None]
     if not all(isinstance(o, dict) and keys <= o.keys() for o in objs):
         raise ConfigError(f"{path} is not {what} with keys {', '.join(sorted(keys))})")
+    if shape == "decoys":
+        for i, o in enumerate(objs):
+            theta = o["theta"]
+            if not (isinstance(theta, list) and theta and all(map(_is_number, theta))):
+                raise ConfigError(f"{path}: decoy {i}'s theta is not a list of numbers")
+            for key in sorted((keys - {"theta"})
+                              | {"flip_weight", "clean_model_loss_on_flip"}):
+                if key in o and not _is_number(o[key]):
+                    raise ConfigError(f"{path}: decoy {i}'s {key} is not a number")
     return doc
 
 

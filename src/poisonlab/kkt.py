@@ -37,7 +37,7 @@ from .rounding import round_poison
 DEFAULT_R_GRID = (1, 2, 3, 5, 8, 12, 18, 25, 33)
 DEFAULT_Q_GRID = (0.05, 0.2, 0.35, 0.5)
 _SOLVE_ITERS = 10_000   # accelerated projected-gradient steps, at most
-_SOLVE_TOL = 1e-12      # relative objective change counted as a stall
+_SOLVE_TOL = 1e-12      # relative objective change counted as settled
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,12 @@ def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: float,
               eps_minus: float, F_sv: FeasibleSet, lam_eff: float):
     """Minimize ||gDc - eps+ x+ + eps- x- + lam_eff * theta_decoy||^2 over
     the points of F_sv, ``support_vector_set(F, theta_decoy)``, by
-    accelerated projected gradient.  Returns (x_plus, x_minus, objective)."""
+    accelerated projected gradient.  The solve stops after the second step
+    in a row that changes the objective by at most _SOLVE_TOL relative.
+    The objective sees the points only through eps+ x+ - eps- x-, so where
+    several pairs give the best difference the points are not unique:
+    compare solves by their objective, not their points.
+    Returns (x_plus, x_minus, objective)."""
     if eps_plus < 0 or eps_minus < 0:
         raise ValueError("class budgets must be non-negative")
     th = theta_decoy.theta
@@ -177,7 +182,7 @@ def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: float,
         obj = float(np.dot(r, r))
         if abs(obj_prev - obj) <= _SOLVE_TOL * (1.0 + obj):
             stall += 1
-            if stall >= 5:
+            if stall >= 2:
                 break
         else:
             stall = 0

@@ -182,6 +182,7 @@ _MARGIN_BAND = 1e-9  # the closer leaves margins within 1e-10 (1 + |m|) of 1
 _KKT_TOL = 1e-10     # relative slack of the closer's margin tests
 _CLOSER_ROUNDS = 4   # closer rounds per point and dimension, at most
 _SMOOTHING_LEVELS = (0.3, 0.03, 0.003)  # the continuation's deltas
+_NEAR_BAND = 0.2     # the last level's rows: margins within this of 1
 
 
 def _hinge_witness(theta, alpha, X, y, w, lam):
@@ -207,48 +208,58 @@ def _hinge_closer(theta, Z, w, lam, delta):
     Each round solves the free margin-1 system by least squares.  Where it
     is consistent, the free alpha take the Newton step to the minimizer on
     their face; where it is not, they follow its residual, a direction of
-    zero curvature that lowers the dual, to the first bound.  The residual
-    is orthogonal to the range of the free rows, so Z^T alpha, theta and
-    the margins stay where they are: they are recomputed only after a
-    Newton step.  A step that meets a bound pins that point.  At a face
-    minimizer the pinned point whose margin lies farthest on the wrong side
-    of 1 is released; with none left by more than _KKT_TOL * (1 + |m|),
-    alpha is optimal.  Returns the last (theta, alpha)."""
+    zero curvature that lowers the dual, to the first bound.  A step that
+    meets a bound pins that point.  Between face minimizers only the free
+    rows' margins are kept: a blocked Newton step moves theta by
+    Z_f^T d_alpha / lambda and recomputes the free margins, and a residual
+    step, orthogonal to the range of the free rows, moves neither.  At a
+    face minimizer theta = Z^T alpha / lambda and every margin are
+    recomputed, and the pinned point whose margin lies farthest on the
+    wrong side of 1 is released; with none left by more than
+    _KKT_TOL * (1 + |m|), alpha is optimal.  Returns the last
+    (theta, alpha)."""
     m = Z @ theta
     pin = np.where(m < 1.0 - delta, 1, np.where(m > 1.0 + delta, -1, 0))
     alpha = np.where(pin > 0, w, np.where(pin < 0, 0.0, w * expit((1.0 - m) / delta)))
-    at_min, newton = False, True
+    free = np.flatnonzero(pin == 0)
+    theta = Z.T @ alpha / lam
+    m = Z @ theta
+    at_min = False
     for _ in range(_CLOSER_ROUNDS * (len(w) + Z.shape[1])):
-        if newton:  # the last step was a Newton step
+        if at_min:
             theta = Z.T @ alpha / lam
             m = Z @ theta
-        if at_min:
             wrong = pin * (m - 1.0) - _KKT_TOL * (1.0 + np.abs(m))
             j = int(np.argmax(wrong))
             if wrong[j] <= 0.0:
                 return theta, alpha
             pin[j] = 0
-        free = np.flatnonzero(pin == 0)
+            free = np.flatnonzero(pin == 0)
+        Zf = Z[free]
         r = 1.0 - m[free]
-        U, s, _ = np.linalg.svd(Z[free], full_matrices=False)
+        U, s, _ = np.linalg.svd(Zf, full_matrices=False)
         k = int(np.sum(s > np.max(s, initial=0.0) * np.finfo(float).eps * max(Z.shape)))
         c = U[:, :k].T @ r
         resid = r - U[:, :k] @ c
         newton = bool(np.all(np.abs(resid) <= _KKT_TOL * (1.0 + np.abs(1.0 - resid))))
         step = lam * (U[:, :k] @ (c / s[:k] ** 2)) if newton else resid
         a, wf = alpha[free], w[free]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(step > 0.0, (wf - a) / step,
-                            np.where(step < 0.0, -a / step, np.inf))
+        room = np.divide(np.where(step > 0.0, wf - a, -a), step,
+                         out=np.full(len(step), np.inf), where=step != 0.0)
         t = np.min(room, initial=np.inf)
         at_min = newton and t >= 1.0
         if at_min:
             alpha[free] = np.clip(a + step, 0.0, wf)
             continue
         i = int(np.argmin(room))
-        alpha[free] = np.clip(a + t * step, 0.0, wf)
+        new = np.clip(a + t * step, 0.0, wf)
+        new[i] = wf[i] if step[i] > 0.0 else 0.0
+        alpha[free] = new
         pin[free[i]] = 1 if step[i] > 0.0 else -1
-        alpha[free[i]] = wf[i] if step[i] > 0.0 else 0.0
+        if newton:
+            theta = theta + Zf.T @ (new - a) / lam
+            m[free] = Zf @ theta
+        free = np.delete(free, i)
     return Z.T @ alpha / lam, alpha
 
 
@@ -256,12 +267,28 @@ def _train_hinge_sum(X, y, w, lam, tol, start=None):
     """Smoothing continuation at delta = 0.3, 0.03, 0.003 from zero, then the
     closer; given a start theta, the closer alone, from that theta at the
     last level's band.  Returns (theta, alpha) only where the witness norm
-    meets tol."""
+    meets tol.
+
+    The first two levels run on every row and stop at a relative gradient
+    of 1e-6, since their point only seeds the next level.  The last runs on
+    the rows whose margin lies within _NEAR_BAND of 1: below the band the
+    smoothed loss equals 1 - m to within exp(-_NEAR_BAND / delta), e^-66, so
+    those rows enter as one fixed linear term, and above it they drop out.
+    The closer then tests every row and releases any that the band
+    misplaced, so the band moves its rounds, never its answer."""
     if start is None:
         theta = np.zeros(X.shape[1])
-        for delta in _SMOOTHING_LEVELS:
+        for delta in _SMOOTHING_LEVELS[:-1]:
             theta = _train_smooth(X, y, w, LossSpec(SMOOTHED_HINGE, delta), lam,
-                                  1e-10, 1.0, x0=theta, strict=False)
+                                  1e-6, 1.0, x0=theta, strict=False)
+        m = y * (X @ theta)
+        near = np.abs(m - 1.0) <= _NEAR_BAND
+        below = m < 1.0 - _NEAR_BAND
+        wb = w[below]
+        theta = _train_smooth(X[near], y[near], w[near],
+                              LossSpec(SMOOTHED_HINGE, _SMOOTHING_LEVELS[-1]),
+                              lam, 1e-10, 1.0, x0=theta, strict=False,
+                              linear=(X[below].T @ (wb * y[below]), np.sum(wb)))
     else:
         theta = start
     theta, alpha = _hinge_closer(theta, X * y[:, None], w, lam,
@@ -280,13 +307,17 @@ _DENSE_NEWTON_MAX_D = 800
 
 
 def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
-                  strict=True):
+                  strict=True, linear=None):
+    """Minimize lambda/2 ||theta||^2 + sum_i w_i ell_i / norm, plus, given
+    ``linear`` = (b, c), the fixed term c - b^T theta of rows whose loss is
+    linear in theta (the hinge continuation's rows below its band)."""
     d = X.shape[1]
+    b, c = (np.zeros(d), 0.0) if linear is None else linear
 
     def fgc(th):
         ell, dl, curv = _smooth_terms(loss, y * (X @ th))
-        f = 0.5 * lam * np.dot(th, th) + np.dot(w, ell) / norm
-        g = lam * th + X.T @ (w * dl * y) / norm
+        f = 0.5 * lam * np.dot(th, th) + np.dot(w, ell) / norm + c - np.dot(b, th)
+        g = lam * th + X.T @ (w * dl * y) / norm - b
         return f, g, w * curv / norm
 
     if x0 is None:
@@ -302,7 +333,7 @@ def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
     while np.linalg.norm(g) > 0.5 * target and it < 100:
         # the Hessian from the rows whose curvature is not lost in rounding
         # against the largest: near the hinge's corner only those near margin 1
-        curved = curv > np.finfo(float).eps * np.max(curv)
+        curved = curv > np.finfo(float).eps * np.max(curv, initial=0.0)
         Xb, cb = (X, curv) if curved.all() else (X[curved], curv[curved])
         if d <= _DENSE_NEWTON_MAX_D:
             step = np.linalg.solve(lam * np.eye(d) + (Xb.T * cb) @ Xb, g)

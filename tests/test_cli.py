@@ -217,8 +217,13 @@ REPORT_FILE = {"config": {}, "dp": {}, "attack": "kkt"}
     ("report", MODEL_FILE, "not an attack report"),
     ("decoy-file", REPORT_FILE, "not a decoy file"),
     ("decoy-file", [{}], "not a decoy file"),
+    ("decoy-file", [DECOY_FILE[0] | {"theta": ["ab", 0.0, 0.0]}],
+     "decoy 0's theta is not a list of numbers"),
+    ("decoy-file", [DECOY_FILE[0] | {"gamma": "0.3"}],
+     "decoy 0's gamma is not a number"),
 ], ids=["collapse-decoys", "transfer-decoys", "report-decoys", "collapse-model",
-        "report-model", "decoy-file-report", "decoy-file-empty-decoy"])
+        "report-model", "decoy-file-report", "decoy-file-empty-decoy",
+        "decoy-file-text-theta", "decoy-file-text-gamma"])
 def test_stored_file_of_the_wrong_shape_exits_2_and_names_it(cmd, doc, want,
                                                               tmp_path, capsys):
     stored = tmp_path / "stored.json"

@@ -47,6 +47,13 @@ def test_bad_label_rejected(tmp_path):
         load_dataset(f, "dense-csv")
 
 
+@pytest.mark.parametrize("label", [0.0, 2.0, np.nan])
+def test_dataset_rejects_labels_other_than_plus_minus_one(label):
+    with pytest.raises(DataError, match="labels must be -1 or \\+1"):
+        Dataset(np.zeros((3, 2)), np.array([1.0, label, -1.0]), np.ones(3))
+    assert Dataset(np.zeros((0, 2)), np.zeros(0), np.zeros(0)).n == 0
+
+
 @pytest.mark.parametrize("format", ["sparse-text", "dense-csv"])
 def test_save_load_round_trip_bit_exact(tmp_path, rng, format):
     X = rng.standard_normal((7, 4))

@@ -164,6 +164,36 @@ def test_kkt_stationarity_retraining_reproduces_decoy(rng):
             <= 1e-4 * (1.0 + np.linalg.norm(th_d.theta)))
 
 
+def test_run_kkt_projections_over_benchmark_grid(monkeypatch):
+    # one run_kkt on the benchmark's decoy grid: kkt_solve made 754
+    # projections when it confirmed a stall over five settled steps, and
+    # makes 466 stopping after two; the winning split is the same
+    from poisonlab import feasible
+    tr, te = synth_gaussians(42, 2000, 20, 4.2)
+    loss, cfg = LossSpec.hinge(), TrainConfig(lam=0.1)
+    decoys = gen_decoys(tr, te, loss, 0.1, r_grid=(1, 2, 3, 5, 8, 12),
+                        q_grid=(0.05, 0.2, 0.35, 0.5))
+
+    def F_builder(d):
+        caps = decoy_loss_caps(tr, d.theta_decoy, loss, 0.05)
+        return build_feasible_set(tr, 0.05, decoy=(d.theta_decoy, loss, caps))
+
+    calls = []
+    project = feasible.FeasibleSet.project
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return project(self, *args, **kwargs)
+
+    monkeypatch.setattr(feasible.FeasibleSet, "project", counted)
+    res = run_kkt(tr, te, 0.03, decoys, F_builder, T=6, p=0.05, loss=loss,
+                  config=cfg)
+    assert len(calls) <= 1.1 * 466
+    assert res.min_over_defense == 0.0235
+    assert (res.decoy_provenance["decoy_index"],
+            res.decoy_provenance["eps_plus"]) == (3, 0.015)
+
+
 def test_decoy_loss_caps_are_class_quantiles():
     tr, _ = synth_gaussians(3, 200, 3, 2.0)
     loss = LossSpec.hinge()

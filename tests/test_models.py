@@ -352,6 +352,54 @@ def test_closer_rounds_over_gen_decoys_benchmark_grid(monkeypatch):
     assert len(rounds) <= 1.1 * 348
 
 
+def test_smoothing_rows_over_gen_decoys_benchmark_grid(monkeypatch):
+    # the rows each smoothed-loss evaluation sees over the benchmark's 25
+    # decoy trains: 2 092 400 when the last level ran on every row; on the
+    # rows within _NEAR_BAND of margin 1, 1 387 628
+    from poisonlab import gen_decoys
+    tr, te = synth_gaussians(42, 2000, 20, 4.2)
+    rows = []
+    terms = models._smooth_terms
+
+    def counted(loss, m):
+        rows.append(len(m))
+        return terms(loss, m)
+
+    monkeypatch.setattr(models, "_smooth_terms", counted)
+    gen_decoys(tr, te, LossSpec.hinge(), 0.1, r_grid=(1, 2, 3, 5, 8, 12),
+               q_grid=(0.05, 0.2, 0.35, 0.5))
+    assert sum(rows) <= 1.1 * 1_387_628
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5])
+def test_last_level_band_moves_rounds_not_the_answer(q, monkeypatch):
+    # with the band at 1e-3 the last level treats rows near margin 1 as
+    # linear or absent, and some of them end on the other side of 1: the
+    # closer releases them, certifies, and lands on the optimum that the
+    # continuation on every row reaches
+    D, _, _ = decoy_flip_set(q)
+    cfg = TrainConfig(lam=0.1)
+    monkeypatch.setattr(models, "_NEAR_BAND", np.inf)
+    full = train(D, LossSpec.hinge(), cfg).theta
+    seeds = {}
+    smooth = models._train_smooth
+
+    def recorded(X, y, w, loss, *args, **kwargs):
+        seeds[loss.delta] = theta = smooth(X, y, w, loss, *args, **kwargs)
+        return theta
+
+    monkeypatch.setattr(models, "_train_smooth", recorded)
+    monkeypatch.setattr(models, "_NEAR_BAND", 1e-3)
+    theta, gamma = train_with_duals(D, LossSpec.hinge(), cfg)
+    assert_hinge_certified(D, cfg, theta, gamma)
+    assert np.linalg.norm(theta.theta - full) <= 1e-12 * np.linalg.norm(full)
+    seed_m = D.y * (D.X @ seeds[models._SMOOTHING_LEVELS[-2]])
+    m = D.y * (D.X @ theta.theta)
+    moved = (((seed_m < 1.0 - 1e-3) & (m > 1.0 + 1e-6))
+             | ((seed_m > 1.0 + 1e-3) & (m < 1.0 - 1e-6)))
+    assert moved.any()
+
+
 @pytest.mark.parametrize("objective", ["mean", "sum"])
 def test_cg_newton_matches_dense_newton(objective, monkeypatch):
     # above _DENSE_NEWTON_MAX_D each Newton step is solved by CG on the
