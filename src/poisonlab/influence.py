@@ -135,16 +135,17 @@ def _concentrated_init(D_c: Dataset, epsilon: float, F: FeasibleSet, seed: int):
     return Dataset(X, np.array([1.0, -1.0]), np.array([weights[1], weights[-1]]))
 
 
-def _ascend(D_c, D_test, D_p0, F, eta, steps, cfg, attack_loss, defender_loss):
-    """Run the gradient-ascent loop on the defender's objective cfg; returns
-    (best Dp, trace rows)."""
+def _ascend(D_c, D_test, D_p0, theta, F, eta, steps, cfg, attack_loss, defender_loss):
+    """Run the gradient-ascent loop on the defender's objective cfg; each
+    step trains from the previous step's theta, the first from theta, the
+    model of D_c + D_p0.  Returns (best Dp, trace rows)."""
     Dp = D_p0
     best = (None, -np.inf)
     trace = []
     v = None  # warm start for the CG solve across iterations
     for it in range(steps + 1):
         D = union(D_c, Dp)
-        theta = train(D, attack_loss, cfg)
+        theta = train(D, attack_loss, cfg, start=theta)
         surrogate = avg_loss(theta, D_test, defender_loss)
         err = test_error_01(theta, D_test)
         if surrogate > best[1]:
@@ -196,7 +197,7 @@ def run_influence(D_c: Dataset, D_test: Dataset, epsilon: float, F: FeasibleSet,
         best = (None, -np.inf, [])
         for eta in etas:
             dp_eta, trace_eta = _ascend(
-                D_r, D_test, D_p0, F, eta, config.steps, defender_config,
+                D_r, D_test, D_p0, theta0, F, eta, config.steps, defender_config,
                 attack_loss, defender_loss)
             score = max(r["test_loss"] for r in trace_eta)
             if score > best[1]:

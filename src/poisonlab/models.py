@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.sparse.linalg import LinearOperator, cg
 from scipy.special import expit
 
 from .data import Dataset
@@ -301,7 +299,7 @@ def _train_hinge_sum(X, y, w, lam, tol, start=None):
                         f"(target {target:.3e})", theta=theta, residual=r)
 
 
-# -- smooth training: Newton with Armijo backtracking, from L-BFGS-B or x0 ---
+# -- smooth training: Newton with Armijo backtracking, from x0 or zero -------
 
 _DENSE_NEWTON_MAX_D = 800
 
@@ -310,7 +308,9 @@ def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
                   strict=True, linear=None):
     """Minimize lambda/2 ||theta||^2 + sum_i w_i ell_i / norm, plus, given
     ``linear`` = (b, c), the fixed term c - b^T theta of rows whose loss is
-    linear in theta (the hinge continuation's rows below its band)."""
+    linear in theta (the hinge continuation's rows below its band), by
+    Armijo-damped Newton from x0, or from zero: the objective is strongly
+    convex, so it converges from any start (Nocedal & Wright sec. 3.1, 3.3)."""
     d = X.shape[1]
     b, c = (np.zeros(d), 0.0) if linear is None else linear
 
@@ -320,13 +320,7 @@ def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
         g = lam * th + X.T @ (w * dl * y) / norm - b
         return f, g, w * curv / norm
 
-    if x0 is None:
-        res = minimize(lambda th: fgc(th)[:2], np.zeros(d), jac=True,
-                       method="L-BFGS-B",
-                       options={"maxiter": 300, "ftol": 1e-18, "gtol": 1e-14})
-        theta = res.x
-    else:
-        theta = np.asarray(x0, dtype=float).copy()  # warm Newton handles it
+    theta = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
     f, g, curv = fgc(theta)
     target = tol * (1.0 + np.linalg.norm(theta))
     it = 0
@@ -338,6 +332,7 @@ def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
         if d <= _DENSE_NEWTON_MAX_D:
             step = np.linalg.solve(lam * np.eye(d) + (Xb.T * cb) @ Xb, g)
         else:
+            from scipy.sparse.linalg import LinearOperator, cg
             op = LinearOperator((d, d), matvec=lambda v: lam * v + Xb.T @ (cb * (Xb @ v)))
             step, _ = cg(op, g, rtol=1e-12, atol=0.0, maxiter=10 * d)
         # backtrack to the Armijo condition f(theta - t s) <= f - 1e-4 t g^T s
@@ -372,11 +367,12 @@ def train_with_duals(D: Dataset, loss: LossSpec, config: TrainConfig,
     is gamma_i * w_i * (-y_i x_i).  For the hinge these come from the dual
     solution (needed at margins exactly 1); for smooth losses gamma = c'(s).
 
-    ``start`` (hinge only; smooth losses ignore it) skips the smoothing
-    continuation: the exact closer runs from that theta.  The witness check
-    is the same, so the result does not depend on the start; its speed does,
-    since the closer is fast only from a near start, such as the model of a
-    slightly different training set.
+    ``start`` warm-starts training: the hinge's exact closer runs from that
+    theta in place of the smoothing continuation, and a smooth loss's Newton
+    from it in place of zero.  The certificate is the same, so the result
+    depends on the start only within it; the speed depends on it more, since
+    a near start, such as the model of a slightly different training set,
+    needs few closer rounds or Newton steps.
     """
     if D.n == 0 or D.total_weight <= 0:
         raise ValueError("cannot train on an empty dataset")
@@ -387,14 +383,13 @@ def train_with_duals(D: Dataset, loss: LossSpec, config: TrainConfig,
     mask = D.w > 0
     X, y, w = D.X[mask], D.y[mask], D.w[mask]
     norm = D.total_weight if config.objective == "mean" else 1.0
+    x0 = None if start is None else start.theta
+    gamma = np.zeros(D.n)
     if loss.kind == HINGE:
-        theta, alpha = _train_hinge_sum(X, y, w, config.lam * norm, config.tol,
-                                        None if start is None else start.theta)
-        gamma = np.zeros(D.n)
+        theta, alpha = _train_hinge_sum(X, y, w, config.lam * norm, config.tol, x0)
         gamma[mask] = alpha / w
     else:
-        theta = _train_smooth(X, y, w, loss, config.lam, config.tol, norm)
-        gamma = np.zeros(D.n)
+        theta = _train_smooth(X, y, w, loss, config.lam, config.tol, norm, x0)
         gamma[mask] = -dloss_dmargin(loss, y * (X @ theta))
     return ModelParams(theta), gamma
 
@@ -444,6 +439,7 @@ def inverse_hvp_cg(theta: ModelParams, D: Dataset, lam: float, v: np.ndarray,
     if not np.any(v):
         return np.zeros_like(v)
     curv = D.w * d2loss_dmargin2(loss, margins(theta, D)) / D.total_weight
+    from scipy.sparse.linalg import LinearOperator, cg
     d = D.d
     op = LinearOperator((d, d), matvec=lambda u: lam * u + D.X.T @ (curv * (D.X @ u)))
     u, info = cg(op, v, rtol=tol, atol=0.0, x0=x0, maxiter=max(20 * d, 1000))

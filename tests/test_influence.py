@@ -1,11 +1,13 @@
+from inspect import signature
+
 import numpy as np
 import pytest
 
-from poisonlab import Dataset, InfluenceConfig, LossSpec, ModelParams, TrainConfig
+from poisonlab import Dataset, InfluenceConfig, LossSpec, ModelParams, TrainConfig, models
 from poisonlab import run_influence, synth_gaussians, train, union
 from poisonlab.influence import test_gradient as mean_test_gradient
 from poisonlab.feasible import ball_only_feasible, build_feasible_set
-from poisonlab.influence import influence_gradient, init_label_flip
+from poisonlab.influence import ETA_GRID, influence_gradient, init_label_flip
 from poisonlab.models import avg_loss, grad_point
 
 
@@ -186,6 +188,27 @@ def test_run_influence_per_point_mode():
     for a, b in ((res.dp.X, again.dp.X), (res.dp.y, again.dp.y),
                  (res.dp.w, again.dp.w)):
         np.testing.assert_array_equal(a, b)
+
+
+def test_run_influence_trains_from_zero_once(monkeypatch):
+    # theta0 starts each eta's ascent, and every step trains from the last
+    # step's theta: of 1 + 5 * 4 smooth trains only theta0's starts at zero
+    tr, te = synth_gaussians(8, 150, 3, 2.0)
+    F = build_feasible_set(tr, 0.05)
+    cfg = InfluenceConfig(steps=3, concentrated=True, seed=1)
+    starts = []
+    smooth = models._train_smooth
+
+    def recorded(X, y, w, loss, *args, **kwargs):
+        if loss == LossSpec.smoothed_hinge(cfg.delta):
+            x0 = signature(smooth).bind(X, y, w, loss, *args, **kwargs).arguments.get("x0")
+            starts.append(x0 is None or not np.any(x0))
+        return smooth(X, y, w, loss, *args, **kwargs)
+
+    monkeypatch.setattr(models, "_train_smooth", recorded)
+    run_influence(tr, te, 0.03, F, cfg)
+    assert len(starts) == 1 + len(ETA_GRID) * (cfg.steps + 1)
+    assert sum(starts) == 1
 
 
 def test_run_influence_iterates_stay_feasible():

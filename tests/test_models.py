@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from poisonlab import Dataset, LossSpec, ModelParams, TrainConfig, models
 from poisonlab import avg_loss, grad_point, hvp, inverse_hvp_cg, loss_point, synth_gaussians, train, train_sgd_single_pass, union
@@ -11,6 +16,7 @@ from poisonlab.models import (
     TrainingError,
     UnsupportedLossError,
     d2loss_dmargin2,
+    dloss_dmargin,
     loss_of_margin,
     model_from_json,
     model_to_json,
@@ -409,13 +415,13 @@ def test_cg_newton_matches_dense_newton(objective, monkeypatch):
     losses = [LossSpec.hinge(), LossSpec.smoothed_hinge(0.05), LossSpec.logistic()]
     dense = [train(tr, loss, cfg).theta for loss in losses]
     solves = []
-    real_cg = models.cg
+    real_cg = scipy.sparse.linalg.cg
 
     def counted(*args, **kwargs):
         solves.append(1)
         return real_cg(*args, **kwargs)
 
-    monkeypatch.setattr(models, "cg", counted)
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", counted)
     monkeypatch.setattr(models, "_DENSE_NEWTON_MAX_D", 0)
     for loss, want in zip(losses, dense):
         got = train(tr, loss, cfg).theta
@@ -435,13 +441,54 @@ def test_smooth_training_out_of_reach_raises_with_last_iterate(loss, monkeypatch
     assert err.value.residual > 0.0
 
 
+def smooth_gradient_norm(D, loss, lam, theta):
+    """Norm of the mean-form objective's gradient, which train() certifies
+    at most tol * (1 + ||theta||) for smooth losses."""
+    coeff = D.w * dloss_dmargin(loss, D.y * (D.X @ theta)) * D.y
+    return float(np.linalg.norm(lam * theta + D.X.T @ coeff / D.total_weight))
+
+
 @pytest.mark.parametrize("loss", [LossSpec.smoothed_hinge(0.05), LossSpec.logistic()])
-def test_smooth_training_ignores_start(loss):
+def test_smooth_training_honours_start(loss, monkeypatch):
+    # Newton runs from the start: from a far one it meets the cold train's
+    # certificate, and from the cold optimum it takes no step
     tr, _ = synth_gaussians(5, 120, 4, 2.0)
     cfg = TrainConfig(lam=0.1)
     cold = train(tr, loss, cfg).theta
-    far = ModelParams(np.full(tr.d, 3.0))
-    np.testing.assert_array_equal(train(tr, loss, cfg, start=far).theta, cold)
+    far = train(tr, loss, cfg, start=ModelParams(np.full(tr.d, 3.0))).theta
+    for theta in (cold, far):
+        assert (smooth_gradient_norm(tr, loss, cfg.lam, theta)
+                <= cfg.tol * (1.0 + np.linalg.norm(theta)))
+    solves = []
+    real_solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    again = train(tr, loss, cfg, start=ModelParams(cold)).theta
+    assert solves == []
+    np.testing.assert_array_equal(again, cold)
+
+
+def test_import_and_smooth_training_load_no_scipy_solvers():
+    # scipy.optimize and scipy.sparse.linalg load only where a path calls
+    # them (CG above _DENSE_NEWTON_MAX_D, inverse_hvp_cg, LP projections)
+    code = """
+import sys
+import poisonlab
+from poisonlab import LossSpec, TrainConfig, synth_gaussians, train
+tr, _ = synth_gaussians(0, 200, 20, 2.0)
+for loss in (LossSpec.smoothed_hinge(0.01), LossSpec.logistic()):
+    train(tr, loss, TrainConfig())
+print(sorted(m for m in ("scipy.optimize", "scipy.sparse.linalg") if m in sys.modules))
+"""
+    src = str(Path(models.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_sgd_pure_decay_matches_recurrence():
