@@ -47,8 +47,9 @@ def _check_domain(X: np.ndarray, domain: InputDomain) -> None:
 class Dataset:
     """Immutable weighted multiset of labeled points.
 
-    X has shape (n, d), y in {-1, +1}, w >= 0.  Instances are safe to share
-    across parallel workers; all mutating operations return new datasets.
+    X has shape (n, d), y in {-1, +1}, w finite and >= 0.  Instances are
+    safe to share across parallel workers; all mutating operations return
+    new datasets.
     """
 
     X: np.ndarray
@@ -66,8 +67,8 @@ class Dataset:
             raise DataError("X, y, w length mismatch")
         if not ((y == 1.0) | (y == -1.0)).all():
             raise DataError("labels must be -1 or +1")
-        if np.any(w < 0):
-            raise DataError("weights must be non-negative")
+        if not ((w >= 0.0) & (w < np.inf)).all():
+            raise DataError("weights must be finite and non-negative")
         _check_domain(X, self.domain)
         X.setflags(write=False)
         y.setflags(write=False)

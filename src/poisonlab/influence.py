@@ -71,10 +71,10 @@ def influence_gradient(theta: ModelParams, D: Dataset, Dp: Dataset,
     """d(test loss)/dx of each point of the poison Dp inside training on
     D = D_c + Dp under cfg's objective: -(w_i/W) g_test^T H^-1 (d^2 ell /
     d theta d x), with H the Hessian of the mean-loss form at
-    cfg.mean_lam(W), solved by CG to cfg.tol.  For a smooth margin loss the
-    mixed partial is curv * x theta^T + y * coeff * I, with coeff and curv
-    the first and second margin derivatives.  Returns (rows, v = H^-1
-    g_test); v0 warm-starts CG."""
+    cfg.mean_lam(W), solved by ``inverse_hvp_cg`` to cfg.tol.  For a smooth
+    margin loss the mixed partial is curv * x theta^T + y * coeff * I, with
+    coeff and curv the first and second margin derivatives.  Returns (rows,
+    v = H^-1 g_test); v0 warm-starts the solve where it is CG (d > 800)."""
     v = inverse_hvp_cg(theta, D, cfg.mean_lam(D.total_weight), g_test, loss,
                        tol=cfg.tol, x0=v0)
     th = theta.theta
@@ -142,7 +142,7 @@ def _ascend(D_c, D_test, D_p0, theta, F, eta, steps, cfg, attack_loss, defender_
     Dp = D_p0
     best = (None, -np.inf)
     trace = []
-    v = None  # warm start for the CG solve across iterations
+    v = None  # warm start for the inverse HVP across iterations (CG, d > 800)
     for it in range(steps + 1):
         D = union(D_c, Dp)
         theta = train(D, attack_loss, cfg, start=theta)

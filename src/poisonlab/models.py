@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset
 
@@ -107,13 +106,17 @@ class TrainConfig:
 
 def _smooth_terms(loss: LossSpec, m: np.ndarray):
     """(ell, ell', ell'') of a smooth loss at margins m; every formula for
-    the smooth losses is here."""
-    if loss.kind == SMOOTHED_HINGE:
-        z = (1.0 - m) / loss.delta
-        s = expit(z)
-        return loss.delta * np.logaddexp(0.0, z), -s, s * (1.0 - s) / loss.delta
-    s = expit(-m)
-    return np.logaddexp(0.0, -m), -s, expit(m) * s
+    the smooth losses is here.  Both losses are softplus of z = (1 - m) /
+    delta or -m, and all three terms come from e = exp(-|z|), which never
+    overflows: softplus(z) = max(z, 0) + log1p(e), sigma(z) = 1 / (1 + e)
+    for z >= 0 and e / (1 + e) below, and sigma(z) sigma(-z) = e / (1 + e)^2,
+    which does not cancel where sigma(z) rounds to 1."""
+    scale = loss.delta if loss.kind == SMOOTHED_HINGE else 1.0
+    z = (1.0 - m) / scale if loss.kind == SMOOTHED_HINGE else -m
+    e = np.exp(-np.abs(z))
+    p = 1.0 + e
+    s = np.where(z >= 0.0, 1.0, e) / p
+    return scale * (np.maximum(z, 0.0) + np.log1p(e)), -s, e / (p * p) / scale
 
 
 def loss_of_margin(loss: LossSpec, m: np.ndarray) -> np.ndarray:
@@ -218,8 +221,9 @@ def _hinge_closer(theta, Z, w, lam, delta):
     (theta, alpha)."""
     m = Z @ theta
     pin = np.where(m < 1.0 - delta, 1, np.where(m > 1.0 + delta, -1, 0))
-    alpha = np.where(pin > 0, w, np.where(pin < 0, 0.0, w * expit((1.0 - m) / delta)))
     free = np.flatnonzero(pin == 0)
+    alpha = np.where(pin > 0, w, 0.0)
+    alpha[free] = -w[free] * _smooth_terms(LossSpec(SMOOTHED_HINGE, delta), m[free])[1]
     theta = Z.T @ alpha / lam
     m = Z @ theta
     at_min = False
@@ -304,6 +308,23 @@ def _train_hinge_sum(X, y, w, lam, tol, start=None):
 _DENSE_NEWTON_MAX_D = 800
 
 
+def _solve_hessian(X, curv, lam, v, rtol, maxiter, x0=None):
+    """Solve (lambda I + X^T diag(curv) X) u = v, built from the rows whose
+    curvature is not lost in rounding against the largest (near the hinge's
+    corner only those near margin 1): by np.linalg.solve at d <=
+    _DENSE_NEWTON_MAX_D, above it by CG from x0 to ||Hu - v|| <= rtol ||v||.
+    Returns (u, info), info being CG's, and 0 for the dense solve."""
+    curved = curv > np.finfo(float).eps * np.max(curv, initial=0.0)
+    if not curved.all():
+        X, curv = X[curved], curv[curved]
+    d = X.shape[1]
+    if d <= _DENSE_NEWTON_MAX_D:
+        return np.linalg.solve(lam * np.eye(d) + (X.T * curv) @ X, v), 0
+    from scipy.sparse.linalg import LinearOperator, cg
+    op = LinearOperator((d, d), matvec=lambda u: lam * u + X.T @ (curv * (X @ u)))
+    return cg(op, v, rtol=rtol, atol=0.0, x0=x0, maxiter=maxiter)
+
+
 def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
                   strict=True, linear=None):
     """Minimize lambda/2 ||theta||^2 + sum_i w_i ell_i / norm, plus, given
@@ -325,16 +346,7 @@ def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
     target = tol * (1.0 + np.linalg.norm(theta))
     it = 0
     while np.linalg.norm(g) > 0.5 * target and it < 100:
-        # the Hessian from the rows whose curvature is not lost in rounding
-        # against the largest: near the hinge's corner only those near margin 1
-        curved = curv > np.finfo(float).eps * np.max(curv, initial=0.0)
-        Xb, cb = (X, curv) if curved.all() else (X[curved], curv[curved])
-        if d <= _DENSE_NEWTON_MAX_D:
-            step = np.linalg.solve(lam * np.eye(d) + (Xb.T * cb) @ Xb, g)
-        else:
-            from scipy.sparse.linalg import LinearOperator, cg
-            op = LinearOperator((d, d), matvec=lambda v: lam * v + Xb.T @ (cb * (Xb @ v)))
-            step, _ = cg(op, g, rtol=1e-12, atol=0.0, maxiter=10 * d)
+        step = _solve_hessian(X, curv, lam, g, 1e-12, 10 * d)[0]
         # backtrack to the Armijo condition f(theta - t s) <= f - 1e-4 t g^T s
         # (Nocedal & Wright sec. 3.1).  Near the optimum f differences drown
         # in rounding: f sums len(w) non-negative terms, so where f rises by
@@ -431,18 +443,17 @@ def hvp(theta: ModelParams, D: Dataset, lam: float, v: np.ndarray,
 def inverse_hvp_cg(theta: ModelParams, D: Dataset, lam: float, v: np.ndarray,
                    loss: LossSpec, tol: float = 1e-8,
                    x0: np.ndarray | None = None) -> np.ndarray:
-    """Solve H u = v by conjugate gradients to ||Hu - v|| <= tol * ||v||;
-    x0 warm-starts the solve (e.g. from the previous attack iteration)."""
+    """Solve H u = v, H = ``hvp``'s operator, to ||Hu - v|| <= tol * ||v||:
+    by one dense solve at d <= _DENSE_NEWTON_MAX_D, as Newton's steps are,
+    and above it by conjugate gradients, which x0 warm-starts (e.g. from
+    the previous attack iteration)."""
     if lam <= 0:
         raise ValueError("lambda must be positive for an invertible Hessian")
     v = np.asarray(v, dtype=float)
     if not np.any(v):
         return np.zeros_like(v)
     curv = D.w * d2loss_dmargin2(loss, margins(theta, D)) / D.total_weight
-    from scipy.sparse.linalg import LinearOperator, cg
-    d = D.d
-    op = LinearOperator((d, d), matvec=lambda u: lam * u + D.X.T @ (curv * (D.X @ u)))
-    u, info = cg(op, v, rtol=tol, atol=0.0, x0=x0, maxiter=max(20 * d, 1000))
+    u, info = _solve_hessian(D.X, curv, lam, v, tol, max(20 * D.d, 1000), x0)
     if info != 0:
         raise TrainingError(f"CG failed to converge (info={info})", theta=u)
     return u

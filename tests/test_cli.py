@@ -241,6 +241,21 @@ def test_stored_file_of_the_wrong_shape_exits_2_and_names_it(cmd, doc, want,
     assert not (tmp_path / "rep.csv").exists()
 
 
+def test_sidecar_nan_weight_exits_2(tmp_path, capsys):
+    from poisonlab import save_dataset, synth_gaussians
+    tr, te = synth_gaussians(0, 60, 3, 2.0)
+    save_dataset(tr, tmp_path / "tr.csv", "dense-csv")
+    save_dataset(te, tmp_path / "te.csv", "dense-csv")
+    sidecar = tmp_path / "tr.csv.json"
+    meta = json.loads(sidecar.read_text())
+    meta["weights"] = [float("nan")] + [1.0] * (tr.n - 1)
+    sidecar.write_text(json.dumps(meta))
+    assert run_cli(["attack", "kkt", "--train-file", str(tmp_path / "tr.csv"),
+                    "--test-file", str(tmp_path / "te.csv"), "--format",
+                    "dense-csv", "--out", str(tmp_path)]) == 2
+    assert "weights must be finite" in capsys.readouterr().err
+
+
 def test_validation_error_exit_code():
     assert run_cli(["attack", "kkt", "--epsilon", "0.9"]) == 2
 

@@ -54,6 +54,12 @@ def test_dataset_rejects_labels_other_than_plus_minus_one(label):
     assert Dataset(np.zeros((0, 2)), np.zeros(0), np.zeros(0)).n == 0
 
 
+@pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+def test_dataset_rejects_weights_not_finite_and_non_negative(weight):
+    with pytest.raises(DataError, match="weights must be finite and non-negative"):
+        Dataset(np.zeros((3, 2)), np.array([1.0, 1.0, -1.0]), np.array([1.0, weight, 1.0]))
+
+
 @pytest.mark.parametrize("format", ["sparse-text", "dense-csv"])
 def test_save_load_round_trip_bit_exact(tmp_path, rng, format):
     X = rng.standard_normal((7, 4))

@@ -18,6 +18,7 @@ from poisonlab.models import (
     d2loss_dmargin2,
     dloss_dmargin,
     loss_of_margin,
+    margins,
     model_from_json,
     model_to_json,
     train_with_duals,
@@ -60,6 +61,26 @@ def test_logistic_gradient_at_zero():
     x = np.array([2.0, -1.0])
     np.testing.assert_allclose(
         grad_point(LossSpec.logistic(), th, x, 1.0), -x / 2.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("loss", [LossSpec.smoothed_hinge(0.25), LossSpec.logistic()])
+def test_smooth_terms_match_extended_precision(loss):
+    # softplus(z), sigma(z) and sigma(z) sigma(-z) in long double at the same
+    # z = (1 - m) / delta (or -m), exact here: delta is a power of two and
+    # the margins are multiples of 1/32.  No term overflows or cancels, out
+    # to the ends of [-700, 700] where the terms reach 1e-304
+    z = np.linspace(-700.0, 700.0, 11201)
+    scale = loss.delta if loss.kind == "smoothed_hinge" else 1.0
+    m = 1.0 - scale * z if loss.kind == "smoothed_hinge" else -z
+    zl = z.astype(np.longdouble)
+    e = np.exp(-np.abs(zl))
+    want = (scale * (np.maximum(zl, 0) + np.log1p(e)),
+            -np.where(zl >= 0, 1, e) / (1 + e),
+            e / (1 + e) ** 2 / scale)
+    got = (loss_of_margin(loss, m), dloss_dmargin(loss, m), d2loss_dmargin2(loss, m))
+    for name, g, ref in zip(("ell", "ell'", "ell''"), got, want):
+        assert (ref != 0).all() and np.isfinite(g).all(), name
+        assert np.max(np.abs(g - ref) / np.abs(ref)) <= 1e-13, name
 
 
 @pytest.mark.parametrize("loss", [LossSpec.smoothed_hinge(0.05), LossSpec.logistic()])
@@ -473,16 +494,18 @@ def test_smooth_training_honours_start(loss, monkeypatch):
 
 
 def test_import_and_smooth_training_load_no_scipy_solvers():
-    # scipy.optimize and scipy.sparse.linalg load only where a path calls
-    # them (CG above _DENSE_NEWTON_MAX_D, inverse_hvp_cg, LP projections)
+    # scipy loads only where a path calls it (CG above _DENSE_NEWTON_MAX_D,
+    # LP projections): not on import, nor to train or invert a Hessian at d = 20
     code = """
 import sys
+import numpy as np
 import poisonlab
-from poisonlab import LossSpec, TrainConfig, synth_gaussians, train
+from poisonlab import LossSpec, TrainConfig, inverse_hvp_cg, synth_gaussians, train
 tr, _ = synth_gaussians(0, 200, 20, 2.0)
-for loss in (LossSpec.smoothed_hinge(0.01), LossSpec.logistic()):
-    train(tr, loss, TrainConfig())
-print(sorted(m for m in ("scipy.optimize", "scipy.sparse.linalg") if m in sys.modules))
+for loss in (LossSpec.hinge(), LossSpec.smoothed_hinge(0.01), LossSpec.logistic()):
+    theta = train(tr, loss, TrainConfig())
+inverse_hvp_cg(theta, tr, 0.1, np.ones(tr.d), LossSpec.logistic())
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     src = str(Path(models.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
@@ -637,6 +660,37 @@ def test_inverse_hvp_matches_dense_solve(rng):
     v = rng.standard_normal(5)
     u = inverse_hvp_cg(th, tr, lam, v, loss, tol=1e-12)
     np.testing.assert_allclose(u, np.linalg.solve(H, v), atol=1e-8)
+
+
+def test_dense_inverse_hvp_matches_cg(rng, monkeypatch):
+    # at d <= _DENSE_NEWTON_MAX_D the inverse HVP is one dense solve and
+    # calls no CG; with the limit at 0 CG runs at d = 20.  Both meet the
+    # residual bound and agree within it
+    tr, _ = synth_gaussians(3, 300, 20, 3.0)
+    lam, tol = 0.1, 1e-8
+    solves = []
+    real_cg = scipy.sparse.linalg.cg
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return real_cg(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", counted)
+    for loss in (LossSpec.smoothed_hinge(0.05), LossSpec.logistic()):
+        th = train(tr, loss, TrainConfig(lam=lam))
+        curv = tr.w * d2loss_dmargin2(loss, margins(th, tr)) / tr.total_weight
+        H = lam * np.eye(tr.d) + (tr.X.T * curv) @ tr.X
+        v = rng.standard_normal(tr.d)
+        solves.clear()
+        dense = inverse_hvp_cg(th, tr, lam, v, loss, tol=tol)
+        assert solves == []
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "_DENSE_NEWTON_MAX_D", 0)
+            by_cg = inverse_hvp_cg(th, tr, lam, v, loss, tol=tol)
+        assert solves
+        for u in (dense, by_cg):
+            assert np.linalg.norm(H @ u - v) <= tol * np.linalg.norm(v), loss
+        assert np.linalg.norm(by_cg - dense) <= tol * np.linalg.norm(dense), loss
 
 
 def test_hinge_duals_lie_in_unit_interval():
