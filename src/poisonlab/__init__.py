@@ -11,7 +11,7 @@ from .feasible import (
     verify_collapse,
 )
 from .influence import InfluenceConfig, influence_gradient, run_influence, test_gradient
-from .kkt import DecoyParams, clean_gradient, gen_decoys, kkt_solve, run_kkt, support_vector_set
+from .kkt import DecoyParams, clean_gradient, gen_decoys, kkt_solve, projected_anchors, run_kkt, support_vector_set
 from .minmax import max_loss_point, run_minmax, run_minmax_basic
 from .models import (
     LossSpec,
@@ -62,6 +62,7 @@ __all__ = [
     "load_dataset",
     "loss_point",
     "max_loss_point",
+    "projected_anchors",
     "repeat_round",
     "round_point",
     "run_alfa",

@@ -137,11 +137,20 @@ def support_vector_set(F: FeasibleSet, theta_decoy: ModelParams) -> FeasibleSet:
              .with_halfspace(-1, HalfSpace(-th, 1.0)))
 
 
+def projected_anchors(F_sv: FeasibleSet, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each class's anchor projected into F_sv, the points ``kkt_solve``
+    starts from.  They depend on the decoy only: project them once for all
+    of its splits.  Raises InfeasibleSetError where a class's set is empty."""
+    return tuple(F_sv.project(F_sv.for_label(y).anchor(d), y) for y in (1, -1))
+
+
 def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: float,
-              eps_minus: float, F_sv: FeasibleSet, lam_eff: float):
+              eps_minus: float, F_sv: FeasibleSet, lam_eff: float,
+              anchors: tuple[np.ndarray, np.ndarray]):
     """Minimize ||gDc - eps+ x+ + eps- x- + lam_eff * theta_decoy||^2 over
     the points of F_sv, ``support_vector_set(F, theta_decoy)``, by
-    accelerated projected gradient.  The solve stops after the second step
+    accelerated projected gradient from ``anchors``,
+    ``projected_anchors(F_sv, d)``.  The solve stops after the second step
     in a row that changes the objective by at most _SOLVE_TOL relative.
     The objective sees the points only through eps+ x+ - eps- x-, so where
     several pairs give the best difference the points are not unique:
@@ -150,9 +159,7 @@ def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: float,
     if eps_plus < 0 or eps_minus < 0:
         raise ValueError("class budgets must be non-negative")
     th = theta_decoy.theta
-    d = len(th)
-    x_p = F_sv.project(F_sv.for_label(1).anchor(d), 1)
-    x_m = F_sv.project(F_sv.for_label(-1).anchor(d), -1)
+    x_p, x_m = anchors
 
     def residual(xp, xm):
         return gDc - eps_plus * xp + eps_minus * xm + lam_eff * th
@@ -222,12 +229,15 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
         F_sv = support_vector_set(F_builder(decoy), decoy.theta_decoy)
         gDc = clean_gradient(decoy.theta_decoy, D_c, loss)
         theta, models = None, {}  # the previous split's models
+        anchors = None  # projected once; an empty class set skips every split
         for t in range(T + 1):
             eps_p = t * epsilon / T
             eps_m = epsilon - eps_p
             try:
+                if anchors is None:
+                    anchors = projected_anchors(F_sv, D_c.d)
                 x_p, x_m, obj = kkt_solve(gDc, decoy.theta_decoy, eps_p, eps_m,
-                                          F_sv, lam_eff)
+                                          F_sv, lam_eff, anchors)
             except InfeasibleSetError as exc:
                 skipped.append({"decoy_index": di, "eps_plus": eps_p,
                                 "reason": str(exc)})

@@ -104,16 +104,22 @@ class TrainConfig:
 
 # -- pointwise primitives, vectorized over margins m = y * (X @ theta) -------
 
+_EXP_CUT = -np.log(np.finfo(float).tiny)  # exp(-|z|) is subnormal beyond
+
+
 def _smooth_terms(loss: LossSpec, m: np.ndarray):
     """(ell, ell', ell'') of a smooth loss at margins m; every formula for
     the smooth losses is here.  Both losses are softplus of z = (1 - m) /
     delta or -m, and all three terms come from e = exp(-|z|), which never
     overflows: softplus(z) = max(z, 0) + log1p(e), sigma(z) = 1 / (1 + e)
     for z >= 0 and e / (1 + e) below, and sigma(z) sigma(-z) = e / (1 + e)^2,
-    which does not cancel where sigma(z) rounds to 1."""
+    which does not cancel where sigma(z) rounds to 1.  Where exp(-|z|)
+    would be subnormal, slow to compute, e is 0: each term then moves by
+    less than the smallest normal double times delta, 1 and 1 / delta."""
     scale = loss.delta if loss.kind == SMOOTHED_HINGE else 1.0
     z = (1.0 - m) / scale if loss.kind == SMOOTHED_HINGE else -m
-    e = np.exp(-np.abs(z))
+    a = np.abs(z)
+    e = np.exp(-a, out=np.zeros_like(a), where=a < _EXP_CUT)
     p = 1.0 + e
     s = np.where(z >= 0.0, 1.0, e) / p
     return scale * (np.maximum(z, 0.0) + np.log1p(e)), -s, e / (p * p) / scale
@@ -174,15 +180,16 @@ def test_error_01(theta: ModelParams, D: Dataset) -> float:
 # For the sum objective  lambda/2 ||theta||^2 + sum_i w_i max(0, 1 - m_i)
 # the dual is  min_alpha  ||Z^T alpha||^2 / (2 lambda) - 1^T alpha  over the
 # box 0 <= alpha_i <= w_i, with Z = y * X row-wise and theta = Z^T alpha /
-# lambda; its gradient in alpha is m - 1.  A smoothing continuation (Newton)
-# finds the margins to within a few delta; a primal active-set method on the
-# dual then closes exactly in finitely many rounds: alpha = w below margin 1,
-# alpha = 0 above it, and the free alpha solve the margin-1 system.
+# lambda; its gradient in alpha is m - 1.  A ridge seed (one Newton step
+# from zero at delta = 1) and a smoothing continuation (Newton) find the
+# margins to within a few delta; a primal active-set method on the dual then
+# closes exactly in finitely many rounds: alpha = w below margin 1, alpha = 0
+# above it, and the free alpha solve the margin-1 system.
 
 _MARGIN_BAND = 1e-9  # the closer leaves margins within 1e-10 (1 + |m|) of 1
 _KKT_TOL = 1e-10     # relative slack of the closer's margin tests
 _CLOSER_ROUNDS = 4   # closer rounds per point and dimension, at most
-_SMOOTHING_LEVELS = (0.3, 0.03, 0.003)  # the continuation's deltas
+_SMOOTHING_LEVELS = (0.03, 0.003)  # the continuation's deltas
 _NEAR_BAND = 0.2     # the last level's rows: margins within this of 1
 
 
@@ -265,21 +272,32 @@ def _hinge_closer(theta, Z, w, lam, delta):
     return Z.T @ alpha / lam, alpha
 
 
-def _train_hinge_sum(X, y, w, lam, tol, start=None):
-    """Smoothing continuation at delta = 0.3, 0.03, 0.003 from zero, then the
-    closer; given a start theta, the closer alone, from that theta at the
-    last level's band.  Returns (theta, alpha) only where the witness norm
-    meets tol.
+def _ridge_seed(X, y, w, lam):
+    """One undamped Newton step from zero on the smoothed hinge at delta =
+    1, the continuation's start.  At zero every margin is 0, so every row
+    has the same curvature sigma(1) sigma(-1) and slope -sigma(1): the step
+    is a ridge regression of the labels over sigma(-1), with ridge lambda /
+    (sigma(1) sigma(-1)) (Nocedal & Wright sec. 3.3)."""
+    _, dl, curv = _smooth_terms(LossSpec(SMOOTHED_HINGE, 1.0), np.zeros(1))
+    return _solve_hessian(X, w * curv[0], lam, -dl[0] * (X.T @ (w * y)),
+                          1e-12, 10 * X.shape[1])[0]
 
-    The first two levels run on every row and stop at a relative gradient
-    of 1e-6, since their point only seeds the next level.  The last runs on
+
+def _train_hinge_sum(X, y, w, lam, tol, start=None):
+    """The ridge seed, smoothing continuation at delta = 0.03 and 0.003
+    from it, then the closer; given a start theta, the closer alone, from
+    that theta at the last level's band.  Returns (theta, alpha) only where
+    the witness norm meets tol.
+
+    The first level runs on every row and stops at a relative gradient of
+    1e-6, since its point only seeds the next level.  The last runs on
     the rows whose margin lies within _NEAR_BAND of 1: below the band the
     smoothed loss equals 1 - m to within exp(-_NEAR_BAND / delta), e^-66, so
     those rows enter as one fixed linear term, and above it they drop out.
     The closer then tests every row and releases any that the band
     misplaced, so the band moves its rounds, never its answer."""
     if start is None:
-        theta = np.zeros(X.shape[1])
+        theta = _ridge_seed(X, y, w, lam)
         for delta in _SMOOTHING_LEVELS[:-1]:
             theta = _train_smooth(X, y, w, LossSpec(SMOOTHED_HINGE, delta), lam,
                                   1e-6, 1.0, x0=theta, strict=False)

@@ -19,6 +19,7 @@ from poisonlab import (
     TrainConfig,
     gen_decoys,
     kkt_solve,
+    projected_anchors,
     run_alfa,
     run_influence,
     run_kkt,
@@ -234,8 +235,10 @@ def test_criterion_7_kkt_stationarity():
         ep, em = 0.03, 0.02
         n = tr.total_weight
         scale = 1.0 + ep + em
-        xp, xm, obj = kkt_solve(gDc, th_d, ep, em, support_vector_set(F, th_d),
-                                cfg.mean_lam(n * scale) * scale)
+        F_sv = support_vector_set(F, th_d)
+        xp, xm, obj = kkt_solve(gDc, th_d, ep, em, F_sv,
+                                cfg.mean_lam(n * scale) * scale,
+                                projected_anchors(F_sv, th_d.d))
         if obj <= 1e-10:
             solved += 1
             D_p = Dataset.from_points(np.array([xp, xm]), [1.0, -1.0],

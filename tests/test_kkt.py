@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from poisonlab import Dataset, DecoyParams, LossSpec, ModelParams, TrainConfig
-from poisonlab import clean_gradient, gen_decoys, kkt_solve, run_kkt, support_vector_set, synth_gaussians, train, union
+from poisonlab import clean_gradient, gen_decoys, kkt_solve, projected_anchors, run_kkt, support_vector_set, synth_gaussians, train, union
 from poisonlab.feasible import ball_only_feasible, build_feasible_set
 from poisonlab.kkt import decoy_loss_caps, pareto_prune
 from poisonlab.models import avg_loss, test_error_01 as zero_one_error
@@ -81,12 +81,19 @@ def test_clean_gradient_does_not_depend_on_rounding_at_margin_one():
     np.testing.assert_array_equal(grads[0], [-0.25, -0.5])
 
 
+def solve_on(F, gDc, th, ep, em, lam_eff):
+    """kkt_solve on F's support-vector set, from its projected anchors."""
+    F_sv = support_vector_set(F, th)
+    return kkt_solve(gDc, th, ep, em, F_sv, lam_eff,
+                     projected_anchors(F_sv, th.d))
+
+
 def test_kkt_solve_exact_cancellation():
     F = ball_only_feasible({1: np.zeros(2), -1: np.zeros(2)},
                            {1: 100.0, -1: 100.0}, 2)
     th = ModelParams(np.array([0.0, 0.1]))
     gDc = np.array([1.0, 0.0])
-    xp, xm, obj = kkt_solve(gDc, th, 1.0, 0.0, support_vector_set(F, th), 0.0)
+    xp, xm, obj = solve_on(F, gDc, th, 1.0, 0.0, 0.0)
     assert obj <= 1e-10
     np.testing.assert_allclose(xp, [1.0, 0.0], atol=1e-5)
 
@@ -97,10 +104,10 @@ def test_kkt_solve_zero_budgets_deterministic_centers():
     th = ModelParams(np.array([0.1, 0.0]))
     gDc = np.array([0.3, -0.2])
     lam_eff = 0.05
-    xp, xm, obj = kkt_solve(gDc, th, 0.0, 0.0, support_vector_set(F, th), lam_eff)
+    xp, xm, obj = solve_on(F, gDc, th, 0.0, 0.0, lam_eff)
     r = gDc + lam_eff * th.theta
     assert obj == pytest.approx(float(np.dot(r, r)))
-    xp2, xm2, _ = kkt_solve(gDc, th, 0.0, 0.0, support_vector_set(F, th), lam_eff)
+    xp2, xm2, _ = solve_on(F, gDc, th, 0.0, 0.0, lam_eff)
     np.testing.assert_array_equal(xp, xp2)
 
 
@@ -109,8 +116,7 @@ def test_kkt_solve_support_vector_constraints_hold():
     F = build_feasible_set(tr, 0.05)
     th = train(tr, LossSpec.hinge(), TrainConfig(lam=0.1))
     gDc = clean_gradient(th, tr, LossSpec.hinge())
-    xp, xm, obj = kkt_solve(gDc, th, 0.02, 0.01, support_vector_set(F, th),
-                            0.1 * 1.03)
+    xp, xm, obj = solve_on(F, gDc, th, 0.02, 0.01, 0.1 * 1.03)
     assert 1.0 - float(th.theta @ xp) >= -1e-8
     assert 1.0 + float(th.theta @ xm) >= -1e-8
 
@@ -123,7 +129,7 @@ def test_kkt_solve_matches_grid_oracle():
     th = ModelParams(np.array([0.5, 0.5]))
     gDc = np.array([0.9, 1.4])
     ep, em, lam_eff = 0.6, 0.4, 0.2
-    xp, xm, obj = kkt_solve(gDc, th, ep, em, support_vector_set(F, th), lam_eff)
+    xp, xm, obj = solve_on(F, gDc, th, ep, em, lam_eff)
     for x, c, y in ((xp, c_p, 1.0), (xm, c_m, -1.0)):
         assert np.linalg.norm(x - c) == pytest.approx(1.0, abs=1e-6)
         assert y * (th.theta @ x) == pytest.approx(1.0, abs=1e-6)
@@ -154,8 +160,7 @@ def test_kkt_stationarity_retraining_reproduces_decoy(rng):
     n = tr.total_weight
     ep, em = 0.03, 0.02
     # run_kkt's residual lambda: the mean-form one over n (1 + eps), times 1 + eps
-    xp, xm, obj = kkt_solve(gDc, th_d, ep, em, support_vector_set(F, th_d),
-                            cfg.mean_lam(n * 1.05) * 1.05)
+    xp, xm, obj = solve_on(F, gDc, th_d, ep, em, cfg.mean_lam(n * 1.05) * 1.05)
     assert obj <= 1e-10
     Dp = Dataset.from_points(np.array([xp, xm]), [1.0, -1.0],
                              [ep * n, em * n])
@@ -167,7 +172,8 @@ def test_kkt_stationarity_retraining_reproduces_decoy(rng):
 def test_run_kkt_projections_over_benchmark_grid(monkeypatch):
     # one run_kkt on the benchmark's decoy grid: kkt_solve made 754
     # projections when it confirmed a stall over five settled steps, and
-    # makes 466 stopping after two; the winning split is the same
+    # 466 stopping after two; with each decoy's anchors projected once for
+    # its seven splits, 370; the winning split is the same
     from poisonlab import feasible
     tr, te = synth_gaussians(42, 2000, 20, 4.2)
     loss, cfg = LossSpec.hinge(), TrainConfig(lam=0.1)
@@ -188,7 +194,7 @@ def test_run_kkt_projections_over_benchmark_grid(monkeypatch):
     monkeypatch.setattr(feasible.FeasibleSet, "project", counted)
     res = run_kkt(tr, te, 0.03, decoys, F_builder, T=6, p=0.05, loss=loss,
                   config=cfg)
-    assert len(calls) <= 1.1 * 466
+    assert len(calls) <= 1.1 * 370
     assert res.min_over_defense == 0.0235
     assert (res.decoy_provenance["decoy_index"],
             res.decoy_provenance["eps_plus"]) == (3, 0.015)
