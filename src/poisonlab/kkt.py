@@ -155,11 +155,12 @@ def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: float,
     The objective sees the points only through eps+ x+ - eps- x-, so where
     several pairs give the best difference the points are not unique:
     compare solves by their objective, not their points.
-    Returns (x_plus, x_minus, objective)."""
+    Returns (x_plus, x_minus, objective); the points never alias
+    ``anchors``, which later splits start from."""
     if eps_plus < 0 or eps_minus < 0:
         raise ValueError("class budgets must be non-negative")
     th = theta_decoy.theta
-    x_p, x_m = anchors
+    x_p, x_m = (a.copy() for a in anchors)
 
     def residual(xp, xm):
         return gDc - eps_plus * xp + eps_minus * xm + lam_eff * th
@@ -170,7 +171,7 @@ def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: float,
 
     L = 2.0 * (eps_plus ** 2 + eps_minus ** 2)
     step = 1.0 / L
-    zp, zm = x_p.copy(), x_m.copy()
+    zp, zm = x_p, x_m
     t_acc = 1.0
     obj_prev = np.inf
     stall = 0

@@ -104,22 +104,16 @@ class TrainConfig:
 
 # -- pointwise primitives, vectorized over margins m = y * (X @ theta) -------
 
-_EXP_CUT = -np.log(np.finfo(float).tiny)  # exp(-|z|) is subnormal beyond
-
-
 def _smooth_terms(loss: LossSpec, m: np.ndarray):
     """(ell, ell', ell'') of a smooth loss at margins m; every formula for
     the smooth losses is here.  Both losses are softplus of z = (1 - m) /
     delta or -m, and all three terms come from e = exp(-|z|), which never
     overflows: softplus(z) = max(z, 0) + log1p(e), sigma(z) = 1 / (1 + e)
     for z >= 0 and e / (1 + e) below, and sigma(z) sigma(-z) = e / (1 + e)^2,
-    which does not cancel where sigma(z) rounds to 1.  Where exp(-|z|)
-    would be subnormal, slow to compute, e is 0: each term then moves by
-    less than the smallest normal double times delta, 1 and 1 / delta."""
+    which does not cancel where sigma(z) rounds to 1."""
     scale = loss.delta if loss.kind == SMOOTHED_HINGE else 1.0
     z = (1.0 - m) / scale if loss.kind == SMOOTHED_HINGE else -m
-    a = np.abs(z)
-    e = np.exp(-a, out=np.zeros_like(a), where=a < _EXP_CUT)
+    e = np.exp(-np.abs(z))
     p = 1.0 + e
     s = np.where(z >= 0.0, 1.0, e) / p
     return scale * (np.maximum(z, 0.0) + np.log1p(e)), -s, e / (p * p) / scale

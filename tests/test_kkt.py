@@ -111,6 +111,25 @@ def test_kkt_solve_zero_budgets_deterministic_centers():
     np.testing.assert_array_equal(xp, xp2)
 
 
+@pytest.mark.parametrize("ep,em", [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0)])
+def test_kkt_solve_returns_no_view_of_its_anchors(ep, em):
+    # run_kkt hands one anchor pair to every split of a decoy, so a point
+    # the solve returns, changed in place, must not move a later start
+    c = np.array([2.0, 1.0])
+    F = ball_only_feasible({1: c, -1: -c}, {1: 1.0, -1: 1.0}, 2)
+    th = ModelParams(np.array([0.1, 0.0]))
+    F_sv = support_vector_set(F, th)
+    anchors = projected_anchors(F_sv, th.d)
+    kept = tuple(a.copy() for a in anchors)
+    xp, xm, _ = kkt_solve(np.array([0.3, -0.2]), th, ep, em, F_sv, 0.05, anchors)
+    assert not np.shares_memory(xp, anchors[0])
+    assert not np.shares_memory(xm, anchors[1])
+    xp += 1.0
+    xm += 1.0
+    for a, k in zip(anchors, kept):
+        np.testing.assert_array_equal(a, k)
+
+
 def test_kkt_solve_support_vector_constraints_hold():
     tr, _ = synth_gaussians(10, 100, 3, 3.0)
     F = build_feasible_set(tr, 0.05)
