@@ -14,22 +14,25 @@ top-p weight mass per class via a threshold tau_y, and trains on the rest:
 and scores the combined data once per fit, and derives both tau and the
 kept set from that one score array.
 
-k-NN scoring runs in fixed blocks of rows, so its memory grows with the
-reference size, not with its square.  Per row, a BLAS Gram expansion only
-picks the 2k + 6 nearest candidates (``np.argpartition``); their distances
-are recomputed exactly from coordinate differences and sorted by (distance,
-reference index) before weight is accumulated.  Adding reference weight can
-only bring the crossing of k nearer: the cumulative weight at each point,
-in (distance, index) order, only grows when weight comes before it, in
-floating point too.  So the crossing U over the candidates bounds the row's
-score from above.  A row is settled when a rounding bound on the expansion
-puts every other reference point beyond U.  Any other row (ties at the cut)
-takes one exact second round over every reference point whose expansion
-lies within U^2 plus that bound, a set that holds every point within its
-score.  A row whose weight falls short of k among the candidates, and every
-row of a reference of at most 2k + 6 points, takes every reference point
-instead.  Scores are thus the per-row rule's bit for bit, whatever
-the BLAS thread count.  These are "the rounds".
+k-NN scoring runs in blocks of rows sized so that each block array (a Gram
+expansion, its argpartition, the first round's coordinate differences) holds
+at most ``_KNN_BLOCK_BYTES``.  Its working memory, beyond arrays the size of
+the data and the tables it returns, is thus bounded whatever the number of
+points, up to 2^17 reference points, where a block is one row.
+Per row, a BLAS Gram expansion only picks the 2k + 6 nearest candidates
+(``np.argpartition``); their distances are recomputed exactly from coordinate
+differences and sorted by (distance, reference index) before weight is
+accumulated.  Adding reference weight can only bring the crossing of k
+nearer: the cumulative weight at each point, in (distance, index) order, only
+grows when weight comes before it, in floating point too.  So the crossing U
+over the candidates bounds the row's score from above.  A row is settled when
+a rounding bound on the expansion puts every other reference point beyond U.
+Any other row (ties at the cut) takes one exact second round over every
+reference point whose expansion lies within U^2 plus that bound, a set that
+holds every point within its score.  A row whose weight falls short of k
+among the candidates, and every row of a reference of at most 2k + 6 points,
+takes every reference point instead.  Scores are thus the per-row rule's bit
+for bit, whatever the BLAS thread count.  These are "the rounds".
 
 The defender scores D = D_c u D_p on every battery, always with the same
 clean set D_c, so the rounds run on D_c once per k: the table of D_c holds
@@ -67,7 +70,7 @@ KNN = "knn"
 
 ALL_DEFENSES = (L2, SLAB, LOSS, SVD, KNN)
 
-_KNN_BLOCK = 256   # rows scored per block: bounds k-NN memory to 256 x |reference|
+_KNN_BLOCK_BYTES = 1 << 20  # k-NN: bytes of one block array, at most
 _TIE_BAND = 1e-12  # relative slack on the removal budget (see _thresholds)
 
 
@@ -246,8 +249,10 @@ def _knn_merged(table: _KnnTable, clean: Dataset, D: Dataset,
     redo = np.concatenate([np.flatnonzero(table.short), poison])
     out[redo] = _knn_rounds(D.X[redo], redo, D, k)[0]
     ref_sq = np.sum(D.X ** 2, axis=1)
-    for lo in range(0, n_c, _KNN_BLOCK):
-        rows = np.arange(lo, min(lo + _KNN_BLOCK, n_c))
+    # a row of a block: g's poison columns, or the row's d coordinates
+    step = _knn_block_rows(max(D.n - n_c, D.d))
+    for lo in range(0, n_c, step):
+        rows = np.arange(lo, min(lo + step, n_c))
         g, err = _gram(clean.X[rows], D.X[n_c:], ref_sq[n_c:], ref_sq.max())
         # a poison point outside every such bound lies beyond the row's score
         near = ((g <= (table.score[rows] ** 2 + err)[:, None])
@@ -262,6 +267,11 @@ def _knn_merged(table: _KnnTable, clean: Dataset, D: Dataset,
         cand = np.hstack([table.nbrs[rows], cols[:, -near.sum(axis=1).max():]])
         out[rows] = _knn_crossing(D.X[rows], np.sort(cand, axis=1), D, k, rows)[0]
     return out
+
+
+def _knn_block_rows(width: int) -> int:
+    """Rows per k-NN block whose arrays have at most ``width`` floats a row."""
+    return max(1, _KNN_BLOCK_BYTES // (8 * max(width, 1)))
 
 
 def _gram(X: np.ndarray, R: np.ndarray, r_sq: np.ndarray, r_sq_max: float):
@@ -286,8 +296,11 @@ def _knn_rounds(X: np.ndarray, own: np.ndarray, ref: Dataset, k: int):
     ref_sq = np.sum(ref.X ** 2, axis=1)
     score, short = np.empty(len(X)), np.zeros(len(X), dtype=bool)
     found = []  # (rows, their reference indices within their scores)
-    for lo in range(0, len(X), _KNN_BLOCK):
-        Xb, ob = X[lo:lo + _KNN_BLOCK], own[lo:lo + _KNN_BLOCK]
+    # a row of a block: g's |ref| columns, or its first round's m x d
+    # coordinate differences
+    step = _knn_block_rows(max(ref.n, m * ref.d))
+    for lo in range(0, len(X), step):
+        Xb, ob = X[lo:lo + step], own[lo:lo + step]
         i = np.arange(len(Xb))
         g, err = _gram(Xb, ref.X, ref_sq, ref_sq.max())
         bound = np.full(len(Xb), np.inf)  # no first round: every point

@@ -405,6 +405,8 @@ def train_with_duals(D: Dataset, loss: LossSpec, config: TrainConfig,
     if start is not None and start.d != D.d:
         raise ValueError(f"start has dimension {start.d}, data {D.d}")
     mask = D.w > 0
+    if mask.all():
+        mask = slice(None)  # D's own arrays, not copies of them
     X, y, w = D.X[mask], D.y[mask], D.w[mask]
     norm = D.total_weight if config.objective == "mean" else 1.0
     x0 = None if start is None else start.theta

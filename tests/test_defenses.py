@@ -2,6 +2,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -159,9 +160,9 @@ def knn_oracle_sets(rng):
     with a set of other points to score against it."""
     weights = [1.0, 30.0, 0.1, 1.0 / 3.0, 0.0]
     p = [0.5, 0.05, 0.2, 0.15, 0.1]
-    # half-integer grid coordinates keep every distance exact; 600 rows span
-    # three blocks, and the grid puts many duplicates and distance ties
-    # across block boundaries
+    # half-integer grid coordinates keep every distance exact; the grid puts
+    # many duplicates and distance ties across block boundaries, which fall
+    # every few rows at the smallest of _KNN_BUDGETS
     n = 600
     grid = Dataset.from_points(rng.integers(-3, 4, size=(n, 3)) * 0.5,
                                np.where(rng.random(n) < 0.5, 1.0, -1.0),
@@ -199,7 +200,17 @@ def knn_oracle_sets(rng):
             "small": (small, gauss_other)}
 
 
-def test_knn_blocked_scores_match_per_row_oracle(rng, monkeypatch):
+# k-NN block budgets: a few rows per block (2 to 8 in the rounds over the
+# grid and gauss sets; 245 or 612 clean rows against 8 poison points), the
+# default, and one block for every row
+_KNN_BUDGETS = pytest.mark.parametrize(
+    "budget", [8 * 7 * 700, defenses._KNN_BLOCK_BYTES, 1 << 40],
+    ids=["few-rows", "default", "one-block"])
+
+
+@_KNN_BUDGETS
+def test_knn_blocked_scores_match_per_row_oracle(rng, monkeypatch, budget):
+    monkeypatch.setattr(defenses, "_KNN_BLOCK_BYTES", budget)
     rounds = set()
     real_cross = defenses._knn_crossing
 
@@ -250,9 +261,12 @@ def test_knn_tie_group_takes_one_bounded_second_round(monkeypatch):
     assert sum(distances) <= 1.1 * 86838
 
 
-def test_knn_table_merge_matches_per_row_oracle_on_the_union(rng):
+@_KNN_BUDGETS
+def test_knn_table_merge_matches_per_row_oracle_on_the_union(rng, monkeypatch,
+                                                             budget):
     """D_c u D_p scored from D_c's table and the poison: bit for bit the
     per-row rule on the union, and so are defend's tau and kept set."""
+    monkeypatch.setattr(defenses, "_KNN_BLOCK_BYTES", budget)
     moved = {}
     for name, (C, _) in knn_oracle_sets(rng).items():
         pick = rng.choice(C.n, 8, replace=False)
@@ -297,6 +311,50 @@ def test_knn_table_merge_matches_per_row_oracle_on_the_union(rng):
         with pytest.raises(DefenseError, match="prefix"):
             score_dataset(kind, DetectorParams(KNN, reference=D, clean=clean_set), D,
                           training=True)
+
+
+def traced_peak(f):
+    """The peak of the memory that f() allocates, as tracemalloc traces it."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_knn_table_working_memory_does_not_grow_with_n():
+    """One table build at n = 6000 holds two block arrays at a time (the Gram
+    expansion and its argpartition) besides the table: 2.6 MB traced, where
+    256-row blocks of 6000 columns took 25.5 MB."""
+    gen = np.random.default_rng(0)
+    n = 6000
+    D = Dataset.from_points(gen.standard_normal((n, 5)),
+                            np.where(gen.random(n) < 0.5, 1.0, -1.0))
+    kind = DefenseKind.knn()
+    peak = traced_peak(lambda: score_dataset(kind, fit_detector(kind, D), D,
+                                             training=True))
+    table = defenses._knn_table(D, kind.k)
+    table_bytes = table.score.nbytes + table.short.nbytes + table.nbrs.nbytes
+    assert peak <= 4 * defenses._KNN_BLOCK_BYTES + table_bytes, peak
+
+
+def test_knn_merge_blocks_count_the_rows_coordinates():
+    """At d = 500 with 60 poison points, a clean-against-poison block is
+    sized by its rows' 500 coordinates, not by the 60 poison columns alone:
+    262 rows.  The exact crossing of a block's rows near the poison then
+    sets the peak, 12.5 MB traced, where one block of all 1000 clean rows
+    took 36.6 MB."""
+    gen = np.random.default_rng(0)
+    C = Dataset.from_points(gen.standard_normal((1000, 500)),
+                            np.where(gen.random(1000) < 0.5, 1.0, -1.0))
+    P = Dataset.from_points(C.X[:60] + 0.01, -C.y[:60])
+    kind = DefenseKind.knn()
+    defenses._knn_table(C, kind.k)
+    D = union(C, P)
+    peak = traced_peak(lambda: score_dataset(
+        kind, DetectorParams(KNN, reference=D, clean=C), D, training=True))
+    assert peak <= 20 * defenses._KNN_BLOCK_BYTES, peak
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

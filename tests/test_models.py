@@ -742,6 +742,23 @@ def test_hinge_duals_lie_in_unit_interval():
     assert np.all(gamma >= 0.0) and np.all(gamma <= 1.0)
 
 
+@pytest.mark.parametrize("loss", [LossSpec.hinge(), LossSpec.logistic()],
+                         ids=["hinge", "logistic"])
+def test_zero_weight_rows_train_as_if_absent(loss):
+    # every fourth point weighs 0: training sees only the others, so theta
+    # is the subset's bit for bit, and the absent rows take no gradient
+    tr, _ = synth_gaussians(3, 200, 4, 2.0)
+    w = np.where(np.arange(tr.n) % 4 == 0, 0.0, tr.w)
+    D, kept = tr.with_weights(w), w > 0
+    for objective in ("mean", "sum"):
+        cfg = TrainConfig(lam=0.1, objective=objective)
+        theta, gamma = train_with_duals(D, loss, cfg)
+        sub_theta, sub_gamma = train_with_duals(D.subset(kept), loss, cfg)
+        assert theta.theta.tobytes() == sub_theta.theta.tobytes(), objective
+        assert np.all(gamma[~kept] == 0.0)
+        np.testing.assert_array_equal(gamma[kept], sub_gamma)
+
+
 def test_model_json_round_trip():
     th = ModelParams(np.array([0.25, -1.5]))
     text = model_to_json(th, LossSpec.smoothed_hinge(0.02), 0.4)
