@@ -18,10 +18,7 @@ from .models import (
     ModelParams,
     TrainConfig,
     avg_loss,
-    grad_point,
-    hvp,
     inverse_hvp_cg,
-    loss_point,
     test_error_01,
     train,
     train_sgd_single_pass,
@@ -54,13 +51,10 @@ __all__ = [
     "fit_detector",
     "fit_thresholds",
     "gen_decoys",
-    "grad_point",
-    "hvp",
     "influence_gradient",
     "inverse_hvp_cg",
     "kkt_solve",
     "load_dataset",
-    "loss_point",
     "max_loss_point",
     "projected_anchors",
     "repeat_round",

@@ -95,9 +95,6 @@ class Dataset:
     def subset(self, mask: np.ndarray) -> "Dataset":
         return Dataset(self.X[mask], self.y[mask], self.w[mask], self.domain)
 
-    def with_weights(self, w: np.ndarray) -> "Dataset":
-        return Dataset(self.X, self.y, w, self.domain)
-
     @staticmethod
     def from_points(X, y, w=None, domain: InputDomain = InputDomain.REALS) -> "Dataset":
         X = np.atleast_2d(np.asarray(X, dtype=float))

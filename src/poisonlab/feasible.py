@@ -156,18 +156,20 @@ class _FaceTable:
     Euclidean projection of q, or the minimizer of q . x.
 
     Its query-independent half is a table of the rows' linearly independent
-    active sets S.  With G = A_S A_S^T it holds G^-1, w = G^-1 (b_S - A_S c),
-    u0 = A_S^T w, the offset from c to the faces' affine hull, and s2 = rr^2
-    - |u0|^2.  The sets of every size are stacked into one block, so a query
-    tests them all in one pass.
+    active sets S.  From A_S^T = Q R it holds Q, R^-1, h = R^-T (b_S - A_S c),
+    u0 = Q h, the offset from c to the faces' affine hull, and s2 = rr^2 -
+    |u0|^2; unlike the normal equations (A_S A_S^T = R^T R), the QR does not
+    square the rows' conditioning (Golub & Van Loan, Matrix Computations,
+    sec. 5.3).  The sets of every size are stacked into one block, whose
+    zero row is the ball alone, so a query tests them all in one pass.
 
-    A query takes z = q - c (projection) or q (margin), and per S, v = G^-1
-    A_S z and Pz = z - A_S^T v, the part of z in the null space of A_S:
+    A query takes z = q - c (projection) or q (margin), and per S, Pz = z -
+    Q Q^T z, the part of z in the null space of A_S:
     - projection: x = c + u0 + t Pz with t = min(1, sqrt(s2)/|Pz|), the
-      ball's multiplier mu = 1/t - 1 and the rows' nu = v - w/t;
+      ball's multiplier mu = 1/t - 1 and the rows' nu = R^-1 (Q^T z - h/t);
     - margin: if Pz != 0 the ball is active, x = c + u0 - s Pz/|Pz| with
       s = sqrt(s2) and mu = |Pz|/s; if Pz = 0, x = c + u0 when s2 >= 0 and
-      mu = 0; nu = -(v + mu w).
+      mu = 0; nu = -R^-1 (Q^T z + mu h).
     It returns the first S, by size and then in the order of
     ``itertools.combinations``, whose x meets the other rows with nu >= 0.
     That x satisfies the KKT conditions of a convex problem, so it is the
@@ -180,62 +182,60 @@ class _FaceTable:
         # the row test A u - slack <= 1e-11 (|A_i| (|c| + |u|) + |slack_i|)
         self._tol0 = 1e-11 * (self.row_n * math.sqrt(float(c @ c))
                               + np.abs(self.slack))
-        sizes = range(min(len(b), len(c)) + 1)
-        sets = [self._sets(n) for n in sizes]
-        m, top, d = sum(len(S) for S, _, _ in sets), sizes[-1], len(c)
+        top, d = min(len(b), len(c)), len(c)
+        sets = [self._factor(n) for n in range(1, top + 1)]
+        m = 1 + sum(len(Sn) for Sn, _, _, _ in sets)
         # sets smaller than the largest are padded with zeros: a padded row
-        # adds nothing to v, Pz, u0 or x, and its nu is 0
+        # adds nothing to Q^T z, Pz, u0 or x, and its nu is 0
         S, size = np.zeros((m, top), dtype=int), np.zeros(m, dtype=int)
-        Ginv, w = np.zeros((m, top, top)), np.zeros((m, top))
-        AS, rnS = np.zeros((m, top, d)), np.zeros((m, top))
-        i = 0
-        for n, (Sn, Gn, wn) in zip(sizes, sets):
+        Qt, Rinv, h = np.zeros((m, top, d)), np.zeros((m, top, top)), np.zeros((m, top))
+        i = 1
+        for n, (Sn, Qn, Rn, hn) in enumerate(sets, start=1):
             k = i + len(Sn)
-            S[i:k, :n], size[i:k], Ginv[i:k, :n, :n] = Sn, n, Gn
-            w[i:k, :n], AS[i:k, :n], rnS[i:k, :n] = wn, A[Sn], self.row_n[Sn]
+            S[i:k, :n], size[i:k], Qt[i:k, :n], Rinv[i:k, :n, :n] = Sn, n, Qn, Rn
+            h[i:k, :n] = hn
             i = k
-        u0 = np.einsum("ms,msd->md", w, AS)
+        u0 = (h[:, None, :] @ Qt)[:, 0]
         s2 = rr * rr - np.einsum("md,md->m", u0, u0)
         with np.errstate(invalid="ignore"):
             s = np.sqrt(s2)
-        self._block = (S, size, AS, Ginv, w, rnS, u0, s2, s)
+        self._block = (S, size, Qt, Rinv, h, self.row_n[S], u0, s2, s)
 
-    def _sets(self, n: int):
-        """S, G^-1 and w of the independent active sets of size n."""
-        if n == 0:  # no row active: the ball alone
-            return (np.zeros((1, 0), dtype=int), np.zeros((1, 0, 0)),
-                    np.zeros((1, 0)))
+    def _factor(self, n: int):
+        """S, Q^T, R^-1 and h of the independent active sets of size n."""
         S = np.array(list(itertools.combinations(range(len(self.b)), n)))
-        G = (self.A @ self.A.T)[S[:, :, None], S[:, None, :]]
-        # rows linearly dependent (e.g. both slab faces)
-        dep = np.linalg.det(G) <= 1e-12 * np.prod(
-            np.diagonal(G, axis1=1, axis2=2), axis=1)
-        S, G = S[~dep], G[~dep]
-        return (S, np.linalg.inv(G),
-                np.linalg.solve(G, self.slack[S][:, :, None])[:, :, 0])
+        Q, R = np.linalg.qr(self.A[S].transpose(0, 2, 1))
+        # rows linearly dependent (e.g. both slab faces): det(A_S A_S^T) =
+        # prod R_jj^2 is at most 1e-12 prod |A_j|^2
+        dep = np.prod(np.diagonal(R, axis1=1, axis2=2) ** 2, axis=1) <= (
+            1e-12 * np.prod(self.row_n[S] ** 2, axis=1))
+        S, Q, R = S[~dep], Q[~dep], R[~dep]
+        h = np.linalg.solve(R.transpose(0, 2, 1), self.slack[S][:, :, None])
+        return S, Q.transpose(0, 2, 1), np.linalg.inv(R), h[:, :, 0]
 
     def solve(self, q, project: bool):
         """Returns (x, mu, nu), with the ball's multiplier mu and the rows'
         multipliers nu (zero off the active set), or None when no active set
         certifies, which means that the ball and rows share no point."""
         c, A, slack = self.c, self.A, self.slack
-        S, size, AS, Ginv, w, rnS, u0, s2, s = self._block
+        S, size, Qt, Rinv, h, rnS, u0, s2, s = self._block
         z = q - c if project else q
         zn = math.sqrt(float(z @ z))
-        v = np.einsum("mij,mj->mi", Ginv, (A @ z)[S])
-        pz = z - np.einsum("ms,msd->md", v, AS)
+        qz = Qt @ z
+        pz = z - (qz[:, None, :] @ Qt)[:, 0]
         pn = np.sqrt(np.einsum("md,md->m", pz, pz))
         with np.errstate(divide="ignore", invalid="ignore"):
             if project:
                 # the faces' hull must meet the ball's interior
                 ok = (s2 > 0.0) | ((s2 == 0.0) & (pn == 0.0))
                 t = np.where(pn * pn <= s2, 1.0, s / pn)
-                mu, nu, step = 1.0 / t - 1.0, v - w / t[:, None], t
+                mu, step = 1.0 / t - 1.0, t
+                nu = (Rinv @ (qz - h / t[:, None])[:, :, None])[:, :, 0]
             else:
                 ball = pn > 1e-12 * zn
                 ok = (s2 > 0.0) | (~ball & (s2 == 0.0))
                 mu = np.where(ball, pn / s, 0.0)
-                nu = -(v + mu[:, None] * w)
+                nu = -(Rinv @ (qz + mu[:, None] * h)[:, :, None])[:, :, 0]
                 step = np.where(ball, -s / pn, 0.0)
             u = u0 + step[:, None] * pz
             un = np.sqrt(np.einsum("md,md->m", u, u))
@@ -248,8 +248,8 @@ class _FaceTable:
         i = hit[0]
         nu_all = np.zeros(len(self.b))
         nu_all[S[i, :size[i]]] = nu[i, :size[i]]
-        # x - q = (t - 1) z + A_S^T (w - t v): exactly q when q lies inside
-        x = (q + ((t[i] - 1.0) * z + AS[i].T @ (w[i] - t[i] * v[i]))
+        # x - q = (t - 1) z + Q (h - t Q^T z): exactly q when q lies inside
+        x = (q + ((t[i] - 1.0) * z + (h[i] - t[i] * qz[i]) @ Qt[i])
              if project else c + u[i])
         return x, float(mu[i]), nu_all
 

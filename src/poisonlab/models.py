@@ -142,16 +142,6 @@ def d2loss_dmargin2(loss: LossSpec, m: np.ndarray) -> np.ndarray:
     return _smooth_terms(loss, m)[2]
 
 
-def loss_point(loss: LossSpec, theta: ModelParams, x: np.ndarray, y: float) -> float:
-    m = y * float(np.dot(theta.theta, x))
-    return float(loss_of_margin(loss, m))
-
-
-def grad_point(loss: LossSpec, theta: ModelParams, x: np.ndarray, y: float) -> np.ndarray:
-    m = y * float(np.dot(theta.theta, x))
-    return float(dloss_dmargin(loss, m)) * y * np.asarray(x, dtype=float)
-
-
 def margins(theta: ModelParams, D: Dataset) -> np.ndarray:
     return D.y * (D.X @ theta.theta)
 
@@ -446,21 +436,14 @@ def train_sgd_single_pass(D: Dataset, loss: LossSpec, config: TrainConfig) -> Mo
     return ModelParams(theta)
 
 
-def hvp(theta: ModelParams, D: Dataset, lam: float, v: np.ndarray,
-        loss: LossSpec) -> np.ndarray:
-    """(lambda I + weighted-mean per-point loss Hessian) @ v."""
-    v = np.asarray(v, dtype=float)
-    curv = D.w * d2loss_dmargin2(loss, margins(theta, D)) / D.total_weight
-    return lam * v + D.X.T @ (curv * (D.X @ v))
-
-
 def inverse_hvp_cg(theta: ModelParams, D: Dataset, lam: float, v: np.ndarray,
                    loss: LossSpec, tol: float = 1e-8,
                    x0: np.ndarray | None = None) -> np.ndarray:
-    """Solve H u = v, H = ``hvp``'s operator, to ||Hu - v|| <= tol * ||v||:
-    by one dense solve at d <= _DENSE_NEWTON_MAX_D, as Newton's steps are,
-    and above it by conjugate gradients, which x0 warm-starts (e.g. from
-    the previous attack iteration)."""
+    """Solve H u = v to ||Hu - v|| <= tol * ||v||, where H is lambda I plus
+    the weighted-mean per-point loss Hessian: by one dense solve at d <=
+    _DENSE_NEWTON_MAX_D, as Newton's steps are, and above it by conjugate
+    gradients, which x0 warm-starts (e.g. from the previous attack
+    iteration)."""
     if lam <= 0:
         raise ValueError("lambda must be positive for an invertible Hessian")
     v = np.asarray(v, dtype=float)
@@ -481,9 +464,3 @@ def model_to_json(theta: ModelParams, loss: LossSpec, lam: float) -> str:
         "lambda": lam,
     }
     return json.dumps(doc, sort_keys=True)
-
-
-def model_from_json(text: str):
-    doc = json.loads(text)
-    loss = LossSpec(doc["loss"]["kind"], doc["loss"].get("delta", 0.01))
-    return ModelParams(np.array(doc["theta"])), loss, float(doc["lambda"])

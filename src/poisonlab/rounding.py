@@ -49,15 +49,6 @@ def f_piecewise(x) -> np.ndarray | float:
     return float(val) if val.ndim == 0 else val
 
 
-def f_max_of_lines(x, K: int) -> np.ndarray | float:
-    """max_{k=0..K} (2k+1)x - k(k+1); equals f_piecewise for x <= K."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    k = np.arange(K + 1)
-    vals = (2 * k + 1)[None, :] * x[:, None] - (k * (k + 1))[None, :]
-    out = vals.max(axis=1)
-    return float(out[0]) if out.shape == (1,) else out
-
-
 def expected_sq_distance(x: np.ndarray, mu: np.ndarray) -> float:
     """E[||x_hat - mu||^2] = sum_i f(x_i) - 2<x,mu> + ||mu||^2."""
     x = np.asarray(x, dtype=float)
@@ -89,10 +80,6 @@ class LpConstraint:
             raise ValueError("K and mu dimension mismatch")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "K", K)
-
-    def line_atoms(self, i: int) -> list[tuple[float, float]]:
-        """[(slope, intercept)] of the epigraph pieces t_i >= s*x_i + b."""
-        return [(2 * k + 1.0, -float(k * (k + 1))) for k in range(self.K[i] + 1)]
 
     def g_value(self, x: np.ndarray) -> float:
         """Constraint function with truncated pieces (exact for x_i <= K_i):

@@ -46,7 +46,9 @@ from poisonlab.models import (
 )
 from poisonlab.models import test_error_01 as zero_one_error
 from poisonlab.results import evaluate_against_defenses
-from poisonlab.rounding import expected_sq_distance, f_max_of_lines, f_piecewise, round_point
+from poisonlab.rounding import expected_sq_distance, f_piecewise, round_point
+
+from oracles import f_max_of_lines
 
 
 def report(name, ok, detail=""):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -307,7 +308,7 @@ def test_knn_table_merge_matches_per_row_oracle_on_the_union(rng, monkeypatch,
     # the poison moved clean rows' scores in every set
     assert all(moved.values()), moved
     # a clean set that is not a prefix of the reference is refused
-    for clean_set in (C.with_weights(C.w + 1.0), union(D, P)):
+    for clean_set in (replace(C, w=C.w + 1.0), union(D, P)):
         with pytest.raises(DefenseError, match="prefix"):
             score_dataset(kind, DetectorParams(KNN, reference=D, clean=clean_set), D,
                           training=True)

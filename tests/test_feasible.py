@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -531,9 +533,10 @@ def check_certified(got, want, c, rr, A, b, q, project):
 
 
 def test_face_table_matches_active_set_oracle():
-    # tolerance fixed before the table was written: the table reorders the
-    # oracle's arithmetic (G^-1 products for solves, stacked sums), so x may
-    # differ by rounding, bounded here by 1e-9 (1 + |x|)
+    # tolerance fixed before the table was written: the table factors each
+    # active set by QR where the oracle solves the normal equations, and
+    # stacks its sums, so x may differ by rounding, bounded here by
+    # 1e-9 (1 + |x|)
     from poisonlab.feasible import _FaceTable
     gen = np.random.default_rng(7)
     solved = {True: 0, False: 0}
@@ -560,6 +563,25 @@ def test_face_table_matches_active_set_oracle():
             else:
                 solved[project] += 1
     assert min(solved.values()) > 200 and empty > 50, (solved, empty)
+
+
+def test_face_table_certifies_near_parallel_faces():
+    # margin solves captured from criterion 10's decoy-capped sets, stored
+    # exactly so that no training rounding moves them: a slab face and the
+    # decoy cap at cosine -0.98 are active at the optimum.  Solving the
+    # normal equations squares those rows' conditioning, and the oracle
+    # does, so each point is checked against its own certificate, which
+    # proves it the global minimizer
+    import json
+    from pathlib import Path
+    from poisonlab.feasible import _FaceTable
+    doc = json.loads((Path(__file__).parent / "near_parallel_faces.json").read_text())
+    for inst in doc["instances"]:
+        c, A, b, q = (np.array(inst[k]) for k in ("c", "A", "b", "q"))
+        got = _FaceTable(c, inst["rr"], A, b).solve(q, False)
+        assert got is not None
+        assert np.count_nonzero(got[2]) == 2 and got[1] > 0.0
+        check_certified(got, got, c, inst["rr"], A, b, q, False)
 
 
 def test_face_table_built_once_per_class(monkeypatch):
@@ -706,7 +728,7 @@ def test_verify_collapse_perturbed_weights_false():
                              [1, 1, 1, -1, -1, -1])
     theta, col = collapse_with_duals(tr, Dp, LossSpec.hinge(), 0.1)
     assert verify_collapse(tr, Dp, col, LossSpec.hinge(), 0.1)
-    bad = col.points.with_weights(col.points.w * 1.6)
+    bad = replace(col.points, w=col.points.w * 1.6)
     from poisonlab.feasible import CollapsedAttack
     assert not verify_collapse(tr, Dp, CollapsedAttack(bad), LossSpec.hinge(), 0.1)
 

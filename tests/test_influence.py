@@ -8,7 +8,9 @@ from poisonlab import run_influence, synth_gaussians, train, union
 from poisonlab.influence import test_gradient as mean_test_gradient
 from poisonlab.feasible import ball_only_feasible, build_feasible_set
 from poisonlab.influence import ETA_GRID, influence_gradient, init_label_flip
-from poisonlab.models import avg_loss, grad_point
+from poisonlab.models import avg_loss
+
+from oracles import grad_point
 
 
 def test_test_gradient_single_point(rng):

@@ -7,6 +7,8 @@ from poisonlab.feasible import ball_only_feasible, build_feasible_set
 from poisonlab.kkt import decoy_loss_caps, pareto_prune
 from poisonlab.models import avg_loss, test_error_01 as zero_one_error
 
+from oracles import grad_point
+
 
 def test_gen_decoys_empty_flip_degenerates_to_clean_model():
     tr, te = synth_gaussians(2, 120, 3, 8.0)  # separable: flipped losses all big
@@ -62,7 +64,6 @@ def test_pareto_prune_drops_dominated():
 def test_clean_gradient_matches_pointwise(rng):
     tr, _ = synth_gaussians(6, 40, 3, 2.0)
     th = ModelParams(rng.standard_normal(3))
-    from poisonlab.models import grad_point
     g = clean_gradient(th, tr, LossSpec.logistic())
     expect = sum(tr.w[i] * grad_point(LossSpec.logistic(), th, tr.X[i], tr.y[i])
                  for i in range(tr.n)) / tr.total_weight

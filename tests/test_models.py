@@ -1,8 +1,10 @@
+import json
 import math
 import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 import scipy.sparse.linalg
 
 from poisonlab import Dataset, LossSpec, ModelParams, TrainConfig, models
-from poisonlab import avg_loss, grad_point, hvp, inverse_hvp_cg, loss_point, synth_gaussians, train, train_sgd_single_pass, union
+from poisonlab import avg_loss, inverse_hvp_cg, synth_gaussians, train, train_sgd_single_pass, union
 from poisonlab.models import test_error_01 as zero_one_error
 from poisonlab.models import (
     TrainingError,
@@ -19,48 +21,33 @@ from poisonlab.models import (
     dloss_dmargin,
     loss_of_margin,
     margins,
-    model_from_json,
     model_to_json,
     train_with_duals,
 )
 
 
 def test_hinge_loss_values():
-    th = ModelParams(np.array([1.0, 0.0]))
-    assert loss_point(LossSpec.hinge(), th, np.array([0.5, 0.0]), 1.0) == 0.5
-    th2 = ModelParams(np.array([2.0, 0.0]))
-    assert loss_point(LossSpec.hinge(), th2, np.array([1.0, 0.0]), 1.0) == 0.0
+    assert loss_of_margin(LossSpec.hinge(), 0.5) == 0.5
+    assert loss_of_margin(LossSpec.hinge(), 2.0) == 0.0
 
 
 def test_smoothed_hinge_at_margin_one():
     # delta*ln 2 at margin exactly 1, converging to the hinge value as delta->0
-    th = ModelParams(np.array([1.0]))
-    x = np.array([1.0])
-    v = loss_point(LossSpec.smoothed_hinge(0.1), th, x, 1.0)
+    v = loss_of_margin(LossSpec.smoothed_hinge(0.1), 1.0)
     assert v == pytest.approx(0.1 * math.log(2.0), abs=1e-12)
     for delta in (1e-2, 1e-4):
-        sm = loss_point(LossSpec.smoothed_hinge(delta), th, np.array([0.3]), 1.0)
+        sm = loss_of_margin(LossSpec.smoothed_hinge(delta), 0.3)
         assert sm == pytest.approx(0.7, abs=3 * delta)
 
 
 def test_hinge_subgradient_cases():
-    th = ModelParams(np.zeros(2))
+    # -1 below margin 1, 0 above, and margin exactly 1 resolves to -1
     np.testing.assert_array_equal(
-        grad_point(LossSpec.hinge(), th, np.array([1.0, 2.0]), 1.0), [-1.0, -2.0])
-    th3 = ModelParams(np.array([3.0, 0.0]))
-    np.testing.assert_array_equal(
-        grad_point(LossSpec.hinge(), th3, np.array([1.0, 0.0]), 1.0), [0.0, 0.0])
-    # margin exactly 1 resolves to -yx
-    th1 = ModelParams(np.array([1.0, 0.0]))
-    np.testing.assert_array_equal(
-        grad_point(LossSpec.hinge(), th1, np.array([1.0, 0.0]), 1.0), [-1.0, 0.0])
+        dloss_dmargin(LossSpec.hinge(), np.array([0.0, 3.0, 1.0])), [-1.0, 0.0, -1.0])
 
 
 def test_logistic_gradient_at_zero():
-    th = ModelParams(np.zeros(2))
-    x = np.array([2.0, -1.0])
-    np.testing.assert_allclose(
-        grad_point(LossSpec.logistic(), th, x, 1.0), -x / 2.0, atol=1e-15)
+    assert dloss_dmargin(LossSpec.logistic(), 0.0) == -0.5
 
 
 @pytest.mark.parametrize("loss", [LossSpec.smoothed_hinge(0.25), LossSpec.logistic()])
@@ -93,19 +80,11 @@ def test_smooth_terms_match_extended_precision(loss):
 
 @pytest.mark.parametrize("loss", [LossSpec.smoothed_hinge(0.05), LossSpec.logistic()])
 def test_grad_matches_finite_differences(rng, loss):
-    # central differences of loss_point as the oracle
-    for _ in range(5):
-        th = ModelParams(rng.standard_normal(4))
-        x = rng.standard_normal(4)
-        y = rng.choice([-1.0, 1.0])
-        g = grad_point(loss, th, x, y)
-        h = 1e-6
-        fd = np.empty(4)
-        for i in range(4):
-            e = np.zeros(4); e[i] = h
-            fd[i] = (loss_point(loss, ModelParams(th.theta + e), x, y)
-                     - loss_point(loss, ModelParams(th.theta - e), x, y)) / (2 * h)
-        np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
+    # central differences of loss_of_margin as the oracle of dloss_dmargin
+    m = 2.0 * rng.standard_normal(20)
+    h = 1e-6
+    fd = (loss_of_margin(loss, m + h) - loss_of_margin(loss, m - h)) / (2 * h)
+    np.testing.assert_allclose(dloss_dmargin(loss, m), fd, rtol=1e-6, atol=1e-8)
 
 
 def test_train_single_point_stationary():
@@ -585,7 +564,7 @@ def test_sgd_deterministic_given_seed():
 
 def test_sgd_sum_objective_is_mean_objective_at_lambda_over_weight():
     tr, _ = synth_gaussians(4, 200, 3, 3.0)
-    tr = tr.with_weights(np.linspace(0.5, 2.0, tr.n))
+    tr = replace(tr, w=np.linspace(0.5, 2.0, tr.n))
     lam = 0.3
     s = train_sgd_single_pass(tr, LossSpec.hinge(),
                               TrainConfig(lam=lam, objective="sum", seed=11))
@@ -621,61 +600,22 @@ def test_error_sign_zero_counts_for_both_labels():
 def test_avg_loss_cases():
     th = ModelParams(np.array([1.0, 0.0]))
     one = Dataset.from_points([[0.5, 0.0]], [1])
-    assert avg_loss(th, one, LossSpec.hinge()) == loss_point(
-        LossSpec.hinge(), th, np.array([0.5, 0.0]), 1.0)
+    assert avg_loss(th, one, LossSpec.hinge()) == loss_of_margin(LossSpec.hinge(), 0.5)
     far = Dataset.from_points([[5.0, 0.0], [-4.0, 0.0]], [1, -1])
     assert avg_loss(th, far, LossSpec.hinge()) == 0.0
     D = Dataset.from_points([[0.5, 0.0], [0.2, 0.0]], [1, 1], [1.0, 2.0])
-    D2 = D.with_weights(D.w * 7.0)
+    D2 = replace(D, w=D.w * 7.0)
     assert avg_loss(th, D, LossSpec.hinge()) == pytest.approx(
         avg_loss(th, D2, LossSpec.hinge()))
     with pytest.raises(ValueError):
         avg_loss(th, Dataset.empty(2), LossSpec.hinge())
 
 
-def test_hvp_far_from_margin_is_lambda_v(rng):
-    # smoothed hinge with small delta: no curvature far from the margin
-    tr = Dataset.from_points([[10.0, 0.0], [-10.0, 0.0]], [1, -1])
-    th = ModelParams(np.array([1.0, 0.0]))
-    v = rng.standard_normal(2)
-    out = hvp(th, tr, 0.3, v, LossSpec.smoothed_hinge(0.01))
-    np.testing.assert_allclose(out, 0.3 * v, atol=1e-12)
-
-
-def test_hvp_zero_vector():
-    tr, _ = synth_gaussians(1, 20, 3, 2.0)
-    th = ModelParams(np.ones(3))
-    np.testing.assert_array_equal(
-        hvp(th, tr, 0.1, np.zeros(3), LossSpec.logistic()), np.zeros(3))
-
-
-def test_hvp_matches_dense_hessian(rng):
-    tr, _ = synth_gaussians(6, 20, 5, 2.0)
-    th = ModelParams(rng.standard_normal(5))
-    loss = LossSpec.smoothed_hinge(0.1)
-    lam = 0.2
-    curv = tr.w * d2loss_dmargin2(loss, tr.y * (tr.X @ th.theta)) / tr.total_weight
-    H = lam * np.eye(5) + (tr.X.T * curv) @ tr.X
-    for _ in range(5):
-        v = rng.standard_normal(5)
-        np.testing.assert_allclose(hvp(th, tr, lam, v, loss), H @ v, atol=1e-10)
-
-
 def test_hvp_rejects_hinge():
+    # the hinge has no Hessian, so its inverse HVP is refused
     tr, _ = synth_gaussians(1, 10, 2, 2.0)
     with pytest.raises(UnsupportedLossError):
-        hvp(ModelParams(np.ones(2)), tr, 0.1, np.ones(2), LossSpec.hinge())
-
-
-def test_hvp_linear_in_v(rng):
-    tr, _ = synth_gaussians(9, 30, 4, 2.0)
-    th = ModelParams(rng.standard_normal(4))
-    loss = LossSpec.logistic()
-    v1, v2 = rng.standard_normal(4), rng.standard_normal(4)
-    a = 1.7
-    lhs = hvp(th, tr, 0.1, a * v1 + v2, loss)
-    rhs = a * hvp(th, tr, 0.1, v1, loss) + hvp(th, tr, 0.1, v2, loss)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+        inverse_hvp_cg(ModelParams(np.ones(2)), tr, 0.1, np.ones(2), LossSpec.hinge())
 
 
 def test_inverse_hvp_identity_case(rng):
@@ -749,7 +689,7 @@ def test_zero_weight_rows_train_as_if_absent(loss):
     # is the subset's bit for bit, and the absent rows take no gradient
     tr, _ = synth_gaussians(3, 200, 4, 2.0)
     w = np.where(np.arange(tr.n) % 4 == 0, 0.0, tr.w)
-    D, kept = tr.with_weights(w), w > 0
+    D, kept = replace(tr, w=w), w > 0
     for objective in ("mean", "sum"):
         cfg = TrainConfig(lam=0.1, objective=objective)
         theta, gamma = train_with_duals(D, loss, cfg)
@@ -761,7 +701,7 @@ def test_zero_weight_rows_train_as_if_absent(loss):
 
 def test_model_json_round_trip():
     th = ModelParams(np.array([0.25, -1.5]))
-    text = model_to_json(th, LossSpec.smoothed_hinge(0.02), 0.4)
-    th2, loss2, lam2 = model_from_json(text)
-    np.testing.assert_array_equal(th.theta, th2.theta)
-    assert loss2.kind == "smoothed_hinge" and loss2.delta == 0.02 and lam2 == 0.4
+    doc = json.loads(model_to_json(th, LossSpec.smoothed_hinge(0.02), 0.4))
+    np.testing.assert_array_equal(th.theta, doc["theta"])
+    assert doc["d"] == 2 and doc["lambda"] == 0.4
+    assert doc["loss"] == {"kind": "smoothed_hinge", "delta": 0.02}

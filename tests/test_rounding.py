@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from poisonlab import Dataset, InputDomain, LpConstraint, expected_sq_distance, f_piecewise, repeat_round, round_point
 from poisonlab.feasible import ClassConstraints, FeasibleSet
-from poisonlab.rounding import default_K, f_max_of_lines, round_poison
+from poisonlab.rounding import default_K, round_poison
+
+from oracles import f_max_of_lines
 
 
 def brute_expected_square(x):
@@ -116,12 +118,12 @@ def test_lp_membership_matches_direct_check():
 
 
 def test_lp_epigraph_tight_at_active_piece():
-    # at any x the k = floor(x) line attains f exactly
+    # at any x the k = floor(x) line attains f exactly: with mu = 0 the
+    # constraint function is f, the max of lines 0..K
     C = LpConstraint(np.zeros(1), 10.0, np.array([8]))
     for x in (0.25, 1.0, 3.7, 6.999):
-        lines = C.line_atoms(0)
-        vals = [s * x + b for s, b in lines]
-        assert max(vals) == pytest.approx(float(f_piecewise(x)))
+        assert C.g_value(np.array([x])) == pytest.approx(float(f_piecewise(x)))
+        assert f_max_of_lines(x, 8) == pytest.approx(float(f_piecewise(x)))
 
 
 def test_lp_g_value_matches_loop(rng):
