@@ -15,10 +15,10 @@ and scores the combined data once per fit, and derives both tau and the
 kept set from that one score array.
 
 k-NN scoring runs in blocks of rows sized so that each block array (a Gram
-expansion, its argpartition, the first round's coordinate differences) holds
-at most ``_KNN_BLOCK_BYTES``.  Its working memory, beyond arrays the size of
-the data and the tables it returns, is thus bounded whatever the number of
-points, up to 2^17 reference points, where a block is one row.
+expansion, its argpartition, the first round's coordinate differences, the
+squares of reference rows) holds at most ``_KNN_BLOCK_BYTES``.  Its working
+memory, beyond the data and the tables it returns, is thus bounded whatever
+the number of points, up to 2^17 reference points, where a block is one row.
 Per row, a BLAS Gram expansion only picks the 2k + 6 nearest candidates
 (``np.argpartition``); their distances are recomputed exactly from coordinate
 differences and sorted by (distance, reference index) before weight is
@@ -248,7 +248,7 @@ def _knn_merged(table: _KnnTable, clean: Dataset, D: Dataset,
     # poison point can replace
     redo = np.concatenate([np.flatnonzero(table.short), poison])
     out[redo] = _knn_rounds(D.X[redo], redo, D, k)[0]
-    ref_sq = np.sum(D.X ** 2, axis=1)
+    ref_sq = _sq_norms(D.X)
     # a row of a block: g's poison columns, or the row's d coordinates
     step = _knn_block_rows(max(D.n - n_c, D.d))
     for lo in range(0, n_c, step):
@@ -274,6 +274,17 @@ def _knn_block_rows(width: int) -> int:
     return max(1, _KNN_BLOCK_BYTES // (8 * max(width, 1)))
 
 
+def _sq_norms(X: np.ndarray) -> np.ndarray:
+    """|x|^2 of each row of the C-ordered X (a Dataset's), squared in row
+    blocks within ``_KNN_BLOCK_BYTES``: per row the same sum as over all
+    rows at once."""
+    out = np.empty(len(X))
+    step = _knn_block_rows(X.shape[1])
+    for lo in range(0, len(X), step):
+        out[lo:lo + step] = np.sum(X[lo:lo + step] ** 2, axis=1)
+    return out
+
+
 def _gram(X: np.ndarray, R: np.ndarray, r_sq: np.ndarray, r_sq_max: float):
     """Squared distances from the rows X to the rows R (|r|^2 = r_sq) by the
     Gram expansion, and per row of X a bound on their rounding and on that of
@@ -293,7 +304,7 @@ def _knn_rounds(X: np.ndarray, own: np.ndarray, ref: Dataset, k: int):
     ``_KnnTable``, whether each row falls short of k and its reference
     indices within its score, padded with own[r]."""
     m = 2 * k + 6  # candidates per row in the first round
-    ref_sq = np.sum(ref.X ** 2, axis=1)
+    ref_sq = _sq_norms(ref.X)
     score, short = np.empty(len(X)), np.zeros(len(X), dtype=bool)
     found = []  # (rows, their reference indices within their scores)
     # a row of a block: g's |ref| columns, or its first round's m x d

@@ -168,7 +168,9 @@ def test_error_01(theta: ModelParams, D: Dataset) -> float:
 # from zero at delta = 1) and a smoothing continuation (Newton) find the
 # margins to within a few delta; a primal active-set method on the dual then
 # closes exactly in finitely many rounds: alpha = w below margin 1, alpha = 0
-# above it, and the free alpha solve the margin-1 system.
+# above it, and the free alpha solve the margin-1 system.  A round is one
+# Gram solve on the free rows, verified by its residual; SVD least squares
+# takes only the singular faces.
 
 _MARGIN_BAND = 1e-9  # the closer leaves margins within 1e-10 (1 + |m|) of 1
 _KKT_TOL = 1e-10     # relative slack of the closer's margin tests
@@ -189,6 +191,33 @@ def _hinge_witness(theta, alpha, X, y, w, lam):
     return lam * theta - X.T @ (a * y)
 
 
+def _face_step(Zf, r, lam, size):
+    """A closer round's step for the free rows Zf at margin gaps r = 1 - m_f,
+    and whether it is the Newton step to the face's minimizer.  With 0 < b
+    <= d rows, lambda x for the Gram solve Zf Zf^T x = r, accepted on its own
+    residual, |r - Zf Zf^T x| <= 1e-2 _KKT_TOL (1 + |m_f|), since the Gram
+    matrix squares the rows' conditioning (Golub & Van Loan sec. 5.3).  Any
+    other face takes SVD least squares at rank eps * size relative: the
+    minimum-norm Newton step where the system is consistent, else its
+    residual."""
+    if 0 < len(r) <= Zf.shape[1]:
+        G = Zf @ Zf.T
+        try:
+            x = np.linalg.solve(G, r)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if np.all(np.abs(r - G @ x) <= 1e-2 * _KKT_TOL * (1.0 + np.abs(1.0 - r))):
+                return lam * x, True
+    U, s, _ = np.linalg.svd(Zf, full_matrices=False)
+    k = int(np.sum(s > np.max(s, initial=0.0) * np.finfo(float).eps * size))
+    c = U[:, :k].T @ r
+    resid = r - U[:, :k] @ c
+    if np.all(np.abs(resid) <= _KKT_TOL * (1.0 + np.abs(1.0 - resid))):
+        return lam * (U[:, :k] @ (c / s[:k] ** 2)), True
+    return resid, False
+
+
 def _hinge_closer(theta, Z, w, lam, delta):
     """Primal active-set method on the dual box QP (Nocedal & Wright,
     Numerical Optimization, 2006, sec. 16.5) from the smoothed iterate at
@@ -197,17 +226,18 @@ def _hinge_closer(theta, Z, w, lam, delta):
     their smoothed duals w * sigma((1 - m) / delta).  A wider band frees
     points that the first rounds pin again, one round each.
 
-    Each round solves the free margin-1 system by least squares.  Where it
-    is consistent, the free alpha take the Newton step to the minimizer on
-    their face; where it is not, they follow its residual, a direction of
-    zero curvature that lowers the dual, to the first bound.  A step that
-    meets a bound pins that point.  Between face minimizers only the free
-    rows' margins are kept: a blocked Newton step moves theta by
-    Z_f^T d_alpha / lambda and recomputes the free margins, and a residual
-    step, orthogonal to the range of the free rows, moves neither.  At a
-    face minimizer theta = Z^T alpha / lambda and every margin are
-    recomputed, and the pinned point whose margin lies farthest on the
-    wrong side of 1 is released; with none left by more than
+    Each round solves the free margin-1 system (``_face_step``): by one Gram
+    solve, verified by its residual, and by SVD least squares only on
+    singular faces.  Where it is consistent, the free alpha take the Newton
+    step to the minimizer on their face; where it is not, they follow its
+    residual, a direction of zero curvature that lowers the dual, to the
+    first bound.  A step that meets a bound pins that point.  Between face
+    minimizers only the free rows' margins are kept: a blocked Newton step
+    moves theta by Z_f^T d_alpha / lambda and recomputes the free margins,
+    and a residual step, orthogonal to the range of the free rows, moves
+    neither.  At a face minimizer theta = Z^T alpha / lambda and every
+    margin are recomputed, and the pinned point whose margin lies farthest
+    on the wrong side of 1 is released; with none left by more than
     _KKT_TOL * (1 + |m|), alpha is optimal.  Returns the last
     (theta, alpha)."""
     m = Z @ theta
@@ -229,13 +259,7 @@ def _hinge_closer(theta, Z, w, lam, delta):
             pin[j] = 0
             free = np.flatnonzero(pin == 0)
         Zf = Z[free]
-        r = 1.0 - m[free]
-        U, s, _ = np.linalg.svd(Zf, full_matrices=False)
-        k = int(np.sum(s > np.max(s, initial=0.0) * np.finfo(float).eps * max(Z.shape)))
-        c = U[:, :k].T @ r
-        resid = r - U[:, :k] @ c
-        newton = bool(np.all(np.abs(resid) <= _KKT_TOL * (1.0 + np.abs(1.0 - resid))))
-        step = lam * (U[:, :k] @ (c / s[:k] ** 2)) if newton else resid
+        step, newton = _face_step(Zf, 1.0 - m[free], lam, max(Z.shape))
         a, wf = alpha[free], w[free]
         room = np.divide(np.where(step > 0.0, wf - a, -a), step,
                          out=np.full(len(step), np.inf), where=step != 0.0)

@@ -340,6 +340,27 @@ def test_knn_table_working_memory_does_not_grow_with_n():
     assert peak <= 4 * defenses._KNN_BLOCK_BYTES + table_bytes, peak
 
 
+def test_knn_squared_reference_stays_within_the_blocks():
+    """At n = 3000, d = 400 the reference's squared norms are summed in
+    blocks too: one table build traced 3.4 MB, and one merged score with
+    60 far poison points 3.3 MB, where squaring every row at once took
+    9.6 and 10.0 MB."""
+    gen = np.random.default_rng(0)
+    n, d = 3000, 400
+    C = Dataset.from_points(gen.standard_normal((n, d)),
+                            np.where(gen.random(n) < 0.5, 1.0, -1.0))
+    kind = DefenseKind.knn()
+    peak = traced_peak(lambda: score_dataset(kind, fit_detector(kind, C), C,
+                                             training=True))
+    table = defenses._knn_table(C, kind.k)
+    table_bytes = table.score.nbytes + table.short.nbytes + table.nbrs.nbytes
+    assert peak <= 4 * defenses._KNN_BLOCK_BYTES + table_bytes, peak
+    D = union(C, Dataset.from_points(gen.standard_normal((60, d)) + 3.0, np.ones(60)))
+    peak = traced_peak(lambda: score_dataset(
+        kind, DetectorParams(KNN, reference=D, clean=C), D, training=True))
+    assert peak <= 4 * defenses._KNN_BLOCK_BYTES, peak
+
+
 def test_knn_merge_blocks_count_the_rows_coordinates():
     """At d = 500 with 60 poison points, a clean-against-poison block is
     sized by its rows' 500 coordinates, not by the 60 poison columns alone:

@@ -381,23 +381,34 @@ def test_curved_row_newton_matches_full_hessian_newton(q):
                 <= 1e-12 * np.linalg.norm(expect)), delta
 
 
-def test_closer_rounds_over_gen_decoys_benchmark_grid(monkeypatch):
-    # each closer round takes one SVD of the free rows: the 25 trains of
-    # the benchmark's decoy grid took 718 rounds when the closer started
-    # on a 3 delta band, and take 348 on the delta band
-    from poisonlab import gen_decoys
-    tr, te = synth_gaussians(42, 2000, 20, 4.2)
-    rounds = []
-    svd = np.linalg.svd
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call appends its arguments to the
+    returned list."""
+    calls = []
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
-        rounds.append(1)
-        return svd(*args, **kwargs)
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_closer_rounds_over_gen_decoys_benchmark_grid(monkeypatch):
+    # each closer round takes one face step: the 25 trains of the
+    # benchmark's decoy grid took 718 rounds when the closer started on a
+    # 3 delta band, and take 348 on the delta band.  Every round took an SVD
+    # of the free rows before the Gram solve; now 24 do, on faces with more
+    # free rows than coordinates
+    from poisonlab import gen_decoys
+    tr, te = synth_gaussians(42, 2000, 20, 4.2)
+    rounds = count_calls(monkeypatch, models, "_face_step")
+    svds = count_calls(monkeypatch, np.linalg, "svd")
     gen_decoys(tr, te, LossSpec.hinge(), 0.1, r_grid=(1, 2, 3, 5, 8, 12),
                q_grid=(0.05, 0.2, 0.35, 0.5))
     assert len(rounds) <= 1.1 * 348
+    assert len(svds) <= 1.1 * 24
 
 
 def test_smoothing_rows_over_gen_decoys_benchmark_grid(monkeypatch):
@@ -447,6 +458,98 @@ def test_last_level_band_moves_rounds_not_the_answer(q, monkeypatch):
     moved = (((seed_m < 1.0 - 1e-3) & (m > 1.0 + 1e-6))
              | ((seed_m > 1.0 + 1e-3) & (m < 1.0 - 1e-6)))
     assert moved.any()
+
+
+def test_gram_face_step_matches_svd_least_squares(monkeypatch):
+    # on full-rank faces of b = 1..d free rows, d = 20, the Gram solve is
+    # accepted on its residual, and its Newton step is the one the SVD's
+    # least squares gives (run by making the Gram solve fail)
+    gen = np.random.default_rng(0)
+    faces = [(gen.standard_normal((b, 20)), gen.standard_normal(b))
+             for b in range(1, 21)]
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    gram = [models._face_step(Zf, r, 0.1, 2000) for Zf, r in faces]
+    assert not svds and all(newton for _, newton in gram)
+
+    def singular(G, r):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    for b, ((Zf, r), (step, _)) in enumerate(zip(faces, gram), start=1):
+        expect, newton = models._face_step(Zf, r, 0.1, 2000)
+        assert newton and len(svds) == b
+        assert np.linalg.norm(step - expect) <= 1e-12 * np.linalg.norm(expect), b
+
+
+def test_singular_and_wide_faces_take_the_svd(monkeypatch):
+    # exactly duplicated free rows make the Gram matrix singular, and more
+    # free rows than coordinates make it rank-deficient: such faces take
+    # the SVD's minimum-norm step, which moves duplicates alike, and the
+    # trains that meet them certify
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    Zf = np.random.default_rng(0).standard_normal((4, 5))[[0, 1, 2, 3, 3]]
+    r = np.array([0.5, -0.2, 0.1, 0.3, 0.3])
+    step, newton = models._face_step(Zf, r, 0.1, 2000)
+    assert len(svds) == 1 and newton
+    assert step[3] == pytest.approx(step[4], rel=1e-12)
+    # rows 1e-14 apart with gaps that differ: the Gram solve's residual is
+    # far over its bound, and the SVD, at rank 4, gives the residual step
+    Zf[4] += 1e-14 * np.random.default_rng(1).standard_normal(5)
+    r[4] = 0.4
+    step, newton = models._face_step(Zf, r, 0.1, 2000)
+    assert len(svds) == 2 and not newton
+    np.testing.assert_allclose(step, [0.0, 0.0, 0.0, -0.05, 0.05], atol=1e-12)
+
+    def singular(Zf):
+        return len(Zf) > Zf.shape[1] or len(np.unique(Zf, axis=0)) < len(Zf)
+
+    cfg = TrainConfig(lam=0.1)
+    tr, _ = synth_gaussians(0, 300, 5, 2.0)
+    wide, _ = synth_gaussians(0, 2000, 2, 1.0)
+    for D, shape in ((union(tr, tr), "duplicated"), (wide, "wide")):
+        svds.clear()
+        theta, gamma = train_with_duals(D, LossSpec.hinge(), cfg)
+        assert_hinge_certified(D, cfg, theta, gamma)
+        faces = [Zf for Zf, in svds]
+        assert faces and all(singular(Zf) for Zf in faces), shape
+        if shape == "duplicated":
+            assert any(len(Zf) <= D.d for Zf in faces)
+        else:
+            assert any(len(Zf) > D.d for Zf in faces)
+
+
+def test_clustered_poison_on_the_margin_certifies(monkeypatch):
+    # the shape of the minmax workload's decoy3 battery: D_c plus 60 points
+    # labelled +1 in 4 clusters of 12, 19, 24 and 5, each within 0.01 of
+    # its first point, here around a point of clean margin 0.3.  The poison
+    # ends on both sides of margin 1; most faces its rows enter hold more
+    # free rows than coordinates and take the SVD, and the train lands on
+    # the optimum of the continuation on every row
+    tr, te = synth_gaussians(42, 2000, 20, 4.2)
+    cfg = TrainConfig(lam=0.1)
+    clean = train(tr, LossSpec.hinge(), cfg).theta
+    gen = np.random.default_rng(0)
+
+    def ball(k, radius):
+        u = gen.standard_normal((k, 20))
+        return radius * gen.random((k, 1)) * u / np.linalg.norm(u, axis=1, keepdims=True)
+
+    x = te.X[np.flatnonzero(te.y < 0)[0]]
+    centre = x + (0.3 - clean @ x) * clean / (clean @ clean)
+    firsts = centre + ball(4, 0.005)
+    X = np.vstack([np.vstack([f, f + ball(k - 1, 0.01)])
+                   for f, k in zip(firsts, (12, 19, 24, 5))])
+    D = union(tr, Dataset.from_points(X, np.ones(60)))
+    monkeypatch.setattr(models, "_NEAR_BAND", np.inf)
+    full = train(D, LossSpec.hinge(), cfg).theta
+    monkeypatch.undo()
+    rounds = count_calls(monkeypatch, models, "_face_step")
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    theta, gamma = train_with_duals(D, LossSpec.hinge(), cfg)
+    assert_hinge_certified(D, cfg, theta, gamma)
+    assert np.linalg.norm(theta.theta - full) <= 1e-12 * np.linalg.norm(full)
+    assert (gamma[tr.n:] == 1.0).any() and (gamma[tr.n:] == 0.0).any()
+    assert 0 < len(svds) < len(rounds)
 
 
 @pytest.mark.parametrize("objective", ["mean", "sum"])
