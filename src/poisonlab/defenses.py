@@ -237,8 +237,12 @@ def _knn_merged(table: _KnnTable, clean: Dataset, D: Dataset,
     clean's table and the rest of D (the poison); equal to the rounds' on D
     bit for bit (see the module docstring)."""
     n_c = clean.n
-    if not (n_c <= D.n and all(np.array_equal(getattr(D, a)[:n_c], getattr(clean, a))
-                               for a in "Xyw")):
+    # compared in row blocks: one n_c x d boolean temporary would not be
+    step = _knn_block_rows(D.d)
+    if not (n_c <= D.n and np.array_equal(D.y[:n_c], clean.y)
+            and np.array_equal(D.w[:n_c], clean.w)
+            and all(np.array_equal(D.X[lo:min(lo + step, n_c)], clean.X[lo:lo + step])
+                    for lo in range(0, n_c, step))):
         raise DefenseError("the k-NN detector's clean set is not a prefix of "
                            "its reference")
     poison = np.arange(n_c, D.n)

@@ -14,15 +14,18 @@ by size and returns the first closed-form point whose KKT multipliers are
 non-negative.  What depends only on the set is factored into a face table
 (``_FaceTable``), which each ``FeasibleSet`` builds once per class, on its
 first solve, with every active set in one stacked block; a query is one
-pass of a few numpy operations.  Box and non-negativity bounds are settled
-around it by one bound stage, a primal active-set method: it grows the
-pinned face until its point lies inside the bounds, then descends one
-bound per step.  Where growth finds no point, a first phase finds one;
-only that phase shows a set empty.  Each pin pattern builds its own
-table, stacked the same way, for its one query.  Sets with an LP atom are
-projected by their dual and certified by the duality gap; margin
-minimization on them is not supported yet.  Every returned point passes
-``contains``; a solve that cannot certify says so, apart from "empty".
+pass of a few numpy operations, for one point or for a batch of points
+(``FeasibleSet.project`` takes either).  Box and non-negativity bounds are
+settled around it, point by point, by one bound stage, a primal
+active-set method: it grows the pinned face until its point lies inside
+the bounds, then descends one bound per step.  Where growth finds no
+point, a first phase finds one; only that phase shows a set empty.  Each
+pin pattern builds its own table, stacked the same way, for its one
+query.  Sets with an LP atom are projected point by point by their dual
+and certified by the duality gap; margin minimization on them is not
+supported yet.  Every returned point passes ``contains``; a solve that
+cannot certify says so, apart from "empty", and in a batch only for the
+points it could not certify.
 """
 
 from __future__ import annotations
@@ -185,21 +188,23 @@ class _FaceTable:
         top, d = min(len(b), len(c)), len(c)
         sets = [self._factor(n) for n in range(1, top + 1)]
         m = 1 + sum(len(Sn) for Sn, _, _, _ in sets)
-        # sets smaller than the largest are padded with zeros: a padded row
-        # adds nothing to Q^T z, Pz, u0 or x, and its nu is 0
-        S, size = np.zeros((m, top), dtype=int), np.zeros(m, dtype=int)
+        # sets smaller than the largest are padded with zeros, and with row
+        # index len(b), past the real rows: a padded row adds nothing to
+        # Q^T z, Pz, u0 or x, and its nu is 0
+        S = np.full((m, top), len(b))
         Qt, Rinv, h = np.zeros((m, top, d)), np.zeros((m, top, top)), np.zeros((m, top))
         i = 1
         for n, (Sn, Qn, Rn, hn) in enumerate(sets, start=1):
             k = i + len(Sn)
-            S[i:k, :n], size[i:k], Qt[i:k, :n], Rinv[i:k, :n, :n] = Sn, n, Qn, Rn
-            h[i:k, :n] = hn
+            S[i:k, :n], Qt[i:k, :n], Rinv[i:k, :n, :n], h[i:k, :n] = Sn, Qn, Rn, hn
             i = k
         u0 = (h[:, None, :] @ Qt)[:, 0]
         s2 = rr * rr - np.einsum("md,md->m", u0, u0)
         with np.errstate(invalid="ignore"):
             s = np.sqrt(s2)
-        self._block = (S, size, Qt, Rinv, h, self.row_n[S], u0, s2, s)
+        self._block = (S, Qt, Rinv, h, np.append(self.row_n, 0.0)[S], u0, s2, s)
+        self._inside, self._touch = s2 > 0.0, s2 == 0.0
+        self._tol1 = 1e-11 * self.row_n
 
     def _factor(self, n: int):
         """S, Q^T, R^-1 and h of the independent active sets of size n."""
@@ -214,44 +219,55 @@ class _FaceTable:
         return S, Q.transpose(0, 2, 1), np.linalg.inv(R), h[:, :, 0]
 
     def solve(self, q, project: bool):
-        """Returns (x, mu, nu), with the ball's multiplier mu and the rows'
-        multipliers nu (zero off the active set), or None when no active set
-        certifies, which means that the ball and rows share no point."""
+        """One pass over the query point q (d), or over a batch of P points
+        (P x d): the same operations over the leading axis.  Returns (x,
+        mu, nu, found) with q's leading axis: x, the ball's multiplier mu,
+        the rows' multipliers nu (zero off the active set), and whether an
+        active set certifies.  Where none does, the ball and rows share no
+        point, and x, mu and nu are NaN."""
         c, A, slack = self.c, self.A, self.slack
-        S, size, Qt, Rinv, h, rnS, u0, s2, s = self._block
+        S, Qt, Rinv, h, rnS, u0, s2, s = self._block
         z = q - c if project else q
-        zn = math.sqrt(float(z @ z))
-        qz = Qt @ z
-        pz = z - (qz[:, None, :] @ Qt)[:, 0]
-        pn = np.sqrt(np.einsum("md,md->m", pz, pz))
+        zn = np.sqrt(np.einsum("...d,...d->...", z, z))[..., None]
+        qz = (Qt @ z[..., None, :, None])[..., 0]
+        pz = z[..., None, :] - (qz[..., None, :] @ Qt)[..., 0, :]
+        pn = np.sqrt(np.einsum("...d,...d->...", pz, pz))
         with np.errstate(divide="ignore", invalid="ignore"):
             if project:
                 # the faces' hull must meet the ball's interior
-                ok = (s2 > 0.0) | ((s2 == 0.0) & (pn == 0.0))
+                ok = self._inside | (self._touch & (pn == 0.0))
                 t = np.where(pn * pn <= s2, 1.0, s / pn)
                 mu, step = 1.0 / t - 1.0, t
-                nu = (Rinv @ (qz - h / t[:, None])[:, :, None])[:, :, 0]
+                nu = (Rinv @ (qz - h / t[..., None])[..., None])[..., 0]
             else:
                 ball = pn > 1e-12 * zn
-                ok = (s2 > 0.0) | (~ball & (s2 == 0.0))
+                ok = self._inside | (self._touch & ~ball)
                 mu = np.where(ball, pn / s, 0.0)
-                nu = -(Rinv @ (qz + mu[:, None] * h)[:, :, None])[:, :, 0]
+                nu = -(Rinv @ (qz + mu[..., None] * h)[..., None])[..., 0]
                 step = np.where(ball, -s / pn, 0.0)
-            u = u0 + step[:, None] * pz
-            un = np.sqrt(np.einsum("md,md->m", u, u))
-            ok &= ~((nu * rnS < -1e-10 * zn).any(axis=1)
-                    | (u @ A.T - slack > self._tol0 + 1e-11 * self.row_n
-                       * un[:, None]).any(axis=1))
-        hit = np.flatnonzero(ok)
-        if not hit.size:
-            return None
-        i = hit[0]
-        nu_all = np.zeros(len(self.b))
-        nu_all[S[i, :size[i]]] = nu[i, :size[i]]
-        # x - q = (t - 1) z + Q (h - t Q^T z): exactly q when q lies inside
-        x = (q + ((t[i] - 1.0) * z + (h[i] - t[i] * qz[i]) @ Qt[i])
-             if project else c + u[i])
-        return x, float(mu[i]), nu_all
+            u = u0 + step[..., None] * pz
+            un = np.sqrt(np.einsum("...d,...d->...", u, u))
+            ok &= ~((nu * rnS < -1e-10 * zn[..., None]).any(axis=-1)
+                    | (u @ A.T - slack > self._tol0 + self._tol1
+                       * un[..., None]).any(axis=-1))
+        i = ok.argmax(axis=-1)  # per point, the first set that certifies
+        lead = (np.arange(len(i)),) if i.ndim else ()
+        at = (*lead, i)
+        found = ok[at]
+        # nu on every row, and on a last column that takes the padding
+        nu_all = np.zeros((*i.shape, len(self.b) + 1))
+        nu_all[(*(a[:, None] for a in lead), S[i])] = nu[at]
+        nu_all, mu = nu_all[..., :-1], mu[at]
+        if project:  # x - q = (t - 1) z + Q (h - t Q^T z): q when q lies inside
+            t = t[at]
+            x = q + ((t - 1.0)[..., None] * z
+                     + ((h[i] - t[..., None] * qz[at])[..., None, :] @ Qt[i])[..., 0, :])
+        else:
+            x = c + u[at]
+        if not found.all():
+            x, nu_all = (np.where(found[..., None], v, np.nan) for v in (x, nu_all))
+            mu = np.where(found, mu, np.nan)
+        return x, mu, nu_all, found
 
 
 def _class_faces(cc: ClassConstraints, d: int) -> _FaceTable:
@@ -272,15 +288,17 @@ def _on_face(c, rr, A, b, lo, hi, q, project, pin):
     at = np.where(pin < 0, lo, hi)[~free]
     off = at - c[~free]
     r2 = rr * rr - float(off @ off)
-    sol = None if r2 < 0.0 else _FaceTable(
+    if r2 < 0.0:
+        return None
+    xf, mu, nu, found = _FaceTable(
         c[free], math.sqrt(r2) if off.size else rr,
-        np.compress(free, A, axis=1), b - A[:, ~free] @ at).solve(q[free], project)
-    if sol is None:
+        np.compress(free, A, axis=1), b - A[:, ~free] @ at).solve(
+            q[free], project)
+    if not found:
         return None
     x = np.empty(len(c))
-    x[free], x[~free] = sol[0], at
-    return x, -pin * ((x - q if project else q) + sol[1] * (x - c)
-                      + A.T @ sol[2])
+    x[free], x[~free] = xf, at
+    return x, -pin * ((x - q if project else q) + mu * (x - c) + A.T @ nu)
 
 
 def _descend(c, rr, A, b, lo, hi, q, project, x, tol, stop=lambda x: False):
@@ -337,29 +355,50 @@ def _descend(c, rr, A, b, lo, hi, q, project, x, tol, stop=lambda x: False):
 
 def _solve(cc: ClassConstraints, faces: _FaceTable, q: np.ndarray,
            project: bool):
-    """The class set's face table (``_class_faces``) on q; where its point
-    leaves the box or non-negativity bounds, the bound stage ``_descend``
-    from that point.  Where the face table or the stage's growth finds no
-    point, a first phase finds one and ``_descend`` runs from it.  That
+    """The class set's face table (``_class_faces``) on the point q (d), or
+    on a batch of P points (P x d) in one pass.  A point that leaves the
+    box or non-negativity bounds, or for which the table finds none, goes
+    on alone (``_settle``).  Returns (x, errors), x shaped like q: errors
+    maps the row (0 for one point) of each point that could not be solved
+    to its InfeasibleSetError, and that point of x is NaN."""
+    x, _, _, found = faces.solve(q, project)
+    d = len(faces.c)
+    X, found, errors = x.reshape(-1, d), np.reshape(found, -1), {}
+    if cc.box is not None or cc.nonneg or not found.all():
+        lo, hi = cc.bounds(d)
+        alone = ~found | ((X < lo) | (X > hi)).any(axis=1)
+        for i in np.flatnonzero(alone):
+            try:
+                X[i] = _settle(cc, faces, q.reshape(-1, d)[i], project,
+                               X[i] if found[i] else None, lo, hi)
+            except InfeasibleSetError as exc:
+                errors[int(i)] = exc
+    for i, x_i in enumerate(X):
+        if i not in errors and not cc.contains(x_i):
+            errors[i] = InfeasibleSetError(
+                f"{_UNCERTIFIED}: the certified point fails the membership test")
+    if errors:
+        X[list(errors)] = np.nan
+    return X.reshape(x.shape), errors
+
+
+def _settle(cc: ClassConstraints, faces: _FaceTable, q: np.ndarray,
+            project: bool, x, lo, hi) -> np.ndarray:
+    """One point past the face table: the bound stage ``_descend`` from the
+    table's point x.  Where the table or the stage's growth finds no point
+    (x None), a first phase finds one and ``_descend`` runs from it.  That
     phase descends on t over (x, t) in the rows A x - t <= b and the ball
     |x - c|^2 + (t - t0)^2 <= rr^2 + t0^2, from the clipped centre at t = t0:
     at t < 0, x lies inside the set, and a certified minimum t >= 0 shows
     that the set is empty."""
-    ball = cc.ball is not None
     c, rr, A, b = faces.c, faces.rr, faces.A, faces.b
     d = len(c)
-    sol = faces.solve(q, project)
-    x = None if sol is None else sol[0]
-    lo, hi = cc.bounds(d)
-    if x is None or ((cc.box is not None or cc.nonneg)
-                     and np.any((x < lo) | (x > hi))):
-        tol = 1e-10 * math.sqrt(float((q - c) @ (q - c) if project else q @ q))
-        x = None if x is None else _descend(c, rr, A, b, lo, hi, q, project,
-                                            x, tol)
+    tol = 1e-10 * math.sqrt(float((q - c) @ (q - c) if project else q @ q))
+    x = None if x is None else _descend(c, rr, A, b, lo, hi, q, project, x, tol)
     if x is None:
         xs = np.clip(c, lo, hi)
         dist = math.sqrt(float((xs - c) @ (xs - c)))
-        rr1 = rr if ball else 1e6 * (1.0 + dist)  # no ball: search near 0
+        rr1 = rr if cc.ball is not None else 1e6 * (1.0 + dist)  # no ball: search near 0
         t0 = float(np.max(A @ xs - b, initial=0.0)) + dist + rr1
         x1 = _descend(np.append(c, t0), math.hypot(rr1, t0),
                       np.column_stack([A, -np.ones(len(b))]), b,
@@ -367,12 +406,10 @@ def _solve(cc: ClassConstraints, faces: _FaceTable, q: np.ndarray,
                       np.eye(d + 1)[d], False, np.append(xs, t0), 1e-10,
                       stop=lambda x: x[-1] < 0.0)
         if x1[-1] >= 0.0:
-            raise InfeasibleSetError(_EMPTY if ball else f"{_UNCERTIFIED}: "
-                                     f"no point found near the origin")
+            raise InfeasibleSetError(_EMPTY if cc.ball is not None else
+                                     f"{_UNCERTIFIED}: no point found near "
+                                     f"the origin")
         x = _descend(c, rr, A, b, lo, hi, q, project, x1[:d], tol)
-    if not cc.contains(x):
-        raise InfeasibleSetError(f"{_UNCERTIFIED}: the certified point fails "
-                                 f"the membership test")
     return x
 
 
@@ -442,20 +479,36 @@ class FeasibleSet:
     def contains(self, x, y) -> bool:
         return self.for_label(y).contains(x)
 
-    def project(self, x, y) -> np.ndarray:
-        """Euclidean projection of x onto the class-y set pulled in by a
-        relative 1e-8 (integrality relaxed), so it passes ``contains``.
+    def project(self, x, y, failed: dict | None = None) -> np.ndarray:
+        """Euclidean projection of x, one point (d) or a batch of P points
+        (P x d), onto the class-y set pulled in by a relative 1e-8
+        (integrality relaxed), so that each point passes ``contains``.
 
         Ball, row, box and non-negativity sets take the active-set solver
-        (``_solve``), certified by KKT multipliers >= -tol; sets with an LP
-        atom take the dual (``_lp_project``), certified by the duality gap.
-        Raises InfeasibleSetError when the set is empty, or, with another
-        message, when no certificate is found."""
+        (``_solve``), one face-table pass for the batch, certified by KKT
+        multipliers >= -tol; sets with an LP atom take the dual
+        (``_lp_project``) point by point, certified by the duality gap.
+        A point that cannot be projected raises InfeasibleSetError, with
+        "empty" in its message when the set is empty.  Given a dict
+        ``failed``, the other points are still returned: each failed row is
+        NaN, and its error is stored under its row index."""
         cc = self.for_label(y)
         x = np.asarray(x, dtype=float)
-        if cc.lp is not None:
-            return _lp_project(cc, x, self.d)
-        return _solve(cc, self._table(y), x, project=True)
+        if cc.lp is None:
+            out, errors = _solve(cc, self._table(y), x, project=True)
+        else:
+            out, errors = np.full(x.shape, np.nan), {}
+            rows = out.reshape(-1, self.d)  # a view of out
+            for i, q in enumerate(x.reshape(-1, self.d)):
+                try:
+                    rows[i] = _lp_project(cc, q, self.d)
+                except InfeasibleSetError as exc:
+                    errors[i] = exc
+        if errors:
+            if failed is None:
+                raise errors[min(errors)]
+            failed.update(errors)
+        return out
 
     def with_halfspace(self, y: int, hs: HalfSpace) -> "FeasibleSet":
         cc = self.cons[int(y)]
@@ -498,7 +551,10 @@ class FeasibleSet:
                                      "bounded")
         if not theta.any():
             return self.project(cc.anchor(self.d), y)
-        return _solve(cc, self._table(y), y * theta, project=False)
+        x, errors = _solve(cc, self._table(y), y * theta, project=False)
+        if errors:
+            raise errors[0]
+        return x
 
 
 # -- builders -----------------------------------------------------------------
@@ -513,6 +569,18 @@ def _domain_constraints(domain: InputDomain, lp: LpConstraint | None):
     return {}
 
 
+def _centroid_fits(D: Dataset, p: float) -> tuple[dict, dict]:
+    """D's class centroids, and its l2 and slab thresholds at p by defense,
+    fit on first use and kept on the Dataset object itself, as its k-NN
+    tables are, so that they are freed with it (D is immutable)."""
+    fits = vars(D).setdefault("_centroid_fits", {})
+    if p not in fits:
+        taus = {kind.kind: fit_thresholds(kind, fit_detector(kind, D), D, p).tau
+                for kind in (DefenseKind.l2(), DefenseKind.slab())}
+        fits[p] = (class_centroids(D), taus)
+    return fits[p]
+
+
 def build_feasible_set(
     D: Dataset,
     p: float,
@@ -523,12 +591,7 @@ def build_feasible_set(
     constraints, and optionally the decoy-loss half-space.  On non-negative
     integer data the ball gives way to the LP atom, which bounds the L2
     distance of the rounded point in expectation."""
-    cents = class_centroids(D)
-    kinds = {"l2": DefenseKind.l2(), "slab": DefenseKind.slab()}
-    taus = {}
-    for name, kind in kinds.items():
-        beta = fit_detector(kind, D)
-        taus[name] = fit_thresholds(kind, beta, D, p).tau
+    cents, taus = _centroid_fits(D, p)
     axis = cents[1] - cents[-1]
     cons = {}
     for lab in (1, -1):

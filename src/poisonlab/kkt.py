@@ -144,59 +144,70 @@ def projected_anchors(F_sv: FeasibleSet, d: int) -> tuple[np.ndarray, np.ndarray
     return tuple(F_sv.project(F_sv.for_label(y).anchor(d), y) for y in (1, -1))
 
 
-def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: float,
-              eps_minus: float, F_sv: FeasibleSet, lam_eff: float,
+def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: np.ndarray,
+              eps_minus: np.ndarray, F_sv: FeasibleSet, lam_eff: float,
               anchors: tuple[np.ndarray, np.ndarray]):
-    """Minimize ||gDc - eps+ x+ + eps- x- + lam_eff * theta_decoy||^2 over
-    the points of F_sv, ``support_vector_set(F, theta_decoy)``, by
-    accelerated projected gradient from ``anchors``,
-    ``projected_anchors(F_sv, d)``.  The solve stops after the second step
-    in a row that changes the objective by at most _SOLVE_TOL relative.
-    The objective sees the points only through eps+ x+ - eps- x-, so where
-    several pairs give the best difference the points are not unique:
-    compare solves by their objective, not their points.
-    Returns (x_plus, x_minus, objective); the points never alias
-    ``anchors``, which later splits start from."""
-    if eps_plus < 0 or eps_minus < 0:
+    """For each of the S class splits (eps_plus[s], eps_minus[s]), minimize
+    ||gDc - eps+ x+ + eps- x- + lam_eff * theta_decoy||^2 over the points of
+    F_sv, ``support_vector_set(F, theta_decoy)``, by accelerated projected
+    gradient from ``anchors``, ``projected_anchors(F_sv, d)``.  The splits
+    run in one loop over S x d arrays: each step projects the live splits'
+    points of a class in one batch.  A split stops after the second step in
+    a row that changes its objective by at most _SOLVE_TOL relative, and
+    is not projected again.  The objective sees the points only through
+    eps+ x+ - eps- x-, so where several pairs give the best difference the
+    points are not unique: compare solves by their objective, not their
+    points.
+
+    Returns (X_plus, X_minus, objective, failed): S x d, S x d and S arrays,
+    and a dict mapping each split whose projection could not be certified
+    to its InfeasibleSetError; that split stops, and its rows are not an
+    answer.  The points never alias ``anchors``."""
+    eps = {1: np.asarray(eps_plus, dtype=float),
+           -1: np.asarray(eps_minus, dtype=float)}
+    if (eps[1] < 0).any() or (eps[-1] < 0).any():
         raise ValueError("class budgets must be non-negative")
     th = theta_decoy.theta
-    x_p, x_m = (a.copy() for a in anchors)
+    X = {y: np.tile(a, (len(eps[1]), 1)) for y, a in zip((1, -1), anchors)}
 
     def residual(xp, xm):
-        return gDc - eps_plus * xp + eps_minus * xm + lam_eff * th
+        return gDc - eps[1][:, None] * xp + eps[-1][:, None] * xm + lam_eff * th
 
-    if eps_plus == 0 and eps_minus == 0:
-        r = residual(x_p, x_m)
-        return x_p, x_m, float(np.dot(r, r))
-
-    L = 2.0 * (eps_plus ** 2 + eps_minus ** 2)
-    step = 1.0 / L
-    zp, zm = x_p, x_m
+    L = 2.0 * (eps[1] ** 2 + eps[-1] ** 2)
+    step = 1.0 / np.where(L > 0.0, L, 1.0)
+    Z = {y: x.copy() for y, x in X.items()}
+    live = L > 0.0
     t_acc = 1.0
-    obj_prev = np.inf
-    stall = 0
-    for it in range(_SOLVE_ITERS):
-        r = residual(zp, zm)
-        gp = -2.0 * eps_plus * r
-        gm = 2.0 * eps_minus * r
-        xp_new = F_sv.project(zp - step * gp, 1) if eps_plus > 0 else x_p
-        xm_new = F_sv.project(zm - step * gm, -1) if eps_minus > 0 else x_m
+    obj_prev, stall = np.full(len(L), np.inf), np.zeros(len(L), dtype=int)
+    failed = {}
+    for _ in range(_SOLVE_ITERS):
+        if not live.any():
+            break
+        r = residual(Z[1], Z[-1])
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc ** 2))
         beta = (t_acc - 1.0) / t_new
-        zp = xp_new + beta * (xp_new - x_p)
-        zm = xm_new + beta * (xm_new - x_m)
-        x_p, x_m, t_acc = xp_new, xm_new, t_new
-        r = residual(x_p, x_m)
-        obj = float(np.dot(r, r))
-        if abs(obj_prev - obj) <= _SOLVE_TOL * (1.0 + obj):
-            stall += 1
-            if stall >= 2:
-                break
-        else:
-            stall = 0
+        for y in (1, -1):
+            rows = np.flatnonzero(live & (eps[y] > 0.0))
+            if not rows.size:
+                continue
+            g = (-2.0 * y * eps[y][rows])[:, None] * r[rows]
+            errors = {}
+            x_new = F_sv.project(Z[y][rows] - step[rows, None] * g, y, errors)
+            for i, exc in errors.items():
+                failed[int(rows[i])] = exc
+                live[rows[i]] = False
+            rows, x_new = rows[live[rows]], x_new[live[rows]]
+            Z[y][rows] = x_new + beta * (x_new - X[y][rows])
+            X[y][rows] = x_new
+        t_acc = t_new
+        r = residual(X[1], X[-1])
+        obj = np.einsum("sd,sd->s", r, r)
+        settled = np.abs(obj_prev - obj) <= _SOLVE_TOL * (1.0 + obj)
+        stall = np.where(settled, stall + 1, 0)
+        live &= stall < 2
         obj_prev = obj
-    r = residual(x_p, x_m)
-    return x_p, x_m, float(np.dot(r, r))
+    r = residual(X[1], X[-1])
+    return X[1], X[-1], np.einsum("sd,sd->s", r, r), failed
 
 
 def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
@@ -207,15 +218,19 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
             seed: int = 0) -> AttackResult:
     """Grid search class splits for every decoy; keep the attack with the
     highest test error (min over defenses when any are supplied; ties resolve
-    to the lower decoy index).  A (decoy, split) subproblem whose feasible
-    set is empty is skipped and recorded in ``decoy_provenance["skipped"]``;
-    InfeasibleSetError is raised only when every subproblem was skipped.
+    to the lower decoy index).  A decoy's T + 1 splits are solved together,
+    in one ``kkt_solve``.  A (decoy, split) subproblem whose feasible set is
+    empty, or whose projection cannot be certified, is skipped and recorded
+    in ``decoy_provenance["skipped"]``; InfeasibleSetError is raised only
+    when every subproblem was skipped.
 
     Within a decoy, each split's retrains (with defenses: each defense's
     detector and defender) start from the previous split's models, which
     differ only in the poison split; results do not depend on it."""
     if not decoys:
         raise ValueError("need at least one decoy")
+    if T < 1:
+        raise ValueError("T must be at least 1")
     started = time.perf_counter()
     loss = loss or LossSpec.hinge()
     config = config or TrainConfig()
@@ -223,6 +238,8 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
     # the stationarity residual is weight-averaged over the clean weight, so
     # lambda is the mean-form one over all n_c (1 + eps), times (1 + eps)
     lam_eff = config.mean_lam(n_c * (1.0 + epsilon)) * (1.0 + epsilon)
+    eps_plus = np.arange(T + 1) * epsilon / T
+    eps_minus = epsilon - eps_plus
     best = None  # (score, decoy_idx, t, dp, provenance)
     trajectory = []
     skipped = []
@@ -230,24 +247,23 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
         F_sv = support_vector_set(F_builder(decoy), decoy.theta_decoy)
         gDc = clean_gradient(decoy.theta_decoy, D_c, loss)
         theta, models = None, {}  # the previous split's models
-        anchors = None  # projected once; an empty class set skips every split
+        try:
+            X_p, X_m, objs, failed = kkt_solve(
+                gDc, decoy.theta_decoy, eps_plus, eps_minus, F_sv, lam_eff,
+                projected_anchors(F_sv, D_c.d))
+        except InfeasibleSetError as exc:  # an empty class set: every split
+            failed = dict.fromkeys(range(T + 1), exc)
         for t in range(T + 1):
-            eps_p = t * epsilon / T
-            eps_m = epsilon - eps_p
-            try:
-                if anchors is None:
-                    anchors = projected_anchors(F_sv, D_c.d)
-                x_p, x_m, obj = kkt_solve(gDc, decoy.theta_decoy, eps_p, eps_m,
-                                          F_sv, lam_eff, anchors)
-            except InfeasibleSetError as exc:
+            eps_p, eps_m = float(eps_plus[t]), float(eps_minus[t])
+            if t in failed:
                 skipped.append({"decoy_index": di, "eps_plus": eps_p,
-                                "reason": str(exc)})
+                                "reason": str(failed[t])})
                 continue
             xs, ys, ws = [], [], []
             if eps_p > 0:
-                xs.append(x_p); ys.append(1.0); ws.append(eps_p * n_c)
+                xs.append(X_p[t]); ys.append(1.0); ws.append(eps_p * n_c)
             if eps_m > 0:
-                xs.append(x_m); ys.append(-1.0); ws.append(eps_m * n_c)
+                xs.append(X_m[t]); ys.append(-1.0); ws.append(eps_m * n_c)
             dp = (Dataset(np.array(xs), np.array(ys), np.array(ws))
                   if xs else Dataset.empty(D_c.d))
             dp = round_poison(dp, D_c.domain, seed + 31 * di + t)
@@ -264,7 +280,7 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
             if best is None or score > best[0]:
                 prov = {"decoy_index": di, "r": decoy.r, "gamma": decoy.gamma,
                         "eps_plus": eps_p, "eps_minus": eps_m,
-                        "kkt_objective": obj}
+                        "kkt_objective": float(objs[t])}
                 best = (score, di, t, dp, prov, errs, reports)
     if best is None:
         raise InfeasibleSetError(

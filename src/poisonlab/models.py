@@ -170,7 +170,9 @@ def test_error_01(theta: ModelParams, D: Dataset) -> float:
 # closes exactly in finitely many rounds: alpha = w below margin 1, alpha = 0
 # above it, and the free alpha solve the margin-1 system.  A round is one
 # Gram solve on the free rows, verified by its residual; SVD least squares
-# takes only the singular faces.
+# takes only the singular faces.  Since the closer certifies the answer, the
+# seed levels' Newton Hessians leave out the rows curved below
+# _SEED_CURVATURE_CUT of the largest (inexact Newton, Nocedal & Wright 7.1).
 
 _MARGIN_BAND = 1e-9  # the closer leaves margins within 1e-10 (1 + |m|) of 1
 _KKT_TOL = 1e-10     # relative slack of the closer's margin tests
@@ -332,15 +334,18 @@ def _train_hinge_sum(X, y, w, lam, tol, start=None):
 # -- smooth training: Newton with Armijo backtracking, from x0 or zero -------
 
 _DENSE_NEWTON_MAX_D = 800
+_SEED_CURVATURE_CUT = 1e-6  # seed levels: rows curved below this of the top
 
 
-def _solve_hessian(X, curv, lam, v, rtol, maxiter, x0=None):
+def _solve_hessian(X, curv, lam, v, rtol, maxiter, x0=None,
+                   cut=np.finfo(float).eps):
     """Solve (lambda I + X^T diag(curv) X) u = v, built from the rows whose
-    curvature is not lost in rounding against the largest (near the hinge's
-    corner only those near margin 1): by np.linalg.solve at d <=
-    _DENSE_NEWTON_MAX_D, above it by CG from x0 to ||Hu - v|| <= rtol ||v||.
-    Returns (u, info), info being CG's, and 0 for the dense solve."""
-    curved = curv > np.finfo(float).eps * np.max(curv, initial=0.0)
+    curvature exceeds ``cut`` times the largest (near the hinge's corner
+    only those near margin 1); at the default, eps, the rows left out are
+    lost in rounding.  By np.linalg.solve at d <= _DENSE_NEWTON_MAX_D, above
+    it by CG from x0 to ||Hu - v|| <= rtol ||v||.  Returns (u, info), info
+    being CG's, and 0 for the dense solve."""
+    curved = curv > cut * np.max(curv, initial=0.0)
     if not curved.all():
         X, curv = X[curved], curv[curved]
     d = X.shape[1]
@@ -357,8 +362,14 @@ def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
     ``linear`` = (b, c), the fixed term c - b^T theta of rows whose loss is
     linear in theta (the hinge continuation's rows below its band), by
     Armijo-damped Newton from x0, or from zero: the objective is strongly
-    convex, so it converges from any start (Nocedal & Wright sec. 3.1, 3.3)."""
+    convex, so it converges from any start (Nocedal & Wright sec. 3.1, 3.3).
+
+    ``strict=False`` marks a hinge seed level, whose result only seeds the
+    closer, which certifies the answer: it returns without a certificate,
+    and its Hessians leave out the rows curved below _SEED_CURVATURE_CUT of
+    the largest, an inexact Newton step (Nocedal & Wright sec. 7.1)."""
     d = X.shape[1]
+    cut = np.finfo(float).eps if strict else _SEED_CURVATURE_CUT
     b, c = (np.zeros(d), 0.0) if linear is None else linear
 
     def fgc(th):
@@ -372,7 +383,7 @@ def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
     target = tol * (1.0 + np.linalg.norm(theta))
     it = 0
     while np.linalg.norm(g) > 0.5 * target and it < 100:
-        step = _solve_hessian(X, curv, lam, g, 1e-12, 10 * d)[0]
+        step = _solve_hessian(X, curv, lam, g, 1e-12, 10 * d, cut=cut)[0]
         # backtrack to the Armijo condition f(theta - t s) <= f - 1e-4 t g^T s
         # (Nocedal & Wright sec. 3.1).  Near the optimum f differences drown
         # in rounding: f sums len(w) non-negative terms, so where f rises by

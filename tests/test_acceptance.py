@@ -238,9 +238,9 @@ def test_criterion_7_kkt_stationarity():
         n = tr.total_weight
         scale = 1.0 + ep + em
         F_sv = support_vector_set(F, th_d)
-        xp, xm, obj = kkt_solve(gDc, th_d, ep, em, F_sv,
-                                cfg.mean_lam(n * scale) * scale,
-                                projected_anchors(F_sv, th_d.d))
+        (xp,), (xm,), (obj,), _ = kkt_solve(gDc, th_d, [ep], [em], F_sv,
+                                            cfg.mean_lam(n * scale) * scale,
+                                            projected_anchors(F_sv, th_d.d))
         if obj <= 1e-10:
             solved += 1
             D_p = Dataset.from_points(np.array([xp, xm]), [1.0, -1.0],

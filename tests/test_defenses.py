@@ -361,6 +361,28 @@ def test_knn_squared_reference_stays_within_the_blocks():
     assert peak <= 4 * defenses._KNN_BLOCK_BYTES, peak
 
 
+def test_knn_clean_prefix_check_stays_within_the_blocks():
+    """The merged score checks that the detector's clean set is a prefix of
+    its reference in row blocks too: at n = 500, d = 4000 comparing every
+    clean coordinate at once traced a 2.0 MB boolean temporary."""
+    gen = np.random.default_rng(0)
+    n, d = 500, 4000
+    C = Dataset.from_points(gen.standard_normal((n, d)),
+                            np.where(gen.random(n) < 0.5, 1.0, -1.0))
+    kind = DefenseKind.knn()
+    defenses._knn_table(C, kind.k)
+    X = C.X.copy()
+    X[-1, -1] += 1.0  # the last clean row moved: not a prefix
+    D = union(Dataset.from_points(X, C.y), Dataset.from_points(X[:5] + 3.0, -C.y[:5]))
+
+    def merged():
+        with pytest.raises(DefenseError, match="not a prefix"):
+            score_dataset(kind, DetectorParams(KNN, reference=D, clean=C), D,
+                          training=True)
+
+    assert traced_peak(merged) <= defenses._KNN_BLOCK_BYTES
+
+
 def test_knn_merge_blocks_count_the_rows_coordinates():
     """At d = 500 with 60 poison points, a clean-against-poison block is
     sized by its rows' 500 coordinates, not by the 60 poison columns alone:

@@ -25,6 +25,13 @@ def ball_set(center, radius, d):
                               {1: radius, -1: radius}, d)
 
 
+def solve_one(table, q, project):
+    """A face table's pass on the one point q: (x, mu, nu), or None where
+    no active set certifies."""
+    x, mu, nu, found = table.solve(q, project)
+    return (x, mu, nu) if found else None
+
+
 def test_contains_ball_strict():
     F = ball_set(np.zeros(2), 1.0, 2)
     assert F.contains(np.array([0.5, 0.0]), 1)
@@ -417,7 +424,8 @@ def test_min_margin_on_faces_and_edges(cc, theta, expect):
     # theta + mu (x - c) + A^T nu vanish
     c, r = cc.ball
     A, b = cc.rows(len(theta))
-    x2, mu, nu = _FaceTable(c, r * (1.0 - _SHRINK), A, b).solve(theta, False)
+    x2, mu, nu = solve_one(_FaceTable(c, r * (1.0 - _SHRINK), A, b), theta,
+                           False)
     np.testing.assert_array_equal(x2, x)
     assert mu >= 0.0 and (nu >= 0.0).all()
     np.testing.assert_allclose(theta + mu * (x - c) + A.T @ nu, 0.0, atol=1e-9)
@@ -554,7 +562,7 @@ def test_face_table_matches_active_set_oracle():
             else:
                 q = gen.standard_normal(d)
             want = active_set_oracle(c, rr, A, b, q, project)
-            got = table.solve(q, project)
+            got = solve_one(table, q, project)
             assert (got is None) == (want is None), (trial, project)
             if got is not None:
                 check_certified(got, want, c, rr, A, b, q, project)
@@ -578,7 +586,7 @@ def test_face_table_certifies_near_parallel_faces():
     doc = json.loads((Path(__file__).parent / "near_parallel_faces.json").read_text())
     for inst in doc["instances"]:
         c, A, b, q = (np.array(inst[k]) for k in ("c", "A", "b", "q"))
-        got = _FaceTable(c, inst["rr"], A, b).solve(q, False)
+        got = solve_one(_FaceTable(c, inst["rr"], A, b), q, False)
         assert got is not None
         assert np.count_nonzero(got[2]) == 2 and got[1] > 0.0
         check_certified(got, got, c, inst["rr"], A, b, q, False)

@@ -83,10 +83,13 @@ def test_clean_gradient_does_not_depend_on_rounding_at_margin_one():
 
 
 def solve_on(F, gDc, th, ep, em, lam_eff):
-    """kkt_solve on F's support-vector set, from its projected anchors."""
+    """kkt_solve of the one split (ep, em) on F's support-vector set, from
+    its projected anchors: (x_plus, x_minus, objective)."""
     F_sv = support_vector_set(F, th)
-    return kkt_solve(gDc, th, ep, em, F_sv, lam_eff,
-                     projected_anchors(F_sv, th.d))
+    xp, xm, obj, failed = kkt_solve(gDc, th, [ep], [em], F_sv, lam_eff,
+                                    projected_anchors(F_sv, th.d))
+    assert not failed
+    return xp[0], xm[0], obj[0]
 
 
 def test_kkt_solve_exact_cancellation():
@@ -122,7 +125,8 @@ def test_kkt_solve_returns_no_view_of_its_anchors(ep, em):
     F_sv = support_vector_set(F, th)
     anchors = projected_anchors(F_sv, th.d)
     kept = tuple(a.copy() for a in anchors)
-    xp, xm, _ = kkt_solve(np.array([0.3, -0.2]), th, ep, em, F_sv, 0.05, anchors)
+    xp, xm, _, _ = kkt_solve(np.array([0.3, -0.2]), th, [ep], [em], F_sv, 0.05,
+                             anchors)
     assert not np.shares_memory(xp, anchors[0])
     assert not np.shares_memory(xm, anchors[1])
     xp += 1.0
@@ -189,12 +193,10 @@ def test_kkt_stationarity_retraining_reproduces_decoy(rng):
             <= 1e-4 * (1.0 + np.linalg.norm(th_d.theta)))
 
 
-def test_run_kkt_projections_over_benchmark_grid(monkeypatch):
-    # one run_kkt on the benchmark's decoy grid: kkt_solve made 754
-    # projections when it confirmed a stall over five settled steps, and
-    # 466 stopping after two; with each decoy's anchors projected once for
-    # its seven splits, 370; the winning split is the same
-    from poisonlab import feasible
+@pytest.fixture(scope="module")
+def benchmark_grid():
+    """Criterion 10's instance, its decoys on the benchmark's grid, and each
+    decoy's feasible set: (tr, te, loss, cfg, decoys, F_builder)."""
     tr, te = synth_gaussians(42, 2000, 20, 4.2)
     loss, cfg = LossSpec.hinge(), TrainConfig(lam=0.1)
     decoys = gen_decoys(tr, te, loss, 0.1, r_grid=(1, 2, 3, 5, 8, 12),
@@ -204,20 +206,92 @@ def test_run_kkt_projections_over_benchmark_grid(monkeypatch):
         caps = decoy_loss_caps(tr, d.theta_decoy, loss, 0.05)
         return build_feasible_set(tr, 0.05, decoy=(d.theta_decoy, loss, caps))
 
-    calls = []
-    project = feasible.FeasibleSet.project
+    return tr, te, loss, cfg, decoys, F_builder
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return project(self, *args, **kwargs)
+
+def test_run_kkt_projections_over_benchmark_grid(monkeypatch, benchmark_grid):
+    # one run_kkt on the benchmark's decoy grid: kkt_solve projected 754
+    # points when it confirmed a stall over five settled steps, and 466
+    # stopping after two; with each decoy's anchors projected once for its
+    # seven splits, 370.  One face-table pass per point took 370 passes; a
+    # decoy's splits projected as one batch per class and step take 94.
+    # The winning split is the same
+    from poisonlab import feasible
+    tr, te, loss, cfg, decoys, F_builder = benchmark_grid
+    points, passes = [], []
+    project, solve = feasible.FeasibleSet.project, feasible._FaceTable.solve
+
+    def counted(self, x, *args, **kwargs):
+        points.append(len(np.atleast_2d(x)))
+        return project(self, x, *args, **kwargs)
+
+    def passed(self, *args, **kwargs):
+        passes.append(1)
+        return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(feasible.FeasibleSet, "project", counted)
+    monkeypatch.setattr(feasible._FaceTable, "solve", passed)
     res = run_kkt(tr, te, 0.03, decoys, F_builder, T=6, p=0.05, loss=loss,
                   config=cfg)
-    assert len(calls) <= 1.1 * 370
+    assert sum(points) <= 1.1 * 370
+    assert len(passes) <= 1.1 * 94
     assert res.min_over_defense == 0.0235
     assert (res.decoy_provenance["decoy_index"],
             res.decoy_provenance["eps_plus"]) == (3, 0.015)
+
+
+def test_batched_splits_match_single_split_solves(benchmark_grid):
+    # each decoy's seven splits solved in one kkt_solve give the points and
+    # objectives of seven solves of one split each
+    tr, _, loss, cfg, decoys, F_builder = benchmark_grid
+    eps_plus = np.arange(7) * 0.03 / 6
+    eps_minus = 0.03 - eps_plus
+    lam_eff = cfg.mean_lam(tr.total_weight * 1.03) * 1.03
+    for d in decoys:
+        th = d.theta_decoy
+        F_sv = support_vector_set(F_builder(d), th)
+        args = (clean_gradient(th, tr, loss), th)
+        anchors = projected_anchors(F_sv, tr.d)
+        X_p, X_m, obj, failed = kkt_solve(*args, eps_plus, eps_minus, F_sv,
+                                          lam_eff, anchors)
+        assert not failed
+        for t in range(7):
+            xp, xm, o, f = kkt_solve(*args, eps_plus[t:t + 1], eps_minus[t:t + 1],
+                                     F_sv, lam_eff, anchors)
+            assert not f
+            for got, want in ((X_p[t], xp[0]), (X_m[t], xm[0])):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert abs(obj[t] - o[0]) <= 1e-12 * abs(o[0])
+
+
+def test_run_kkt_skips_a_split_whose_projection_fails(monkeypatch, decoy_pair):
+    # the first batch projection of class +1 reports its first point, split
+    # 1's, uncertified: that split is skipped and recorded, and the others
+    # are scored as without the failure
+    from poisonlab import feasible
+    from poisonlab.feasible import InfeasibleSetError
+    tr, te, good, _ = decoy_pair
+    kw = dict(T=3, loss=LossSpec.hinge(), config=TrainConfig(lam=0.1))
+    alone = run_kkt(tr, te, 0.03, [good], _capped_F_builder(tr), **kw)
+    project = feasible.FeasibleSet.project
+    injected = []
+
+    def failing(self, x, y, failed=None):
+        out = project(self, x, y, failed)
+        if np.ndim(x) == 2 and y == 1 and not injected:
+            injected.append(1)
+            failed[0] = InfeasibleSetError("could not certify (injected)")
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(feasible.FeasibleSet, "project", failing)
+    res = run_kkt(tr, te, 0.03, [good], _capped_F_builder(tr), **kw)
+    assert injected
+    skipped = res.decoy_provenance["skipped"]
+    assert [(s["decoy_index"], s["eps_plus"]) for s in skipped] == [(0, 0.01)]
+    assert "injected" in skipped[0]["reason"]
+    scores = [s for _, s in alone.trajectory]
+    assert [s for _, s in res.trajectory] == scores[:1] + scores[2:]
 
 
 def test_decoy_loss_caps_are_class_quantiles():

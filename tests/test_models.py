@@ -411,6 +411,36 @@ def test_closer_rounds_over_gen_decoys_benchmark_grid(monkeypatch):
     assert len(svds) <= 1.1 * 24
 
 
+def test_seed_level_hessians_over_gen_decoys_benchmark_grid(monkeypatch):
+    # the Newton Hessians of the seed levels (the ridge seed and both
+    # smoothing levels) over the benchmark's 25 decoy trains: built from
+    # the rows curved above eps of the largest, they took 0.537 of the rows
+    # they were given; above _SEED_CURVATURE_CUT, 0.364, in the same 343
+    # solves.  The closer certifies the answer, so theta is the eps cut's
+    from poisonlab import gen_decoys
+    tr, te = synth_gaussians(42, 2000, 20, 4.2)
+    rows = []
+    solve = models._solve_hessian
+
+    def counted(X, curv, *args, cut=np.finfo(float).eps, **kwargs):
+        rows.append((len(curv), np.sum(curv > cut * np.max(curv, initial=0.0))))
+        return solve(X, curv, *args, cut=cut, **kwargs)
+
+    def decoy_thetas():
+        return [d.theta_decoy.theta for d in gen_decoys(
+            tr, te, LossSpec.hinge(), 0.1, r_grid=(1, 2, 3, 5, 8, 12),
+            q_grid=(0.05, 0.2, 0.35, 0.5), prune=False)]
+
+    monkeypatch.setattr(models, "_solve_hessian", counted)
+    cut = decoy_thetas()
+    given, kept = np.sum(rows, axis=0)
+    assert kept <= 0.40 * given
+    assert len(rows) <= 1.01 * 343
+    monkeypatch.setattr(models, "_SEED_CURVATURE_CUT", np.finfo(float).eps)
+    for got, want in zip(cut, decoy_thetas(), strict=True):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_smoothing_rows_over_gen_decoys_benchmark_grid(monkeypatch):
     # the rows each smoothed-loss evaluation sees over the benchmark's 25
     # decoy trains: 2 092 400 when the last level ran on every row; on the
