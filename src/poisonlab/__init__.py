@@ -11,7 +11,7 @@ from .feasible import (
     verify_collapse,
 )
 from .influence import InfluenceConfig, influence_gradient, run_influence, test_gradient
-from .kkt import DecoyParams, clean_gradient, gen_decoys, kkt_solve, projected_anchors, run_kkt, support_vector_set
+from .kkt import DecoyParams, clean_gradient, gen_decoys, kkt_solve, run_kkt
 from .minmax import max_loss_point, run_minmax, run_minmax_basic
 from .models import (
     LossSpec,
@@ -56,7 +56,6 @@ __all__ = [
     "kkt_solve",
     "load_dataset",
     "max_loss_point",
-    "projected_anchors",
     "repeat_round",
     "round_point",
     "run_alfa",
@@ -66,7 +65,6 @@ __all__ = [
     "run_minmax_basic",
     "sanitize",
     "save_dataset",
-    "support_vector_set",
     "synth_gaussians",
     "test_error_01",
     "test_gradient",

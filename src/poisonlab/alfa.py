@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .data import Dataset, union
+from .data import Dataset, flipped, union
 from .feasible import FeasibleSet, InfeasibleSetError
 from .models import LossSpec, TrainConfig, loss_of_margin, margins, train
 from .results import AttackResult, evaluated_result
@@ -57,7 +57,7 @@ def run_alfa(D_c: Dataset, D_test: Dataset, epsilon: float, F: FeasibleSet,
                                 list(defenses_for_eval), p, loss, config,
                                 started, seed=seed)
     theta_star = train(D_c, loss, config)
-    flip = Dataset(D_test.X, -D_test.y, D_test.w, D_test.domain)
+    flip = flipped(D_test)
     feasible = np.array([F.contains(flip.X[i], flip.y[i]) for i in range(flip.n)])
     if not feasible.any():
         raise InfeasibleSetError("no flipped test point lies in the "

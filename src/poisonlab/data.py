@@ -126,6 +126,11 @@ def union(a: Dataset, b: Dataset) -> Dataset:
     )
 
 
+def flipped(D: Dataset) -> Dataset:
+    """D with every label flipped."""
+    return Dataset(D.X, -D.y, D.w, D.domain)
+
+
 def synth_gaussians(
     seed: int,
     n: int,

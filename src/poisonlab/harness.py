@@ -310,10 +310,14 @@ def cmd_transfer(attack_doc: dict, lambdas=None, optimizers=("batch",),
 
 
 def cmd_collapse(attack_doc: dict, tol: float = 1e-4) -> dict:
-    """Collapse a stored attack to two points and verify by retraining."""
+    """Collapse a stored attack to two points and verify by retraining.
+    Both run on the relaxed (real-valued) view of D_c and D_p: a collapsed
+    point is a weighted mean, so it leaves an integer domain."""
     cfg = ExperimentConfig.from_obj(attack_doc["config"])
     D_c, _ = load_experiment_data(cfg)
+    D_c = Dataset(D_c.X, D_c.y, D_c.w)
     D_p = dataset_from_obj(attack_doc["dp"])
+    D_p = Dataset(D_p.X, D_p.y, D_p.w)
     loss = cfg.loss_spec()
     theta, collapsed = collapse_with_duals(D_c, D_p, loss, cfg.lam,
                                            objective=cfg.objective)

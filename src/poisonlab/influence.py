@@ -74,18 +74,17 @@ def influence_gradient(theta: ModelParams, D: Dataset, Dp: Dataset,
     cfg.mean_lam(W), solved by ``inverse_hvp_cg`` to cfg.tol.  For a smooth
     margin loss the mixed partial is curv * x theta^T + y * coeff * I, with
     coeff and curv the first and second margin derivatives.  Returns (rows,
-    v = H^-1 g_test); v0 warm-starts the solve where it is CG (d > 800)."""
+    v = H^-1 g_test), rows an n_p x d array; v0 warm-starts the solve where
+    it is CG (d > 800)."""
     v = inverse_hvp_cg(theta, D, cfg.mean_lam(D.total_weight), g_test, loss,
                        tol=cfg.tol, x0=v0)
     th = theta.theta
-    scale = 1.0 / D.total_weight
-    rows = []
-    for x, y, w in zip(Dp.X, Dp.y, Dp.w):
-        m = y * float(np.dot(th, x))
-        coeff = float(dloss_dmargin(loss, m))
-        curv = float(d2loss_dmargin2(loss, m))
-        rows.append(-scale * w * (curv * float(np.dot(v, x)) * th + y * coeff * v))
-    return rows, v
+    m = Dp.y * (Dp.X @ th)
+    coeff = dloss_dmargin(loss, m)
+    curv = d2loss_dmargin2(loss, m)
+    rows = ((curv * (Dp.X @ v))[:, None] * th
+            + (Dp.y * coeff)[:, None] * v)
+    return (-1.0 / D.total_weight * Dp.w)[:, None] * rows, v
 
 
 def init_label_flip(D_c: Dataset, epsilon: float, F: FeasibleSet,
@@ -135,6 +134,17 @@ def _concentrated_init(D_c: Dataset, epsilon: float, F: FeasibleSet, seed: int):
     return Dataset(X, np.array([1.0, -1.0]), np.array([weights[1], weights[-1]]))
 
 
+def _project_rows(F: FeasibleSet, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row of X projected into F's set of its label, one batch per
+    class."""
+    out = np.empty_like(X)
+    for lab in (1, -1):
+        mask = y == lab
+        if mask.any():
+            out[mask] = F.project(X[mask], lab)
+    return out
+
+
 def _ascend(D_c, D_test, D_p0, theta, F, eta, steps, cfg, attack_loss, defender_loss):
     """Run the gradient-ascent loop on the defender's objective cfg; each
     step trains from the previous step's theta, the first from theta, the
@@ -156,12 +166,8 @@ def _ascend(D_c, D_test, D_p0, theta, F, eta, steps, cfg, attack_loss, defender_
             break
         g_test = test_gradient(theta, D_test, attack_loss)
         grads, v = influence_gradient(theta, D, Dp, g_test, cfg, attack_loss, v)
-        moved = 0.0
-        newX = Dp.X.copy()
-        for i, g_x in enumerate(grads):
-            x_new = F.project(Dp.X[i] + eta * g_x, Dp.y[i])
-            moved += float(np.linalg.norm(x_new - Dp.X[i]))
-            newX[i] = x_new
+        newX = _project_rows(F, Dp.X + eta * grads, Dp.y)
+        moved = float(np.linalg.norm(newX - Dp.X, axis=1).sum())
         Dp = Dataset(newX, Dp.y, Dp.w, Dp.domain)
         trace.append({"iter": it, "test_loss": surrogate, "test_error": err,
                       "point_moved_norm": moved})
@@ -182,8 +188,7 @@ def run_influence(D_c: Dataset, D_test: Dataset, epsilon: float, F: FeasibleSet,
         D_p0 = _concentrated_init(D_c, epsilon, F, config.seed)
     else:
         raw = init_label_flip(D_c, epsilon, F, config.seed)
-        D_p0 = Dataset(np.array([F.project(raw.X[i], raw.y[i]) for i in range(raw.n)]),
-                       raw.y, raw.w, raw.domain)
+        D_p0 = Dataset(_project_rows(F, raw.X, raw.y), raw.y, raw.w, raw.domain)
 
     if config.steps == 0:
         dp = D_p0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, union
+from .data import Dataset, flipped, union
 from .feasible import FeasibleSet, HalfSpace, InfeasibleSetError
 from .models import (
     _MARGIN_BAND,
@@ -53,10 +53,6 @@ class DecoyParams:
     def __post_init__(self):
         if not 0.0 <= self.test_error <= 1.0:
             raise ValueError("test_error must lie in [0,1]")
-
-
-def flipped(D: Dataset) -> Dataset:
-    return Dataset(D.X, -D.y, D.w, D.domain)
 
 
 def pareto_prune(cands: list[DecoyParams]) -> list[DecoyParams]:
@@ -128,46 +124,33 @@ def decoy_loss_caps(D_c: Dataset, theta_decoy: ModelParams, loss: LossSpec,
             for lab in (1, -1)}
 
 
-def support_vector_set(F: FeasibleSet, theta_decoy: ModelParams) -> FeasibleSet:
-    """F with each class's support-vector cap, margin y theta_decoy^T x <= 1:
-    the set ``kkt_solve`` searches.  Build it once per decoy, so that each
-    class's face table is factored once for all of the decoy's splits."""
-    th = theta_decoy.theta
-    return (F.with_halfspace(1, HalfSpace(th, 1.0))
-             .with_halfspace(-1, HalfSpace(-th, 1.0)))
-
-
-def projected_anchors(F_sv: FeasibleSet, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each class's anchor projected into F_sv, the points ``kkt_solve``
-    starts from.  They depend on the decoy only: project them once for all
-    of its splits.  Raises InfeasibleSetError where a class's set is empty."""
-    return tuple(F_sv.project(F_sv.for_label(y).anchor(d), y) for y in (1, -1))
-
-
 def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: np.ndarray,
-              eps_minus: np.ndarray, F_sv: FeasibleSet, lam_eff: float,
-              anchors: tuple[np.ndarray, np.ndarray]):
+              eps_minus: np.ndarray, F: FeasibleSet, lam_eff: float):
     """For each of the S class splits (eps_plus[s], eps_minus[s]), minimize
     ||gDc - eps+ x+ + eps- x- + lam_eff * theta_decoy||^2 over the points of
-    F_sv, ``support_vector_set(F, theta_decoy)``, by accelerated projected
-    gradient from ``anchors``, ``projected_anchors(F_sv, d)``.  The splits
-    run in one loop over S x d arrays: each step projects the live splits'
-    points of a class in one batch.  A split stops after the second step in
-    a row that changes its objective by at most _SOLVE_TOL relative, and
-    is not projected again.  The objective sees the points only through
-    eps+ x+ - eps- x-, so where several pairs give the best difference the
-    points are not unique: compare solves by their objective, not their
-    points.
+    F with each class's support-vector cap, margin y theta_decoy^T x <= 1,
+    by accelerated projected gradient from each class's anchor projected
+    into that set.  The splits run in one loop over S x d arrays: each step
+    projects the live splits' points of a class in one batch.  A split
+    stops after the second step in a row that changes its objective by at
+    most _SOLVE_TOL relative, and is not projected again.  The objective
+    sees the points only through eps+ x+ - eps- x-, so where several pairs
+    give the best difference the points are not unique: compare solves by
+    their objective, not their points.
 
     Returns (X_plus, X_minus, objective, failed): S x d, S x d and S arrays,
     and a dict mapping each split whose projection could not be certified
     to its InfeasibleSetError; that split stops, and its rows are not an
-    answer.  The points never alias ``anchors``."""
+    answer.  Raises InfeasibleSetError where a class's set is empty."""
+    th = theta_decoy.theta
+    F = (F.with_halfspace(1, HalfSpace(th, 1.0))
+          .with_halfspace(-1, HalfSpace(-th, 1.0)))
+    anchors = [F.project(F.for_label(y).anchor(theta_decoy.d), y)
+               for y in (1, -1)]
     eps = {1: np.asarray(eps_plus, dtype=float),
            -1: np.asarray(eps_minus, dtype=float)}
     if (eps[1] < 0).any() or (eps[-1] < 0).any():
         raise ValueError("class budgets must be non-negative")
-    th = theta_decoy.theta
     X = {y: np.tile(a, (len(eps[1]), 1)) for y, a in zip((1, -1), anchors)}
 
     def residual(xp, xm):
@@ -192,7 +175,7 @@ def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: np.ndarray,
                 continue
             g = (-2.0 * y * eps[y][rows])[:, None] * r[rows]
             errors = {}
-            x_new = F_sv.project(Z[y][rows] - step[rows, None] * g, y, errors)
+            x_new = F.project(Z[y][rows] - step[rows, None] * g, y, errors)
             for i, exc in errors.items():
                 failed[int(rows[i])] = exc
                 live[rows[i]] = False
@@ -244,13 +227,12 @@ def run_kkt(D_c: Dataset, D_test: Dataset, epsilon: float,
     trajectory = []
     skipped = []
     for di, decoy in enumerate(decoys):
-        F_sv = support_vector_set(F_builder(decoy), decoy.theta_decoy)
+        F = F_builder(decoy)
         gDc = clean_gradient(decoy.theta_decoy, D_c, loss)
         theta, models = None, {}  # the previous split's models
         try:
             X_p, X_m, objs, failed = kkt_solve(
-                gDc, decoy.theta_decoy, eps_plus, eps_minus, F_sv, lam_eff,
-                projected_anchors(F_sv, D_c.d))
+                gDc, decoy.theta_decoy, eps_plus, eps_minus, F, lam_eff)
         except InfeasibleSetError as exc:  # an empty class set: every split
             failed = dict.fromkeys(range(T + 1), exc)
         for t in range(T + 1):

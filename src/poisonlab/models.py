@@ -220,13 +220,13 @@ def _face_step(Zf, r, lam, size):
     return resid, False
 
 
-def _hinge_closer(theta, Z, w, lam, delta):
+def _hinge_closer(theta, Z, w, lam):
     """Primal active-set method on the dual box QP (Nocedal & Wright,
     Numerical Optimization, 2006, sec. 16.5) from the smoothed iterate at
-    level delta.  Points with margin below 1 - delta start pinned at
-    alpha = w, those above 1 + delta pinned at 0, and the rest free at
-    their smoothed duals w * sigma((1 - m) / delta).  A wider band frees
-    points that the first rounds pin again, one round each.
+    the last smoothing level, delta.  Points with margin below 1 - delta
+    start pinned at alpha = w, those above 1 + delta pinned at 0, and the
+    rest free at their smoothed duals w * sigma((1 - m) / delta).  A wider
+    band frees points that the first rounds pin again, one round each.
 
     Each round solves the free margin-1 system (``_face_step``): by one Gram
     solve, verified by its residual, and by SVD least squares only on
@@ -242,6 +242,7 @@ def _hinge_closer(theta, Z, w, lam, delta):
     on the wrong side of 1 is released; with none left by more than
     _KKT_TOL * (1 + |m|), alpha is optimal.  Returns the last
     (theta, alpha)."""
+    delta = _SMOOTHING_LEVELS[-1]
     m = Z @ theta
     pin = np.where(m < 1.0 - delta, 1, np.where(m > 1.0 + delta, -1, 0))
     free = np.flatnonzero(pin == 0)
@@ -321,8 +322,7 @@ def _train_hinge_sum(X, y, w, lam, tol, start=None):
                               linear=(X[below].T @ (wb * y[below]), np.sum(wb)))
     else:
         theta = start
-    theta, alpha = _hinge_closer(theta, X * y[:, None], w, lam,
-                                 _SMOOTHING_LEVELS[-1])
+    theta, alpha = _hinge_closer(theta, X * y[:, None], w, lam)
     r = float(np.linalg.norm(_hinge_witness(theta, alpha, X, y, w, lam)))
     target = tol * (1.0 + np.linalg.norm(theta))
     if r <= target:

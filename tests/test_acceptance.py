@@ -19,13 +19,11 @@ from poisonlab import (
     TrainConfig,
     gen_decoys,
     kkt_solve,
-    projected_anchors,
     run_alfa,
     run_influence,
     run_kkt,
     run_minmax,
     run_minmax_basic,
-    support_vector_set,
     synth_gaussians,
     train,
     union,
@@ -237,10 +235,8 @@ def test_criterion_7_kkt_stationarity():
         ep, em = 0.03, 0.02
         n = tr.total_weight
         scale = 1.0 + ep + em
-        F_sv = support_vector_set(F, th_d)
-        (xp,), (xm,), (obj,), _ = kkt_solve(gDc, th_d, [ep], [em], F_sv,
-                                            cfg.mean_lam(n * scale) * scale,
-                                            projected_anchors(F_sv, th_d.d))
+        (xp,), (xm,), (obj,), _ = kkt_solve(gDc, th_d, [ep], [em], F,
+                                            cfg.mean_lam(n * scale) * scale)
         if obj <= 1e-10:
             solved += 1
             D_p = Dataset.from_points(np.array([xp, xm]), [1.0, -1.0],

@@ -99,7 +99,7 @@ def test_attacks_on_count_files(tmp_path, capsys, counts):
     assert "not supported yet" in capsys.readouterr().err
 
 
-def test_count_files_take_their_sidecar_domain(tmp_path, counts):
+def test_count_files_take_their_sidecar_domain(tmp_path, capsys, counts):
     from poisonlab import save_dataset
     tr, te = counts
     save_dataset(tr, tmp_path / "tr.txt", "sparse-text")
@@ -112,6 +112,12 @@ def test_count_files_take_their_sidecar_domain(tmp_path, counts):
     dp = doc["dp"]
     assert dp["domain"] == "nonneg_int" and dp["points"]
     assert all(v == int(v) >= 0 for x, _, _ in dp["points"] for v in x)
+    # the rounded points fold into weighted means, which are not counts:
+    # collapse runs on the relaxed view of the data
+    capsys.readouterr()
+    assert run_cli(["collapse", str(tmp_path / "kkt_seed0.json")]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verified"] is True and rep["distinct_points"] <= 2
 
 
 def test_file_dataset_without_test_file_exits_2_and_names_it(tmp_path, capsys):

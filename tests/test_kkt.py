@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from poisonlab import Dataset, DecoyParams, LossSpec, ModelParams, TrainConfig
-from poisonlab import clean_gradient, gen_decoys, kkt_solve, projected_anchors, run_kkt, support_vector_set, synth_gaussians, train, union
+from poisonlab import clean_gradient, gen_decoys, kkt_solve, run_kkt, synth_gaussians, train, union
 from poisonlab.feasible import ball_only_feasible, build_feasible_set
 from poisonlab.kkt import decoy_loss_caps, pareto_prune
 from poisonlab.models import avg_loss, test_error_01 as zero_one_error
@@ -83,11 +83,9 @@ def test_clean_gradient_does_not_depend_on_rounding_at_margin_one():
 
 
 def solve_on(F, gDc, th, ep, em, lam_eff):
-    """kkt_solve of the one split (ep, em) on F's support-vector set, from
-    its projected anchors: (x_plus, x_minus, objective)."""
-    F_sv = support_vector_set(F, th)
-    xp, xm, obj, failed = kkt_solve(gDc, th, [ep], [em], F_sv, lam_eff,
-                                    projected_anchors(F_sv, th.d))
+    """kkt_solve of the one split (ep, em) on F: (x_plus, x_minus,
+    objective)."""
+    xp, xm, obj, failed = kkt_solve(gDc, th, [ep], [em], F, lam_eff)
     assert not failed
     return xp[0], xm[0], obj[0]
 
@@ -113,26 +111,6 @@ def test_kkt_solve_zero_budgets_deterministic_centers():
     assert obj == pytest.approx(float(np.dot(r, r)))
     xp2, xm2, _ = solve_on(F, gDc, th, 0.0, 0.0, lam_eff)
     np.testing.assert_array_equal(xp, xp2)
-
-
-@pytest.mark.parametrize("ep,em", [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0)])
-def test_kkt_solve_returns_no_view_of_its_anchors(ep, em):
-    # run_kkt hands one anchor pair to every split of a decoy, so a point
-    # the solve returns, changed in place, must not move a later start
-    c = np.array([2.0, 1.0])
-    F = ball_only_feasible({1: c, -1: -c}, {1: 1.0, -1: 1.0}, 2)
-    th = ModelParams(np.array([0.1, 0.0]))
-    F_sv = support_vector_set(F, th)
-    anchors = projected_anchors(F_sv, th.d)
-    kept = tuple(a.copy() for a in anchors)
-    xp, xm, _, _ = kkt_solve(np.array([0.3, -0.2]), th, [ep], [em], F_sv, 0.05,
-                             anchors)
-    assert not np.shares_memory(xp, anchors[0])
-    assert not np.shares_memory(xm, anchors[1])
-    xp += 1.0
-    xm += 1.0
-    for a, k in zip(anchors, kept):
-        np.testing.assert_array_equal(a, k)
 
 
 def test_kkt_solve_support_vector_constraints_hold():
@@ -248,16 +226,14 @@ def test_batched_splits_match_single_split_solves(benchmark_grid):
     eps_minus = 0.03 - eps_plus
     lam_eff = cfg.mean_lam(tr.total_weight * 1.03) * 1.03
     for d in decoys:
-        th = d.theta_decoy
-        F_sv = support_vector_set(F_builder(d), th)
+        th, F = d.theta_decoy, F_builder(d)
         args = (clean_gradient(th, tr, loss), th)
-        anchors = projected_anchors(F_sv, tr.d)
-        X_p, X_m, obj, failed = kkt_solve(*args, eps_plus, eps_minus, F_sv,
-                                          lam_eff, anchors)
+        X_p, X_m, obj, failed = kkt_solve(*args, eps_plus, eps_minus, F,
+                                          lam_eff)
         assert not failed
         for t in range(7):
             xp, xm, o, f = kkt_solve(*args, eps_plus[t:t + 1], eps_minus[t:t + 1],
-                                     F_sv, lam_eff, anchors)
+                                     F, lam_eff)
             assert not f
             for got, want in ((X_p[t], xp[0]), (X_m[t], xm[0])):
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -357,6 +333,15 @@ def test_run_kkt_skips_infeasible_subproblems_and_records_them(decoy_pair):
     assert [s["decoy_index"] for s in skipped] == [0] * 4
     assert [s["eps_plus"] for s in skipped] == pytest.approx([0.0, 0.01, 0.02, 0.03])
     assert all(s["reason"] for s in skipped)
+
+
+def test_kkt_solve_on_an_empty_class_set_raises(decoy_pair):
+    from poisonlab.feasible import InfeasibleSetError
+    tr, _, _, empty = decoy_pair
+    th = empty.theta_decoy
+    with pytest.raises(InfeasibleSetError, match="empty"):
+        kkt_solve(clean_gradient(th, tr, LossSpec.hinge()), th, [0.01], [0.02],
+                  _capped_F_builder(tr)(empty), 0.1)
 
 
 def test_run_kkt_all_subproblems_infeasible_raises(decoy_pair):

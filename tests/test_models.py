@@ -335,7 +335,7 @@ def test_smoothing_levels_converge_from_the_clean_model(q):
         models._train_smooth(D.X, D.y, D.w, smooth, lam, 1e-10, 1.0, x0=clean)
         theta = models._train_smooth(D.X, D.y, D.w, smooth, lam, 1e-10, 1.0,
                                      x0=theta)
-    theta, _ = models._hinge_closer(theta, D.X * D.y[:, None], D.w, lam, delta)
+    theta, _ = models._hinge_closer(theta, D.X * D.y[:, None], D.w, lam)
     cold = train(D, LossSpec.hinge(), TrainConfig(lam=0.1)).theta
     assert np.linalg.norm(theta - cold) <= 1e-12 * (1.0 + np.linalg.norm(cold))
 
