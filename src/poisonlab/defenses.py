@@ -15,10 +15,11 @@ and scores the combined data once per fit, and derives both tau and the
 kept set from that one score array.
 
 k-NN scoring runs in blocks of rows sized so that each block array (a Gram
-expansion, its argpartition, the first round's coordinate differences, the
-squares of reference rows) holds at most ``_KNN_BLOCK_BYTES``.  Its working
-memory, beyond the data and the tables it returns, is thus bounded whatever
-the number of points, up to 2^17 reference points, where a block is one row.
+expansion, its argpartition, the coordinate differences of the first round
+and of the merged score's crossing, the squares of reference rows) holds at
+most ``_KNN_BLOCK_BYTES``.  Its working memory, beyond the data and the
+tables it returns, is thus bounded whatever the number of points, up to
+2^17 reference points, where a block is one row.
 Per row, a BLAS Gram expansion only picks the 2k + 6 nearest candidates
 (``np.argpartition``); their distances are recomputed exactly from coordinate
 differences and sorted by (distance, reference index) before weight is
@@ -268,8 +269,13 @@ def _knn_merged(table: _KnnTable, clean: Dataset, D: Dataset,
         # the nearby poison, padded with the row's own index: its weight is
         # left out, so a pad shifts the crossing's position but not its sum
         cols = np.sort(np.where(near, poison, rows[:, None]), axis=1)
-        cand = np.hstack([table.nbrs[rows], cols[:, -near.sum(axis=1).max():]])
-        out[rows] = _knn_crossing(D.X[rows], np.sort(cand, axis=1), D, k, rows)[0]
+        cand = np.sort(np.hstack([table.nbrs[rows], cols[:, -near.sum(axis=1).max():]]),
+                       axis=1)
+        # the crossing's arrays hold a row's candidates x d coordinates
+        chunk = _knn_block_rows(cand.shape[1] * D.d)
+        for a in range(0, len(rows), chunk):
+            r = rows[a:a + chunk]
+            out[r] = _knn_crossing(D.X[r], cand[a:a + chunk], D, k, r)[0]
     return out
 
 

@@ -86,7 +86,7 @@ def gen_decoys(D_c: Dataset, D_test: Dataset, loss: LossSpec, lam: float,
     out = []
     for r in r_grid:
         for q in q_grid:
-            gamma = float(np.quantile(losses, q))
+            gamma = _quantile(losses, q)
             mask = losses >= gamma
             D_flip = Dataset(flip_all.X[mask], flip_all.y[mask],
                              flip_all.w[mask] * r, flip_all.domain)
@@ -120,8 +120,24 @@ def decoy_loss_caps(D_c: Dataset, theta_decoy: ModelParams, loss: LossSpec,
     """Quantile-adaptive decoy-loss caps: the (1-p) quantile of clean-point
     losses under the decoy, per class (mirrors the defender's thresholding)."""
     ls = loss_of_margin(loss, margins(theta_decoy, D_c))
-    return {lab: float(np.quantile(ls[D_c.y == lab], 1.0 - p))
-            for lab in (1, -1)}
+    return {lab: _quantile(ls[D_c.y == lab], 1.0 - p) for lab in (1, -1)}
+
+
+def _quantile(a: np.ndarray, q: float) -> float:
+    """np.quantile(a, q) by its default linear rule, bit for bit: at the
+    virtual index v = (n - 1) q, numpy's lerp between the order statistics
+    i = floor(v) and i + 1, which np.partition places, with weight t = v - i,
+    measured from the upper one where t >= 0.5.  np.quantile itself calls
+    np.unique, which imports numpy.ma, about 1 MB that nothing else loads."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("Quantiles must be in the range [0, 1]")
+    v = (len(a) - 1) * q
+    if v >= len(a) - 1:
+        return float(np.max(a))
+    i = int(v)
+    lo, hi = np.partition(a, (i, i + 1))[i:i + 2]
+    t, diff = v - i, hi - lo
+    return float(hi - diff * (1.0 - t) if t >= 0.5 else lo + diff * t)
 
 
 def kkt_solve(gDc: np.ndarray, theta_decoy: ModelParams, eps_plus: np.ndarray,

@@ -366,8 +366,9 @@ def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
 
     ``strict=False`` marks a hinge seed level, whose result only seeds the
     closer, which certifies the answer: it returns without a certificate,
-    and its Hessians leave out the rows curved below _SEED_CURVATURE_CUT of
-    the largest, an inexact Newton step (Nocedal & Wright sec. 7.1)."""
+    its Hessians leave out the rows curved below _SEED_CURVATURE_CUT of the
+    largest, and above _DENSE_NEWTON_MAX_D its CG solves only to a forcing
+    term, inexact Newton steps (Nocedal & Wright sec. 7.1)."""
     d = X.shape[1]
     cut = np.finfo(float).eps if strict else _SEED_CURVATURE_CUT
     b, c = (np.zeros(d), 0.0) if linear is None else linear
@@ -381,14 +382,18 @@ def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
     theta = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
     f, g, curv = fgc(theta)
     target = tol * (1.0 + np.linalg.norm(theta))
+    gn = g0 = np.linalg.norm(g)
     it = 0
-    while np.linalg.norm(g) > 0.5 * target and it < 100:
-        step = _solve_hessian(X, curv, lam, g, 1e-12, 10 * d, cut=cut)[0]
+    while gn > 0.5 * target and it < 100:
+        # a seed level's CG stops at the forcing term sqrt(|g| / |g0|),
+        # capped at 0.5 (Eisenstat & Walker 1996): loose while far out
+        rtol = 1e-12 if strict else max(1e-12, min(0.5, np.sqrt(gn / g0)))
+        step = _solve_hessian(X, curv, lam, g, rtol, 10 * d, cut=cut)[0]
         # backtrack to the Armijo condition f(theta - t s) <= f - 1e-4 t g^T s
         # (Nocedal & Wright sec. 3.1).  Near the optimum f differences drown
         # in rounding: f sums len(w) non-negative terms, so where f rises by
         # at most len(w) * eps * f a step that lowers the gradient norm counts
-        slope, gn = 1e-4 * np.dot(g, step), np.linalg.norm(g)
+        slope = 1e-4 * np.dot(g, step)
         noise = np.finfo(float).eps * len(w) * abs(f)
         t = 1.0
         while t >= 1e-12:
@@ -400,12 +405,11 @@ def _train_smooth(X, y, w, loss, lam, tol, norm, x0=None,
         else:
             break  # no step qualifies
         theta, f, g, curv = theta - t * step, f_new, g_new, curv_new
-        target = tol * (1.0 + np.linalg.norm(theta))
+        gn, target = np.linalg.norm(g), tol * (1.0 + np.linalg.norm(theta))
         it += 1
-    if strict and np.linalg.norm(g) > target:
-        raise TrainingError(
-            f"training stalled at gradient norm {np.linalg.norm(g):.3e} "
-            f"(target {target:.3e})", theta=theta, residual=float(np.linalg.norm(g)))
+    if strict and gn > target:
+        raise TrainingError(f"training stalled at gradient norm {gn:.3e} "
+                            f"(target {target:.3e})", theta=theta, residual=float(gn))
     return theta
 
 

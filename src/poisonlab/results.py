@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .data import Dataset
@@ -69,6 +68,8 @@ def evaluate_against_defenses(
 
     workers = worker_count()
     if workers > 1 and len(defenses) > 1:
+        # imported here: a serial run need not load concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as ex:
             pairs = list(ex.map(one, defenses, slots))
     else:

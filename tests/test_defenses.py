@@ -386,9 +386,10 @@ def test_knn_clean_prefix_check_stays_within_the_blocks():
 def test_knn_merge_blocks_count_the_rows_coordinates():
     """At d = 500 with 60 poison points, a clean-against-poison block is
     sized by its rows' 500 coordinates, not by the 60 poison columns alone:
-    262 rows.  The exact crossing of a block's rows near the poison then
-    sets the peak, 12.5 MB traced, where one block of all 1000 clean rows
-    took 36.6 MB."""
+    262 rows, where one block of all 1000 clean rows took 36.6 MB traced.
+    The exact crossing of a block's rows near the poison runs in chunks of
+    rows sized by their candidates' coordinates: 2.7 MB traced, where one
+    crossing of the 145 rows hit took the peak to 12.5 MB."""
     gen = np.random.default_rng(0)
     C = Dataset.from_points(gen.standard_normal((1000, 500)),
                             np.where(gen.random(1000) < 0.5, 1.0, -1.0))
@@ -398,7 +399,7 @@ def test_knn_merge_blocks_count_the_rows_coordinates():
     D = union(C, P)
     peak = traced_peak(lambda: score_dataset(
         kind, DetectorParams(KNN, reference=D, clean=C), D, training=True))
-    assert peak <= 20 * defenses._KNN_BLOCK_BYTES, peak
+    assert peak <= 4 * defenses._KNN_BLOCK_BYTES, peak
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

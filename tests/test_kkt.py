@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from poisonlab import Dataset, DecoyParams, LossSpec, ModelParams, TrainConfig
 from poisonlab import clean_gradient, gen_decoys, kkt_solve, run_kkt, synth_gaussians, train, union
 from poisonlab.feasible import ball_only_feasible, build_feasible_set
-from poisonlab.kkt import decoy_loss_caps, pareto_prune
+from poisonlab import kkt
+from poisonlab.kkt import _quantile, decoy_loss_caps, pareto_prune
 from poisonlab.models import avg_loss, test_error_01 as zero_one_error
 
 from oracles import grad_point
@@ -278,7 +284,43 @@ def test_decoy_loss_caps_are_class_quantiles():
     from poisonlab.models import loss_of_margin, margins
     ls = loss_of_margin(loss, margins(th, tr))
     for lab in (1, -1):
-        assert caps[lab] == pytest.approx(float(np.quantile(ls[tr.y == lab], 0.95)))
+        assert caps[lab] == np.quantile(ls[tr.y == lab], 0.95)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 2000])
+def test_quantile_equals_numpy_quantile(n):
+    gen = np.random.default_rng(n)
+    for a in (gen.standard_normal(n), gen.integers(0, 3, n).astype(float),
+              gen.exponential(size=n) * 10.0 ** gen.uniform(-8, 8, n)):
+        for q in (0.0, 0.05, 0.2, 0.35, 0.5, 0.95, 1.0, gen.random()):
+            assert _quantile(a, q) == np.quantile(a, q), (n, q)
+    with pytest.raises(ValueError, match="range"):
+        _quantile(a, 1.5)
+
+
+def test_serial_run_loads_neither_numpy_ma_nor_the_thread_pool():
+    # np.quantile imports numpy.ma (np.unique checks for masked arrays), and
+    # a thread pool concurrent.futures and logging: about 1.7 MB of every
+    # run's peak memory, which a run with one defense thread never needs
+    code = """
+import sys
+from poisonlab import DefenseKind, LossSpec, TrainConfig, gen_decoys, synth_gaussians
+from poisonlab.kkt import decoy_loss_caps
+from poisonlab.results import evaluate_against_defenses
+tr, te = synth_gaussians(0, 200, 5, 2.0)
+loss = LossSpec.hinge()
+decoys = gen_decoys(tr, te, loss, 0.1, r_grid=(1, 2), q_grid=(0.2, 0.5))
+decoy_loss_caps(tr, decoys[0].theta_decoy, loss, 0.05)
+evaluate_against_defenses(tr, te, te, [DefenseKind.l2(), DefenseKind.knn()], 0.05,
+                          loss, TrainConfig())
+print(sorted(m for m in ("numpy.ma", "concurrent.futures") if m in sys.modules))
+"""
+    src = str(Path(kkt.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "POISONLAB_WORKERS"}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_kkt_clean_decoy_is_noop():

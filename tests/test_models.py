@@ -605,6 +605,31 @@ def test_cg_newton_matches_dense_newton(objective, monkeypatch):
     assert solves
 
 
+@pytest.mark.parametrize("q, strict_products", [(0.05, 271), (0.5, 244)])
+def test_seed_level_cg_stops_at_the_forcing_term(q, strict_products, monkeypatch):
+    # above _DENSE_NEWTON_MAX_D a seed level's CG stops at the forcing term
+    # sqrt(|g| / |g0|): with the limit at 0, a cold train makes at most 0.6x
+    # the operator products that solves to 1e-12 made (strict_products), and
+    # the closer still lands on the dense train's optimum
+    D, _, _ = decoy_flip_set(q)
+    cfg = TrainConfig(lam=0.1)
+    dense = train(D, LossSpec.hinge(), cfg).theta
+    products = []
+    real_op = scipy.sparse.linalg.LinearOperator
+
+    def counted(shape, matvec):
+        def product(u):
+            products.append(1)
+            return matvec(u)
+        return real_op(shape, matvec=product)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "LinearOperator", counted)
+    monkeypatch.setattr(models, "_DENSE_NEWTON_MAX_D", 0)
+    got = train(D, LossSpec.hinge(), cfg).theta
+    assert 0 < len(products) <= 0.6 * strict_products, len(products)
+    assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
 @pytest.mark.parametrize("loss", [LossSpec.smoothed_hinge(0.05), LossSpec.logistic()])
 def test_smooth_training_out_of_reach_raises_with_last_iterate(loss, monkeypatch):
     # a zero tolerance no gradient meets: Newton stops at its step cap or
